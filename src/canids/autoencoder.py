@@ -35,7 +35,7 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _sigmoid(z):
+def sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -47,7 +47,7 @@ def _sigmoid(z):
 ACTIVATIONS = {
     "identity": _identity,
     "relu": _relu,
-    "sigmoid": _sigmoid,
+    "sigmoid": sigmoid,
     "tanh": np.tanh,
 }
 

@@ -2,10 +2,24 @@
 second-order gradient-boosted trees with gain importance.
 
 Split search is exact greedy: candidate thresholds are the midpoints
-between consecutive distinct sorted feature values. Columns whose training
-values are all 0/1 (the 64 payload bits) take a fast path with the single
-candidate threshold 0.5. Gain ties break to the lowest feature index, and
-within a feature to the lowest threshold, so fits are deterministic.
+between consecutive distinct sorted feature values. Gain ties break to the
+lowest feature index, and within a feature to the lowest threshold, so fits
+are deterministic. CART and boosting share one search over the left and
+right sides' (count, S1, S2) sums: CART sums (label, 1) and scores Gini
+decrease, boosting sums (gradient, hessian) and scores the second-order
+gain.
+
+Each fit prepares its columns once, as in the presorted column blocks of
+exact greedy XGBoost but without histograms. Columns whose training values
+are all 0/1 (the 64 payload bits) have the single candidate threshold 0.5;
+they are copied into one C-contiguous block, a node takes its rows from
+it, and one matrix-vector product per statistic sums them. Every other
+column is argsorted once (stable); a node keeps its rows in that order and
+its children inherit it by stable partition. A node's rows are always
+ascending, so that order equals a per-node stable argsort and BLAS gets the
+same float64 rows in the same layout as a per-node gather: every sum is
+taken over the same numbers in the same order, and the trees are bit for
+bit those of a search that gathers and sorts at each node.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autoencoder import sigmoid
 from .errors import EmptyData, NonBinaryLabels, UnfitModel, WidthMismatch
 from .model_io import decode_float, encode_float
 
@@ -74,6 +89,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError("features_per_split must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -103,139 +120,160 @@ def _as_array(X) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _binary_columns(X: np.ndarray) -> np.ndarray:
-    return np.all((X == 0.0) | (X == 1.0), axis=0)
-
-
 # --- split search ----------------------------------------------------------
+
+# Both scores divide by zero on an empty or weightless side and mask the
+# result; they run under the errstate that _Presorted.grow sets.
 
 def _gini_weighted(n_side, pos_side):
     # n_side * gini = n - (pos^2 + neg^2) / n, vectorized and 0-safe
     neg_side = n_side - pos_side
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = n_side - (pos_side ** 2 + neg_side ** 2) / n_side
+    w = n_side - (pos_side ** 2 + neg_side ** 2) / n_side
     return np.where(n_side > 0, w, np.inf)
 
 
-def _best_split_gini(X, y, idx, candidates, is_binary, min_samples_leaf):
-    """Best (feature, threshold, gain) at a node, or None.
-
-    candidates must be in ascending feature order; equal gains keep the
-    earliest candidate, which implements the documented tie rules.
-    """
-    n = idx.size
-    pos = float(y[idx].sum())
-    parent = 1.0 - (pos / n) ** 2 - ((n - pos) / n) ** 2
-    best = None
-
-    bin_feats = [f for f in candidates if is_binary[f]]
-    gen_feats = [f for f in candidates if not is_binary[f]]
-    results = {}
-
-    if bin_feats:
-        B = X[np.ix_(idx, bin_feats)]
-        n1 = B.sum(axis=0)
-        pos1 = y[idx].astype(np.float64) @ B
-        n0 = n - n1
-        pos0 = pos - pos1
-        weighted = (_gini_weighted(n0, pos0) + _gini_weighted(n1, pos1)) / n
-        gains = parent - weighted
-        valid = (n0 >= min_samples_leaf) & (n1 >= min_samples_leaf)
-        for j, f in enumerate(bin_feats):
-            if valid[j] and gains[j] > 0.0:
-                results[f] = (gains[j], 0.5)
-
-    for f in gen_feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[idx][order].astype(np.float64)
-        boundary = np.flatnonzero(sv[1:] != sv[:-1])
-        if boundary.size == 0:
-            continue
-        csum = np.cumsum(sy)
-        n_left = boundary + 1.0
-        pos_left = csum[boundary]
-        n_right = n - n_left
-        pos_right = pos - pos_left
-        weighted = (_gini_weighted(n_left, pos_left)
-                    + _gini_weighted(n_right, pos_right)) / n
-        gains = parent - weighted
-        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        gains = np.where(valid, gains, -np.inf)
-        j = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[j] > 0.0:
-            thr = (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0
-            results[f] = (gains[j], thr)
-
-    for f in candidates:
-        if f in results:
-            gain, thr = results[f]
-            if best is None or gain > best[2]:
-                best = (f, thr, gain)
-    return best
-
-
 def _gh_score(G, H, lam):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = G ** 2 / (H + lam)
-    return np.where(H + lam > 0, s, 0.0)
+    return np.where(H + lam > 0, G ** 2 / (H + lam), 0.0)
 
 
-def _best_split_gh(X, g, h, idx, candidates, is_binary, cfg: BoostConfig):
-    """Best second-order split: gain = 0.5*(GL^2/(HL+lam) + GR^2/(HR+lam)
-    - G^2/(H+lam)) - gamma_split, subject to min_child_weight on both sides."""
-    n = idx.size
-    G = float(g[idx].sum())
-    H = float(h[idx].sum())
-    parent = _gh_score(np.float64(G), np.float64(H), cfg.lam)
-    best = None
+class _Gini:
+    """CART: S1 counts positives, S2 counts rows (b is None); leaves hold
+    the positive fraction and each side needs min_samples_leaf rows."""
 
-    bin_feats = [f for f in candidates if is_binary[f]]
-    gen_feats = [f for f in candidates if not is_binary[f]]
-    results = {}
+    def __init__(self, min_samples_leaf: int):
+        self.min_weight = min_samples_leaf
 
-    if bin_feats:
-        B = X[np.ix_(idx, bin_feats)]
-        G1 = g[idx] @ B
-        H1 = h[idx] @ B
-        n1 = B.sum(axis=0)
-        G0, H0, n0 = G - G1, H - H1, n - n1
-        gains = 0.5 * (_gh_score(G0, H0, cfg.lam) + _gh_score(G1, H1, cfg.lam)
-                       - parent) - cfg.gamma_split
-        valid = ((n0 > 0) & (n1 > 0)
-                 & (H0 >= cfg.min_child_weight) & (H1 >= cfg.min_child_weight))
-        for j, f in enumerate(bin_feats):
-            if valid[j] and gains[j] > 0.0:
-                results[f] = (gains[j], 0.5)
+    def leaf(self, S1, S2):
+        return S1 / S2
 
-    for f in gen_feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        boundary = np.flatnonzero(sv[1:] != sv[:-1])
-        if boundary.size == 0:
-            continue
-        Gc = np.cumsum(g[idx][order])
-        Hc = np.cumsum(h[idx][order])
-        GL = Gc[boundary]
-        HL = Hc[boundary]
-        GR, HR = G - GL, H - HL
-        gains = 0.5 * (_gh_score(GL, HL, cfg.lam) + _gh_score(GR, HR, cfg.lam)
-                       - parent) - cfg.gamma_split
-        valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
-        gains = np.where(valid, gains, -np.inf)
-        j = int(np.argmax(gains))
-        if gains[j] > 0.0:
-            thr = (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0
-            results[f] = (gains[j], thr)
+    def is_final(self, S1, S2, rows):
+        return S1 == 0 or S1 == S2 or rows < 2 * self.min_weight
 
-    for f in candidates:
-        if f in results:
-            gain, thr = results[f]
-            if best is None or gain > best[2]:
-                best = (f, thr, gain)
-    return best
+    def gains(self, S1, S2, L1, L2, R1, R2):
+        parent = 1.0 - (S1 / S2) ** 2 - ((S2 - S1) / S2) ** 2
+        return parent - (_gini_weighted(L2, L1) + _gini_weighted(R2, R1)) / S2
+
+
+class _Newton:
+    """Boosting: S1 sums gradients g, S2 hessians h. Gain is
+    0.5*(GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)) - gamma_split and
+    each side needs a hessian sum of at least min_child_weight."""
+
+    def __init__(self, cfg: BoostConfig):
+        self.cfg = cfg
+        self.min_weight = cfg.min_child_weight
+
+    def leaf(self, G, H):
+        return -G / (H + self.cfg.lam) if H + self.cfg.lam > 0 else 0.0
+
+    def is_final(self, G, H, rows):
+        return rows < 2
+
+    def gains(self, G, H, GL, HL, GR, HR):
+        lam = self.cfg.lam
+        parent = _gh_score(np.float64(G), np.float64(H), lam)
+        return (0.5 * (_gh_score(GL, HL, lam) + _gh_score(GR, HR, lam) - parent)
+                - self.cfg.gamma_split)
+
+
+class _Presorted:
+    """One fit's split-search data: which columns are 0/1, and a contiguous
+    copy and a stable argsort of every other column."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.is_binary = np.all((X == 0.0) | (X == 1.0), axis=0)
+        self.cols = {f: np.ascontiguousarray(X[:, f])
+                     for f in np.flatnonzero(~self.is_binary).tolist()}
+        self.orders = {f: np.argsort(v, kind="stable") for f, v in self.cols.items()}
+        self.mask = np.zeros(X.shape[0], dtype=bool)  # scratch: rows going left
+
+    def block(self, feats: np.ndarray) -> np.ndarray:
+        """The 0/1 columns among feats as a C-contiguous uint8 block."""
+        return np.ascontiguousarray(self.X[:, feats[self.is_binary[feats]]],
+                                    dtype=np.uint8)
+
+    def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None):
+        """One tree on the ascending row indices rows, summing (a, b), or
+        (a, row count) when b is None. Every node searches feats, or the
+        sorted subset sample() draws from feats. The 0/1 candidates' rows
+        come from block, which holds exactly the 0/1 columns of feats, or
+        from X per node when block is None."""
+        X, mask = self.X, self.mask
+        member = np.zeros(X.shape[0], dtype=bool)
+        member[rows] = True
+        orders = {f: o[member[o]] for f, o in self.orders.items() if f in feats}
+
+        def node(idx, orders, depth):
+            S1 = float(a[idx].sum())
+            S2 = float(idx.size) if b is None else float(b[idx].sum())
+            leaf = TreeNode(value=crit.leaf(S1, S2))
+            if depth >= max_depth or crit.is_final(S1, S2, idx.size):
+                return leaf
+            cand = feats if sample is None else sample()
+            split = self._best_split(crit, a, b, idx, orders, cand, block, S1, S2)
+            if split is None:
+                return leaf
+            f, thr, gain = split
+            go_left = X[idx, f] <= thr
+            mask[idx] = go_left
+            left, right = {}, {}
+            for g, s in orders.items():
+                keep = mask[s]
+                left[g], right[g] = s[keep], s[~keep]
+            out = TreeNode(feature=f, threshold=float(thr), gain=float(gain),
+                           value=leaf.value)
+            out.left = node(idx[go_left], left, depth + 1)
+            out.right = node(idx[~go_left], right, depth + 1)
+            return out
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return node(rows, orders, 0)
+
+    def _best_split(self, crit, a, b, idx, orders, feats, block, S1, S2):
+        """Best (feature, threshold, gain) at a node, or None.
+
+        A 0/1 column's right side sums come from one matrix-vector product
+        over the node's block rows; any other column's left sums are
+        cumulative sums in its presorted order. Equal gains keep the lowest
+        feature, and within a feature the lowest threshold."""
+        m = idx.size
+        found = []
+
+        def masked_gains(nL, L1, L2, nR, R1, R2):
+            valid = ((nL > 0) & (nR > 0)
+                     & (L2 >= crit.min_weight) & (R2 >= crit.min_weight))
+            return np.where(valid, crit.gains(S1, S2, L1, L2, R1, R2), -np.inf)
+
+        bits = feats[self.is_binary[feats]]
+        if bits.size:
+            # float64 rows in C order either way, so BLAS sums them alike
+            B = (np.take(block, idx, axis=0).astype(np.float64)
+                 if block is not None else self.X[np.ix_(idx, bits)])
+            n1 = np.ones(m) @ B
+            A1 = a[idx] @ B
+            W1 = n1 if b is None else b[idx] @ B
+            gains = masked_gains(m - n1, S1 - A1, S2 - W1, n1, A1, W1)
+            j = int(np.argmax(gains))
+            found.append((gains[j], -int(bits[j]), 0.5))
+
+        for f in feats[~self.is_binary[feats]].tolist():
+            s = orders[f]
+            sv = self.cols[f][s]
+            boundary = np.flatnonzero(sv[1:] != sv[:-1])
+            if boundary.size == 0:
+                continue
+            nL = boundary + 1.0
+            L1 = np.cumsum(a[s])[boundary]
+            L2 = nL if b is None else np.cumsum(b[s])[boundary]
+            gains = masked_gains(nL, L1, L2, m - nL, S1 - L1, S2 - L2)
+            j = int(np.argmax(gains))  # first max: lowest threshold wins ties
+            found.append((gains[j], -f, (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0))
+
+        if not found:
+            return None
+        gain, neg_f, thr = max(found)  # equal gains: the larger -f wins
+        return (-neg_f, thr, gain) if gain > 0.0 else None
 
 
 # --- CART --------------------------------------------------------------------
@@ -250,41 +288,25 @@ def fit_cart(
 ) -> TreeNode:
     """Greedy CART by Gini impurity reduction; leaves store the
     positive-class fraction. rng/features_per_split enable the per-node
-    feature sampling used by the random forest."""
+    feature sampling used by the random forest; sampling needs the rng."""
     X = _as_array(X)
     y = np.asarray(y)
     if X.size == 0 or len(y) == 0:
         raise EmptyData("cannot fit a tree on zero rows")
     if not np.all((y == 0) | (y == 1)):
         raise NonBinaryLabels("CART labels must be 0/1")
-    is_binary = _binary_columns(X)
-    n_features = X.shape[1]
-    all_feats = np.arange(n_features)
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        pos = float(y[idx].sum())
-        leaf = TreeNode(value=pos / idx.size)
-        if pos == 0 or pos == idx.size or depth >= max_depth:
-            return leaf
-        if idx.size < 2 * min_samples_leaf:
-            return leaf
-        if features_per_split is not None and features_per_split < n_features:
-            cand = np.sort(rng.choice(all_feats, size=features_per_split,
-                                      replace=False))
-        else:
-            cand = all_feats
-        split = _best_split_gini(X, y, idx, cand, is_binary, min_samples_leaf)
-        if split is None:
-            return leaf
-        f, thr, gain = split
-        go_left = X[idx, f] <= thr
-        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
-        node.value = leaf.value
-        return node
-
-    return grow(np.arange(len(y)), 0)
+    k = features_per_split
+    sampled = k is not None and k < X.shape[1]
+    if sampled and rng is None:
+        raise ValueError("features_per_split needs an rng to sample features")
+    data = _Presorted(X)
+    all_feats = np.arange(X.shape[1])
+    grow_args = (_Gini(min_samples_leaf), y.astype(np.float64), None,
+                 np.arange(len(y)), all_feats, max_depth)
+    if sampled:
+        return data.grow(*grow_args, sample=lambda: np.sort(
+            rng.choice(all_feats, size=k, replace=False)))
+    return data.grow(*grow_args, block=data.block(all_feats))
 
 
 class _FlatTree:
@@ -412,7 +434,9 @@ def fit_random_forest(X, y, cfg: ForestConfig) -> RandomForest:
     if X.size == 0:
         raise EmptyData("cannot fit a forest on zero rows")
     n = X.shape[0]
-    k = cfg.features_per_split or max(1, round(math.sqrt(X.shape[1])))
+    k = cfg.features_per_split
+    if k is None:
+        k = max(1, round(math.sqrt(X.shape[1])))
     sample_size = max(1, round(cfg.bootstrap_fraction * n))
     model = RandomForest(cfg, n_features=X.shape[1])
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
@@ -430,15 +454,6 @@ def fit_random_forest(X, y, cfg: ForestConfig) -> RandomForest:
 
 
 # --- gradient boosting ---------------------------------------------------------
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
 
 def _log_loss(margin: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, margin) - y * margin))
@@ -467,7 +482,7 @@ class GbtModel:
         return m
 
     def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(self.margins(X))
+        return sigmoid(self.margins(X))
 
     def predict(self, X, cutoff: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= cutoff).astype(np.int8)
@@ -517,26 +532,6 @@ class GbtModel:
         )
 
 
-def _grow_gh_tree(X, g, h, rows, candidates, is_binary, cfg: BoostConfig) -> TreeNode:
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
-        leaf = TreeNode(value=-G / (H + cfg.lam) if H + cfg.lam > 0 else 0.0)
-        if depth >= cfg.max_depth or idx.size < 2:
-            return leaf
-        split = _best_split_gh(X, g, h, idx, candidates, is_binary, cfg)
-        if split is None:
-            return leaf
-        f, thr, gain = split
-        go_left = X[idx, f] <= thr
-        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
-        return node
-
-    return grow(rows, 0)
-
-
 def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
     """Additive logistic-loss boosting with second-order split gains.
 
@@ -555,17 +550,19 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
         raise ValueError("base_score must lie in (0, 1)")
 
     n, n_features = X.shape
-    is_binary = _binary_columns(X)
+    data = _Presorted(X)
+    crit = _Newton(cfg)
     base_margin = math.log(cfg.base_score / (1.0 - cfg.base_score))
     margin = np.full(n, base_margin)
     model = GbtModel(cfg, n_features=n_features, base_margin=base_margin)
     model.loss_trace.append(_log_loss(margin, y))
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.rounds)
     all_feats = np.arange(n_features)
+    full_block = None if cfg.colsample < 1.0 else data.block(all_feats)
 
     for r in range(cfg.rounds):
         rng = np.random.default_rng(streams[r])
-        p = _sigmoid(margin)
+        p = sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
         if cfg.subsample < 1.0:
@@ -578,7 +575,8 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
             candidates = np.sort(rng.choice(all_feats, size=k, replace=False))
         else:
             candidates = all_feats
-        tree = _grow_gh_tree(X, g, h, rows, candidates, is_binary, cfg)
+        block = data.block(candidates) if full_block is None else full_block
+        tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block)
         model.trees.append(tree)
         margin += cfg.learning_rate * _FlatTree(tree).route(X)
         model.loss_trace.append(_log_loss(margin, y))

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from canids.autoencoder import sigmoid
 from canids.errors import EmptyData, NonBinaryLabels, UnfitModel, WidthMismatch
 from canids.trees import (
     BoostConfig,
@@ -147,6 +151,15 @@ def test_cart_respects_min_samples_leaf():
     assert tree_max_depth(fit_cart(X, y, max_depth=1)) <= 1
 
 
+def test_cart_feature_sampling_needs_rng():
+    X = np.arange(12.0).reshape(4, 3)
+    y = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="rng"):
+        fit_cart(X, y, features_per_split=2)
+    # no sampling happens when every feature is a candidate
+    assert fit_cart(X, y, features_per_split=3).feature == 0
+
+
 def test_cart_rejects_bad_input():
     with pytest.raises(EmptyData):
         fit_cart(np.empty((0, 2)), np.array([]))
@@ -180,6 +193,12 @@ def test_forest_single_tree_degenerate_config():
     assert len(model.trees) == 1
     proba = model.predict_proba(X)
     assert np.all((proba >= 0) & (proba <= 1))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_forest_config_rejects_nonpositive_features_per_split(k):
+    with pytest.raises(ValueError, match="features_per_split"):
+        ForestConfig(features_per_split=k)
 
 
 def test_forest_separable_training_accuracy():
@@ -331,3 +350,283 @@ def test_importance_sums_to_one():
     imp = feature_importance(model)
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0)
+
+
+# --- equivalence with a per-node gather-and-sort split search -------------------
+#
+# The reference grower below searches each node by gathering its 0/1 columns
+# with np.ix_ and argsorting every other column. The presorted search must
+# grow node-for-node the same trees, with the same feature, threshold, gain
+# and leaf bits.
+
+def _ref_gini_weighted(n_side, pos_side):
+    neg_side = n_side - pos_side
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = n_side - (pos_side ** 2 + neg_side ** 2) / n_side
+    return np.where(n_side > 0, w, np.inf)
+
+
+def _ref_best_split_gini(X, y, idx, candidates, is_binary, min_samples_leaf):
+    n = idx.size
+    pos = float(y[idx].sum())
+    parent = 1.0 - (pos / n) ** 2 - ((n - pos) / n) ** 2
+    best = None
+    bin_feats = [f for f in candidates if is_binary[f]]
+    gen_feats = [f for f in candidates if not is_binary[f]]
+    results = {}
+    if bin_feats:
+        B = X[np.ix_(idx, bin_feats)]
+        n1 = B.sum(axis=0)
+        pos1 = y[idx].astype(np.float64) @ B
+        n0 = n - n1
+        pos0 = pos - pos1
+        weighted = (_ref_gini_weighted(n0, pos0) + _ref_gini_weighted(n1, pos1)) / n
+        gains = parent - weighted
+        valid = (n0 >= min_samples_leaf) & (n1 >= min_samples_leaf)
+        for j, f in enumerate(bin_feats):
+            if valid[j] and gains[j] > 0.0:
+                results[f] = (gains[j], 0.5)
+    for f in gen_feats:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = y[idx][order].astype(np.float64)
+        boundary = np.flatnonzero(sv[1:] != sv[:-1])
+        if boundary.size == 0:
+            continue
+        csum = np.cumsum(sy)
+        n_left = boundary + 1.0
+        pos_left = csum[boundary]
+        n_right = n - n_left
+        pos_right = pos - pos_left
+        weighted = (_ref_gini_weighted(n_left, pos_left)
+                    + _ref_gini_weighted(n_right, pos_right)) / n
+        gains = parent - weighted
+        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        gains = np.where(valid, gains, -np.inf)
+        j = int(np.argmax(gains))
+        if gains[j] > 0.0:
+            results[f] = (gains[j], (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0)
+    for f in candidates:
+        if f in results:
+            gain, thr = results[f]
+            if best is None or gain > best[2]:
+                best = (f, thr, gain)
+    return best
+
+
+def _ref_gh_score(G, H, lam):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = G ** 2 / (H + lam)
+    return np.where(H + lam > 0, s, 0.0)
+
+
+def _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg):
+    n = idx.size
+    G = float(g[idx].sum())
+    H = float(h[idx].sum())
+    parent = _ref_gh_score(np.float64(G), np.float64(H), cfg.lam)
+    best = None
+    bin_feats = [f for f in candidates if is_binary[f]]
+    gen_feats = [f for f in candidates if not is_binary[f]]
+    results = {}
+    if bin_feats:
+        B = X[np.ix_(idx, bin_feats)]
+        G1 = g[idx] @ B
+        H1 = h[idx] @ B
+        n1 = B.sum(axis=0)
+        G0, H0, n0 = G - G1, H - H1, n - n1
+        gains = 0.5 * (_ref_gh_score(G0, H0, cfg.lam) + _ref_gh_score(G1, H1, cfg.lam)
+                       - parent) - cfg.gamma_split
+        valid = ((n0 > 0) & (n1 > 0)
+                 & (H0 >= cfg.min_child_weight) & (H1 >= cfg.min_child_weight))
+        for j, f in enumerate(bin_feats):
+            if valid[j] and gains[j] > 0.0:
+                results[f] = (gains[j], 0.5)
+    for f in gen_feats:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        boundary = np.flatnonzero(sv[1:] != sv[:-1])
+        if boundary.size == 0:
+            continue
+        Gc = np.cumsum(g[idx][order])
+        Hc = np.cumsum(h[idx][order])
+        GL = Gc[boundary]
+        HL = Hc[boundary]
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (_ref_gh_score(GL, HL, cfg.lam) + _ref_gh_score(GR, HR, cfg.lam)
+                       - parent) - cfg.gamma_split
+        valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
+        gains = np.where(valid, gains, -np.inf)
+        j = int(np.argmax(gains))
+        if gains[j] > 0.0:
+            results[f] = (gains[j], (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0)
+    for f in candidates:
+        if f in results:
+            gain, thr = results[f]
+            if best is None or gain > best[2]:
+                best = (f, thr, gain)
+    return best
+
+
+def _ref_is_binary(X):
+    return np.all((X == 0.0) | (X == 1.0), axis=0)
+
+
+def ref_fit_cart(X, y, max_depth=12, min_samples_leaf=1, rng=None,
+                 features_per_split=None):
+    X = np.asarray(X, dtype=np.float64)
+    is_binary = _ref_is_binary(X)
+    all_feats = np.arange(X.shape[1])
+
+    def grow(idx, depth):
+        pos = float(y[idx].sum())
+        leaf = TreeNode(value=pos / idx.size)
+        if pos == 0 or pos == idx.size or depth >= max_depth:
+            return leaf
+        if idx.size < 2 * min_samples_leaf:
+            return leaf
+        if features_per_split is not None and features_per_split < X.shape[1]:
+            cand = np.sort(rng.choice(all_feats, size=features_per_split,
+                                      replace=False))
+        else:
+            cand = all_feats
+        split = _ref_best_split_gini(X, y, idx, cand, is_binary, min_samples_leaf)
+        if split is None:
+            return leaf
+        f, thr, gain = split
+        go_left = X[idx, f] <= thr
+        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
+        node.left = grow(idx[go_left], depth + 1)
+        node.right = grow(idx[~go_left], depth + 1)
+        return node
+
+    return grow(np.arange(len(y)), 0)
+
+
+def ref_fit_random_forest(X, y, cfg):
+    n, d = X.shape
+    k = cfg.features_per_split or max(1, round(np.sqrt(d)))
+    trees = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(stream)
+        rows = rng.integers(0, n, size=max(1, round(cfg.bootstrap_fraction * n)))
+        trees.append(ref_fit_cart(X[rows], y[rows], cfg.max_depth, 1, rng,
+                                  min(k, d)))
+    return trees
+
+
+def ref_fit_gbt(X, y, cfg):
+    y = y.astype(np.float64)
+    n, d = X.shape
+    is_binary = _ref_is_binary(X)
+
+    def grow(g, h, idx, candidates, depth):
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        leaf = TreeNode(value=-G / (H + cfg.lam) if H + cfg.lam > 0 else 0.0)
+        if depth >= cfg.max_depth or idx.size < 2:
+            return leaf
+        split = _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg)
+        if split is None:
+            return leaf
+        f, thr, gain = split
+        go_left = X[idx, f] <= thr
+        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
+        node.left = grow(g, h, idx[go_left], candidates, depth + 1)
+        node.right = grow(g, h, idx[~go_left], candidates, depth + 1)
+        return node
+
+    margin = np.full(n, np.log(cfg.base_score / (1.0 - cfg.base_score)))
+    trees = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.rounds):
+        rng = np.random.default_rng(stream)
+        p = sigmoid(margin)
+        g, h = p - y, p * (1.0 - p)
+        rows = (np.sort(rng.choice(n, size=max(1, round(cfg.subsample * n)),
+                                   replace=False))
+                if cfg.subsample < 1.0 else np.arange(n))
+        cand = (np.sort(rng.choice(np.arange(d), size=max(1, round(cfg.colsample * d)),
+                                   replace=False))
+                if cfg.colsample < 1.0 else np.arange(d))
+        trees.append(grow(g, h, rows, cand, 0))
+        margin += cfg.learning_rate * predict_proba_tree(trees[-1], X)
+    return trees
+
+
+_COLUMN_VALUES = {
+    "bit": st.sampled_from([0.0, 1.0, -0.0]),
+    "low": st.sampled_from([0.0, 1.0, 3.0, 8.0]),
+    "tied": st.one_of(st.sampled_from([-2.5, 0.0, 0.125, 0.125, 7.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False)),
+}
+
+
+@st.composite
+def tree_data(draw):
+    n = draw(st.integers(2, 300))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)),
+                          min_size=1, max_size=7))
+    X = np.column_stack([draw(arrays(np.float64, n, elements=_COLUMN_VALUES[k]))
+                         for k in kinds])
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return X, y
+
+
+def _frames_like(n=4000, seed=0):
+    """64 payload bits, a DLC, an ID and a tied interval column: the
+    feature layout at a size where BLAS blocks its sums."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 12, size=n)
+    X = np.column_stack([
+        rng.random((n, 64)) < np.linspace(0.05, 0.95, 64),
+        (ids % 4) + 5,
+        ids * 16.0,
+        np.round(rng.exponential(0.01, size=n) + ids * 1e-3, 4),
+    ]).astype(np.float64)
+    y = ((X[:, 3] + X[:, 40] > 1) | (X[:, 66] < 0.004)).astype(np.int64)
+    return X, y
+
+
+def _dicts(trees):
+    return [t.to_dict() for t in trees]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_data(), st.integers(0, 6), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(1, 7)), st.integers(0, 2 ** 32 - 1))
+@example(_frames_like(), 8, 2, None, 0)
+def test_cart_matches_gather_and_sort_reference(data, depth, leaf, k, seed):
+    X, y = data
+    got = fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
+    want = ref_fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
+    assert got.to_dict() == want.to_dict()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_data(), st.integers(1, 3), st.integers(0, 6),
+       st.one_of(st.none(), st.integers(1, 7)), st.sampled_from([0.5, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+@example(_frames_like(), 2, 8, None, 1.0, 3)
+def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
+                                                  fraction, seed):
+    X, y = data
+    cfg = ForestConfig(n_trees, depth, k, fraction, seed)
+    assert _dicts(fit_random_forest(X, y, cfg).trees) == _dicts(
+        ref_fit_random_forest(X, y, cfg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_data(), st.integers(1, 4), st.integers(0, 5),
+       st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.05]),
+       st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0.5, 0.8, 1.0]),
+       st.sampled_from([0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+@example(_frames_like(), 3, 5, 1.0, 0.0, 1.0, 0.8, 1.0, 1)
+@example(_frames_like(), 2, 4, 1.0, 0.0, 1.0, 1.0, 0.5, 2)
+def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
+                                               weight, subsample, colsample, seed):
+    X, y = data
+    cfg = BoostConfig(rounds, 0.3, depth, lam, gamma, weight, subsample,
+                      colsample, 0.5, seed)
+    assert _dicts(fit_gbt(X, y, cfg).trees) == _dicts(ref_fit_gbt(X, y, cfg))

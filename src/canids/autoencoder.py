@@ -355,18 +355,6 @@ def fine_tune_threshold(
     return best_cfg, best_f1
 
 
-def dae_classify(net: AutoencoderNet, threshold: float, x):
-    """(prediction, loss): anomaly iff the loss is strictly beyond the
-    threshold; a loss exactly at the threshold stays normal."""
-    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    if arr.ndim == 1:
-        _, recon = net.forward(arr)
-        loss = reconstruction_loss(arr, recon)
-        return int(loss > threshold), loss
-    losses = reconstruction_losses(net, arr)
-    return (losses > threshold).astype(np.int8), losses
-
-
 # --- serialization -----------------------------------------------------------
 
 def net_to_payload(net: AutoencoderNet) -> dict:

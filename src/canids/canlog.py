@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -305,12 +305,3 @@ def clean(batch: RecordBatch) -> tuple[RecordBatch, CleaningStats]:
     stats.kept = len(survivors)
     cleaned = RecordBatch(tuple(survivors), batch.source_name, ())
     return cleaned, stats
-
-
-def relabel(batch: RecordBatch, label: Label) -> RecordBatch:
-    """Copy of batch with every record forced to the given label."""
-    return RecordBatch(
-        tuple(replace(r, label=label) for r in batch.records),
-        batch.source_name,
-        batch.parse_failures,
-    )

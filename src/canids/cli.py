@@ -33,7 +33,6 @@ from .errors import (
     WrongWidth,
 )
 from .features import (
-    FeatureMatrix,
     extract,
     read_features,
     select_subset,
@@ -102,7 +101,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normal-only", action="store_true",
-                   help="fit on rows labeled Normal only")
+                   help="fit semi-supervised models on rows labeled Normal "
+                        "only (dae always is)")
     p.add_argument("--params", default="",
                    help="comma list of overrides, e.g. k=5,threshold=1.2")
     p.add_argument("--grid", choices=["default"],
@@ -198,26 +198,20 @@ def _parse_params(text: str) -> dict:
 def _cmd_train(args) -> int:
     train = read_features(args.infile)
     val = read_features(args.val) if args.val else None
-    if args.normal_only:
-        if train.labels is None:
-            raise ConfigError("--normal-only needs a labeled feature CSV")
-        rows = np.flatnonzero(np.asarray(train.labels) == 0)
-        train = FeatureMatrix(train.values[rows], train.labels[rows],
-                              train.column_ids)
+    policy = "normal-only" if args.normal_only else "contaminated"
     params = _parse_params(args.params)
     if args.grid:
         if val is None or val.labels is None:
             raise ConfigError("--grid needs a labeled --val feature CSV")
         best, best_f1, _ = grid_search(
             args.model, DEFAULT_GRIDS.get(args.model, {}), train, val,
-            policy="normal-only" if args.normal_only else "contaminated",
-            seed=args.seed,
+            policy=policy, seed=args.seed,
         )
         params = {**best, **params}
         print(f"grid best for {args.model}: {best} (f1={best_f1:.4f})")
     det = make_detector(args.model, params,
                         seed=derive_seed(args.seed, args.model))
-    det.fit(train, val=val)
+    det.fit(harness._fit_matrix(det, train, policy), val=val)
     save_detector(args.out, det)
     print(f"saved {args.model} model to {args.out}")
     return 0

@@ -154,12 +154,6 @@ def mahalanobis_score(model: GaussianModel, x) -> float | np.ndarray:
     return float(d2[0]) if single else d2
 
 
-def rc_predict(model: GaussianModel, x) -> np.ndarray:
-    """Anomaly iff the squared distance exceeds the chi-square cutoff."""
-    score = mahalanobis_score(model, x)
-    return (np.atleast_1d(score) > model.cutoff).astype(np.int8)
-
-
 # --- isolation forest --------------------------------------------------------
 
 def average_path_length(m: int | np.ndarray) -> np.ndarray:
@@ -243,7 +237,6 @@ class IsoForestModel:
     n_trees: int
     subsample: int
     seed: int
-    width: int = 0
     trees: list[_IsoTree] = field(default_factory=list)
     _norm: float = 1.0  # c(subsample)
 
@@ -262,7 +255,6 @@ class IsoForestModel:
             "n_trees": self.n_trees,
             "subsample": self.subsample,
             "seed": self.seed,
-            "width": self.width,
             "trees": [
                 {
                     "feature": [int(v) for v in t.feature],
@@ -278,8 +270,7 @@ class IsoForestModel:
     @classmethod
     def from_payload(cls, payload: dict) -> "IsoForestModel":
         from .model_io import decode_array
-        model = cls(payload["n_trees"], payload["subsample"], payload["seed"],
-                    payload["width"])
+        model = cls(payload["n_trees"], payload["subsample"], payload["seed"])
         model._norm = float(average_path_length(model.subsample))
         for obj in payload["trees"]:
             tree = _IsoTree.__new__(_IsoTree)
@@ -306,7 +297,7 @@ def fit_isolation_forest(
     if subsample < 2 or subsample > n:
         raise BadSubsample(f"subsample {subsample} invalid for {n} rows")
     height_limit = math.ceil(math.log2(subsample))
-    model = IsoForestModel(n_trees, subsample, seed, width=X.shape[1])
+    model = IsoForestModel(n_trees, subsample, seed)
     model._norm = float(average_path_length(subsample))
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)

@@ -5,6 +5,12 @@ score is a continuous anomaly measure (higher = more anomalous) and
 predict thresholds it. Models that mix units (knn, lof, rc, dae) fit a
 standardizer on their training rows; tree models consume raw features.
 
+Each detector is a dataclass whose init fields are its constructor
+keywords. make_detector, params() and the model file all read that one
+declaration: a model file holds the params, the seed, the fitted width and
+the fitted state, and load_detector rebuilds the detector through
+make_detector before it restores the state.
+
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
 factories; register_detector() lets tests add stubs.
 """
@@ -12,6 +18,7 @@ factories; register_detector() lets tests add stubs.
 from __future__ import annotations
 
 import zlib
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,16 +31,25 @@ from .density import (
     iso_score,
     mahalanobis_score,
 )
-from .errors import EmptyData, MissingLabels, UnfitModel
+from .errors import EmptyData, MissingLabels, UnfitModel, WrongWidth
 from .features import FeatureMatrix, Standardizer, fit_standardizer
-from .model_io import decode_array, decode_float, encode_array, encode_float
+from .model_io import (
+    decode_array,
+    decode_float,
+    encode_array,
+    encode_float,
+    load_model,
+    save_model,
+)
 from .neighbors import LocalOutlierFactor, NeighborIndex
 from .trees import (
     BoostConfig,
+    FlatTree,
     ForestConfig,
     GbtModel,
     RandomForest,
     TreeNode,
+    feature_importance,
     fit_cart,
     fit_gbt,
     fit_random_forest,
@@ -51,36 +67,56 @@ def derive_seed(master: int, name: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _values(X) -> np.ndarray:
-    return np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
-
-
 def _require_labels(train: FeatureMatrix, name: str) -> np.ndarray:
     if train.labels is None:
         raise MissingLabels(f"{name} is supervised and needs labeled training data")
     return np.asarray(train.labels)
 
 
+def _fitted(default=None):
+    """A fitted attribute: not a constructor keyword, set by fit or load."""
+    return field(default=default, init=False)
+
+
+@dataclass(eq=False)
 class Detector:
-    """Base contract; subclasses set name/supervised and implement _fit and
-    score; predict defaults to thresholding score."""
+    """Base contract; subclasses set name/supervised/standardized and
+    implement _fit, _score and decide, plus _state/_restore to persist.
+    predict defaults to thresholding score."""
 
     name = "base"
     supervised = False
+    standardized = False  # fit a z-score standardizer on the training rows
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    seed: int = field(default=0, kw_only=True)
+
+    def __post_init__(self):
         self.fitted = False
+        self.n_features = 0
+        self.standardizer: Standardizer | None = None
 
     def fit(self, train: FeatureMatrix, val: FeatureMatrix | None = None):
         if train.n_rows == 0:
             raise EmptyData(f"{self.name}: empty training matrix")
+        self.n_features = train.n_cols
+        if self.standardized:
+            self.standardizer = fit_standardizer(train)
+            train = self.standardizer.apply(train)
         self._fit(train, val)
         self.fitted = True
         return self
 
     def score(self, X) -> np.ndarray:
-        raise NotImplementedError
+        """Anomaly scores of the rows of X, which must have the fitted
+        width; standardized first if the detector standardizes."""
+        self._check_fitted()
+        X = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
+        if X.shape[1] != self.n_features:
+            raise WrongWidth(f"{self.name}: {X.shape[1]} columns, "
+                             f"fitted on {self.n_features}")
+        if self.standardizer is not None:
+            X = self.standardizer.transform(X)
+        return self._score(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         """Thresholding rule mapping anomaly scores to 0/1 predictions."""
@@ -89,294 +125,212 @@ class Detector:
     def predict(self, X) -> np.ndarray:
         return self.decide(self.score(X))
 
+    def _keywords(self) -> dict:
+        """The constructor keywords and their values, seed excluded."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.init and f.name != "seed"}
+
     def params(self) -> dict:
-        return {}
+        return self._keywords()
 
     def _check_fitted(self):
         if not self.fitted:
             raise UnfitModel(f"{self.name} is not fitted")
 
-    # serialization hooks; detectors that support model files override these
-    def to_payload(self) -> dict:
+    # fitted state as JSON-ready values; detectors with model files override
+    def _state(self) -> dict:
         raise NotImplementedError(f"{self.name} does not serialize")
 
-    def load_payload(self, payload: dict) -> None:
+    def _restore(self, state: dict) -> None:
         raise NotImplementedError(f"{self.name} does not serialize")
 
 
-def _standardizer_payload(s: Standardizer) -> dict:
-    return {"mean": encode_array(s.mean), "std": encode_array(s.std)}
-
-
-def _standardizer_from(obj: dict) -> Standardizer:
-    return Standardizer(decode_array(obj["mean"]), decode_array(obj["std"]))
-
-
+@dataclass(eq=False)
 class DecisionTreeDetector(Detector):
     name = "dt"
     supervised = True
 
-    def __init__(self, max_depth: int = 12, min_samples_leaf: int = 1,
-                 cutoff: float = 0.5, seed: int = 0):
-        super().__init__(seed)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.cutoff = cutoff
-        self.tree: TreeNode | None = None
-        self.width = 0
+    max_depth: int = 12
+    min_samples_leaf: int = 1
+    cutoff: float = 0.5
+    tree: TreeNode | None = _fitted()
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.width = train.n_cols
         self.tree = fit_cart(train.values, y, self.max_depth,
                              self.min_samples_leaf)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        from .trees import predict_proba_tree
-        return np.atleast_1d(predict_proba_tree(self.tree, _values(X)))
+    def _score(self, X):
+        return FlatTree(self.tree).route(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
-    def params(self) -> dict:
-        return {"max_depth": self.max_depth,
-                "min_samples_leaf": self.min_samples_leaf,
-                "cutoff": self.cutoff}
+    def _state(self):
+        return {"tree": self.tree.to_dict()}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {"params": self.params(), "width": self.width,
-                "tree": self.tree.to_dict()}
-
-    def load_payload(self, payload: dict) -> None:
-        p = payload["params"]
-        self.max_depth = p["max_depth"]
-        self.min_samples_leaf = p["min_samples_leaf"]
-        self.cutoff = p["cutoff"]
-        self.width = payload["width"]
-        self.tree = TreeNode.from_dict(payload["tree"])
-        self.fitted = True
+    def _restore(self, state):
+        self.tree = TreeNode.from_dict(state["tree"])
 
 
+@dataclass(eq=False)
 class KnnDetector(Detector):
     name = "knn"
     supervised = True
+    standardized = True
 
-    def __init__(self, k: int = 5, seed: int = 0):
-        super().__init__(seed)
-        self.k = k
-        self.standardizer: Standardizer | None = None
-        self.index: NeighborIndex | None = None
-        self.labels: np.ndarray | None = None
+    k: int = 5
+    index: NeighborIndex | None = _fitted()
+    labels: np.ndarray | None = _fitted()
 
     def _fit(self, train, val=None):
-        y = _require_labels(train, self.name)
-        self.standardizer = fit_standardizer(train)
-        self.index = NeighborIndex(self.standardizer.transform(train.values))
-        self.labels = y
+        self.labels = _require_labels(train, self.name)
+        self.index = NeighborIndex(train.values)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        q = self.standardizer.transform(_values(X))
-        k = min(self.k, self.index.n)
-        _, ids = self.index.query(q, k)
+    def _score(self, X):
+        _, ids = self.index.query(X, min(self.k, self.index.n))
         return self.labels[ids].mean(axis=1)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         # vote ties go to anomaly
         return (scores >= 0.5).astype(np.int8)
 
-    def params(self) -> dict:
-        return {"k": self.k}
+    def _state(self):
+        return {"refs": encode_array(self.index.refs),
+                "labels": [int(v) for v in self.labels]}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {
-            "params": self.params(),
-            "standardizer": _standardizer_payload(self.standardizer),
-            "refs": encode_array(self.index.refs),
-            "labels": [int(v) for v in self.labels],
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        self.k = payload["params"]["k"]
-        self.standardizer = _standardizer_from(payload["standardizer"])
-        self.index = NeighborIndex(decode_array(payload["refs"]))
-        self.labels = np.array(payload["labels"], dtype=np.int8)
-        self.fitted = True
+    def _restore(self, state):
+        self.index = NeighborIndex(decode_array(state["refs"]))
+        self.labels = np.array(state["labels"], dtype=np.int8)
 
 
+@dataclass(eq=False)
 class RandomForestDetector(Detector):
     name = "rf"
     supervised = True
 
-    def __init__(self, n_trees: int = 50, max_depth: int = 12,
-                 features_per_split: int | None = None,
-                 bootstrap_fraction: float = 1.0, cutoff: float = 0.5,
-                 seed: int = 0):
-        super().__init__(seed)
-        self.config = ForestConfig(n_trees, max_depth, features_per_split,
-                                   bootstrap_fraction, seed)
-        self.cutoff = cutoff
-        self.model: RandomForest | None = None
+    n_trees: int = 50
+    max_depth: int = 12
+    features_per_split: int | None = None
+    bootstrap_fraction: float = 1.0
+    cutoff: float = 0.5
+    model: RandomForest | None = _fitted()
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.config = ForestConfig(self.n_trees, self.max_depth,
+                                   self.features_per_split,
+                                   self.bootstrap_fraction, self.seed)
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
         self.model = fit_random_forest(train.values, y, self.config)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return self.model.predict_proba(_values(X))
+    def _score(self, X):
+        return self.model.predict_proba(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
-    def params(self) -> dict:
-        c = self.config
-        return {"n_trees": c.n_trees, "max_depth": c.max_depth,
-                "features_per_split": c.features_per_split,
-                "bootstrap_fraction": c.bootstrap_fraction,
-                "cutoff": self.cutoff}
+    def _state(self):
+        return {"model": self.model.to_payload()}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {"cutoff": encode_float(self.cutoff),
-                "model": self.model.to_payload()}
-
-    def load_payload(self, payload: dict) -> None:
-        self.cutoff = decode_float(payload["cutoff"])
-        self.model = RandomForest.from_payload(payload["model"])
-        self.config = self.model.config
-        self.fitted = True
+    def _restore(self, state):
+        self.model = RandomForest.from_payload(state["model"], self.config)
 
 
+@dataclass(eq=False)
 class GbtDetector(Detector):
     name = "gbt"
     supervised = True
 
-    def __init__(self, rounds: int = 200, learning_rate: float = 0.3,
-                 max_depth: int = 6, lam: float = 1.0,
-                 gamma_split: float = 0.0, min_child_weight: float = 1.0,
-                 subsample: float = 1.0, colsample: float = 1.0,
-                 base_score: float = 0.5, cutoff: float = 0.5, seed: int = 0):
-        super().__init__(seed)
-        self.config = BoostConfig(rounds, learning_rate, max_depth, lam,
-                                  gamma_split, min_child_weight, subsample,
-                                  colsample, base_score, seed)
-        self.cutoff = cutoff
-        self.model: GbtModel | None = None
+    rounds: int = 200
+    learning_rate: float = 0.3
+    max_depth: int = 6
+    lam: float = 1.0
+    gamma_split: float = 0.0
+    min_child_weight: float = 1.0
+    subsample: float = 1.0
+    colsample: float = 1.0
+    base_score: float = 0.5
+    cutoff: float = 0.5
+    model: GbtModel | None = _fitted()
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.config = BoostConfig(self.rounds, self.learning_rate,
+                                  self.max_depth, self.lam, self.gamma_split,
+                                  self.min_child_weight, self.subsample,
+                                  self.colsample, self.base_score, self.seed)
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
         self.model = fit_gbt(train.values, y, self.config)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return self.model.predict_proba(_values(X))
+    def _score(self, X):
+        return self.model.predict_proba(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
     def importance(self) -> np.ndarray:
         self._check_fitted()
-        from .trees import feature_importance
         return feature_importance(self.model)
 
-    def params(self) -> dict:
-        c = self.config
-        return {"rounds": c.rounds, "learning_rate": c.learning_rate,
-                "max_depth": c.max_depth, "lam": c.lam,
-                "gamma_split": c.gamma_split,
-                "min_child_weight": c.min_child_weight,
-                "subsample": c.subsample, "colsample": c.colsample,
-                "base_score": c.base_score, "cutoff": self.cutoff}
+    def _state(self):
+        return {"model": self.model.to_payload()}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {"cutoff": encode_float(self.cutoff),
-                "model": self.model.to_payload()}
-
-    def load_payload(self, payload: dict) -> None:
-        self.cutoff = decode_float(payload["cutoff"])
-        self.model = GbtModel.from_payload(payload["model"])
-        self.config = self.model.config
-        self.fitted = True
+    def _restore(self, state):
+        self.model = GbtModel.from_payload(state["model"], self.config)
 
 
+@dataclass(eq=False)
 class RcDetector(Detector):
     name = "rc"
-    supervised = False
+    standardized = True
 
-    def __init__(self, support_fraction: float = 0.75,
-                 cutoff_level: float = 0.99, seed: int = 0):
-        super().__init__(seed)
-        self.support_fraction = support_fraction
-        self.cutoff_level = cutoff_level
-        self.standardizer: Standardizer | None = None
-        self.model: GaussianModel | None = None
+    support_fraction: float = 0.75
+    cutoff_level: float = 0.99
+    model: GaussianModel | None = _fitted()
 
     def _fit(self, train, val=None):
-        self.standardizer = fit_standardizer(train)
-        Z = self.standardizer.transform(train.values)
         self.model = fit_robust_covariance(
-            Z, self.support_fraction, self.cutoff_level, seed=self.seed
+            train.values, self.support_fraction, self.cutoff_level,
+            seed=self.seed
         )
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return np.atleast_1d(
-            mahalanobis_score(self.model, self.standardizer.transform(_values(X)))
-        )
+    def _score(self, X):
+        return mahalanobis_score(self.model, X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores > self.model.cutoff).astype(np.int8)
 
-    def params(self) -> dict:
-        return {"support_fraction": self.support_fraction,
-                "cutoff_level": self.cutoff_level}
+    def _state(self):
+        return {"mean": encode_array(self.model.mean),
+                "cov": encode_array(self.model.cov),
+                "cov_inv": encode_array(self.model.cov_inv),
+                "cutoff": encode_float(self.model.cutoff)}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {
-            "params": {"support_fraction": encode_float(self.support_fraction),
-                       "cutoff_level": encode_float(self.cutoff_level)},
-            "standardizer": _standardizer_payload(self.standardizer),
-            "mean": encode_array(self.model.mean),
-            "cov": encode_array(self.model.cov),
-            "cov_inv": encode_array(self.model.cov_inv),
-            "cutoff": encode_float(self.model.cutoff),
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        p = payload["params"]
-        self.support_fraction = decode_float(p["support_fraction"])
-        self.cutoff_level = decode_float(p["cutoff_level"])
-        self.standardizer = _standardizer_from(payload["standardizer"])
+    def _restore(self, state):
         self.model = GaussianModel(
-            decode_array(payload["mean"]), decode_array(payload["cov"]),
-            decode_array(payload["cov_inv"]), decode_float(payload["cutoff"]),
+            decode_array(state["mean"]), decode_array(state["cov"]),
+            decode_array(state["cov_inv"]), decode_float(state["cutoff"]),
             support=np.array([], dtype=np.int64),
         )
-        self.fitted = True
 
 
+@dataclass(eq=False)
 class LofDetector(Detector):
     name = "lof"
-    supervised = False
+    standardized = True
 
-    def __init__(self, k: int = 20, threshold: float = 1.5,
-                 max_fit_samples: int | None = 16384, seed: int = 0):
-        super().__init__(seed)
-        self.k = k
-        self.threshold = threshold
-        self.max_fit_samples = max_fit_samples
-        self.standardizer: Standardizer | None = None
-        self.lof: LocalOutlierFactor | None = None
+    k: int = 20
+    threshold: float = 1.5
+    max_fit_samples: int | None = 16384
+    lof: LocalOutlierFactor | None = _fitted()
 
     def _fit(self, train, val=None):
-        self.standardizer = fit_standardizer(train)
-        Z = self.standardizer.transform(train.values)
+        Z = train.values
         if self.max_fit_samples is not None and len(Z) > self.max_fit_samples:
             rng = np.random.default_rng(np.random.SeedSequence(self.seed))
             rows = np.sort(rng.choice(len(Z), self.max_fit_samples,
@@ -384,135 +338,100 @@ class LofDetector(Detector):
             Z = Z[rows]
         self.lof = LocalOutlierFactor(self.k).fit(Z)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return self.lof.score(self.standardizer.transform(_values(X)))
+    def _score(self, X):
+        return self.lof.score(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores > self.threshold).astype(np.int8)
 
-    def params(self) -> dict:
-        return {"k": self.k, "threshold": self.threshold,
-                "max_fit_samples": self.max_fit_samples}
+    def _state(self):
+        return {"refs": encode_array(self.lof.index.refs)}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {
-            "params": {"k": self.k, "threshold": encode_float(self.threshold)},
-            "standardizer": _standardizer_payload(self.standardizer),
-            "refs": encode_array(self.lof.index.refs),
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        self.k = payload["params"]["k"]
-        self.threshold = decode_float(payload["params"]["threshold"])
-        self.standardizer = _standardizer_from(payload["standardizer"])
-        self.lof = LocalOutlierFactor(self.k).fit(decode_array(payload["refs"]))
-        self.fitted = True
+    def _restore(self, state):
+        self.lof = LocalOutlierFactor(self.k).fit(decode_array(state["refs"]))
 
 
+@dataclass(eq=False)
 class IsoForestDetector(Detector):
     name = "iforest"
-    supervised = False
 
-    def __init__(self, n_trees: int = 100, subsample: int = 256,
-                 threshold: float = 0.6, seed: int = 0):
-        super().__init__(seed)
-        self.n_trees = n_trees
-        self.subsample = subsample
-        self.threshold = threshold
-        self.model: IsoForestModel | None = None
+    n_trees: int = 100
+    subsample: int = 256
+    threshold: float = 0.6
+    model: IsoForestModel | None = _fitted()
 
     def _fit(self, train, val=None):
         psi = min(self.subsample, train.n_rows)
         self.model = fit_isolation_forest(train.values, self.n_trees, psi,
                                           self.seed)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return np.atleast_1d(iso_score(self.model, _values(X)))
+    def _score(self, X):
+        return iso_score(self.model, X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores > self.threshold).astype(np.int8)
 
-    def params(self) -> dict:
-        return {"n_trees": self.n_trees, "subsample": self.subsample,
-                "threshold": self.threshold}
+    def _state(self):
+        return {"model": self.model.to_payload()}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {"threshold": encode_float(self.threshold),
-                "model": self.model.to_payload()}
-
-    def load_payload(self, payload: dict) -> None:
-        self.threshold = decode_float(payload["threshold"])
-        self.model = IsoForestModel.from_payload(payload["model"])
-        self.n_trees = self.model.n_trees
-        self.subsample = self.model.subsample
-        self.fitted = True
+    def _restore(self, state):
+        self.model = IsoForestModel.from_payload(state["model"])
 
 
+# without labeled validation the threshold is this percentile of train losses
+_DAE_FALLBACK = ae.ThresholdConfig(p=95.0, gamma=1.0)
+
+
+@dataclass(eq=False)
 class DaeDetector(Detector):
     name = "dae"
-    supervised = False
+    standardized = True
 
-    def __init__(self, hidden: tuple[int, ...] = (48, 24), bottleneck: int = 12,
-                 epochs: int = 30, batch_size: int = 256,
-                 learning_rate: float = 1e-3, optimizer: str = "adam",
-                 grid=ae.DEFAULT_THRESHOLD_GRID,
-                 fallback=ae.ThresholdConfig(p=95.0, gamma=1.0),
-                 seed: int = 0):
-        super().__init__(seed)
-        self.hidden = tuple(hidden)
-        self.bottleneck = bottleneck
+    hidden: tuple[int, ...] = (48, 24)
+    bottleneck: int = 12
+    epochs: int = 30
+    batch_size: int = 256
+    learning_rate: float = 1e-3
+    optimizer: str = "adam"
+    net: ae.AutoencoderNet | None = _fitted()
+    threshold_config: ae.ThresholdConfig | None = _fitted()
+    threshold: float = _fitted(0.0)
+    loss_trace: list[float] = field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.hidden = tuple(self.hidden)
         self.train_config = ae.TrainConfig(
-            epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
-            optimizer=optimizer, seed=seed,
+            epochs=self.epochs, batch_size=self.batch_size,
+            learning_rate=self.learning_rate, optimizer=self.optimizer,
+            seed=self.seed,
         )
-        self.grid = tuple((float(p), float(g)) for p, g in grid)
-        self.fallback = fallback
-        self.standardizer: Standardizer | None = None
-        self.net: ae.AutoencoderNet | None = None
-        self.threshold_config: ae.ThresholdConfig | None = None
-        self.threshold: float = 0.0
-        self.loss_trace: list[float] = []
 
     def _fit(self, train, val=None):
-        if train.labels is not None and np.any(np.asarray(train.labels) == 1):
-            raise ValueError("dae must be fitted on normal rows only")
-        self.standardizer = fit_standardizer(train)
-        Z = FeatureMatrix(self.standardizer.transform(train.values),
-                          train.labels, train.column_ids)
         self.net = ae.make_autoencoder(
             train.n_cols, self.hidden, self.bottleneck, seed=self.seed
         )
-        self.net, self.loss_trace = ae.train(self.net, Z, self.train_config)
+        # train rejects anomaly-labeled rows
+        self.net, self.loss_trace = ae.train(self.net, train, self.train_config)
         val_usable = (
             val is not None and val.labels is not None
             and np.any(np.asarray(val.labels) == 1)
             and np.any(np.asarray(val.labels) == 0)
         )
         if val_usable:
-            val_z = FeatureMatrix(self.standardizer.transform(val.values),
-                                  val.labels, val.column_ids)
-            self.threshold_config, _ = ae.fine_tune_threshold(
-                self.net, val_z, self.grid
-            )
+            val_z = self.standardizer.apply(val)
+            self.threshold_config, _ = ae.fine_tune_threshold(self.net, val_z)
             normal_losses = ae.reconstruction_losses(
                 self.net, val_z.values[np.asarray(val_z.labels) == 0]
             )
         else:
-            # no labeled validation: fall back to train-loss percentile
-            self.threshold_config = self.fallback
-            normal_losses = ae.reconstruction_losses(self.net, Z.values)
+            self.threshold_config = _DAE_FALLBACK
+            normal_losses = ae.reconstruction_losses(self.net, train.values)
         self.threshold = ae.compute_threshold(normal_losses,
                                               self.threshold_config)
 
-    def score(self, X) -> np.ndarray:
-        self._check_fitted()
-        return ae.reconstruction_losses(
-            self.net, self.standardizer.transform(_values(X))
-        )
+    def _score(self, X):
+        return ae.reconstruction_losses(self.net, X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         # strictly beyond the threshold; an exact tie stays normal
@@ -520,36 +439,20 @@ class DaeDetector(Detector):
 
     def params(self) -> dict:
         tc = self.threshold_config
-        return {
-            "hidden": list(self.hidden), "bottleneck": self.bottleneck,
-            "epochs": self.train_config.epochs,
-            "batch_size": self.train_config.batch_size,
-            "learning_rate": self.train_config.learning_rate,
-            "optimizer": self.train_config.optimizer,
-            "threshold_p": tc.p if tc else None,
-            "threshold_gamma": tc.gamma if tc else None,
-        }
+        return {**self._keywords(), "hidden": list(self.hidden),
+                "threshold_p": tc.p if tc else None,
+                "threshold_gamma": tc.gamma if tc else None}
 
-    def to_payload(self) -> dict:
-        self._check_fitted()
-        return {
-            "hidden": list(self.hidden),
-            "bottleneck": self.bottleneck,
-            "standardizer": _standardizer_payload(self.standardizer),
-            "net": ae.net_to_payload(self.net),
-            "threshold": ae.threshold_to_payload(self.threshold_config,
-                                                 self.threshold),
-        }
+    def _state(self):
+        return {"net": ae.net_to_payload(self.net),
+                "threshold": ae.threshold_to_payload(self.threshold_config,
+                                                     self.threshold)}
 
-    def load_payload(self, payload: dict) -> None:
-        self.hidden = tuple(payload["hidden"])
-        self.bottleneck = payload["bottleneck"]
-        self.standardizer = _standardizer_from(payload["standardizer"])
-        self.net = ae.net_from_payload(payload["net"])
+    def _restore(self, state):
+        self.net = ae.net_from_payload(state["net"])
         self.threshold_config, self.threshold = ae.threshold_from_payload(
-            payload["threshold"]
+            state["threshold"]
         )
-        self.fitted = True
 
 
 _REGISTRY: dict[str, type[Detector]] = {
@@ -577,19 +480,29 @@ def make_detector(name: str, params: dict | None = None, seed: int = 0) -> Detec
         raise KeyError(f"unknown model {name!r}; known: {sorted(_REGISTRY)}")
     kwargs = dict(params or {})
     seed = kwargs.pop("seed", seed)
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
     return _REGISTRY[name](seed=seed, **kwargs)
 
 
 def save_detector(path, det: Detector) -> None:
-    from .model_io import save_model
-    save_model(path, det.name, det.to_payload())
+    """Model file holding det's keywords, seed, fitted width and state."""
+    det._check_fitted()
+    state = det._state()
+    if det.standardizer is not None:
+        state["standardizer"] = {"mean": encode_array(det.standardizer.mean),
+                                 "std": encode_array(det.standardizer.std)}
+    save_model(path, det.name, {"params": det._keywords(), "seed": det.seed,
+                                "n_features": det.n_features, "state": state})
 
 
 def load_detector(path) -> Detector:
-    from .model_io import load_model
     kind, payload = load_model(path)
-    det = _REGISTRY[kind]()
-    det.load_payload(payload)
+    det = make_detector(kind, payload["params"], payload["seed"])
+    state = payload["state"]
+    if det.standardized:
+        s = state["standardizer"]
+        det.standardizer = Standardizer(decode_array(s["mean"]),
+                                        decode_array(s["std"]))
+    det.n_features = payload["n_features"]
+    det._restore(state)
+    det.fitted = True
     return det

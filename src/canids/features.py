@@ -216,10 +216,6 @@ def fit_standardizer(m: FeatureMatrix) -> Standardizer:
     return Standardizer(mean, std)
 
 
-def apply_standardizer(s: Standardizer, m: FeatureMatrix) -> FeatureMatrix:
-    return s.apply(m)
-
-
 # --- feature CSV I/O ---------------------------------------------------------
 
 def write_features(path, m: FeatureMatrix) -> None:

@@ -1,10 +1,10 @@
 """Versioned JSON model files with bit-exact float round-tripping.
 
 All fitted models serialize through the same envelope:
-    {"format": "canids-model", "version": 1, "kind": "<model name>",
+    {"format": "canids-model", "version": 2, "kind": "<model name>",
      "payload": {...}}
-Floats inside payloads are stored as C99 hex strings (float.hex()), which
-round-trip doubles exactly.
+Floats inside fitted state are stored as C99 hex strings (float.hex()),
+which round-trip doubles exactly. Files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IoError
 
 FORMAT_NAME = "canids-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def encode_float(x: float) -> str:

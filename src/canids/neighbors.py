@@ -108,28 +108,6 @@ class NeighborIndex:
         return dists, ids
 
 
-def knn_query(index: NeighborIndex, x, k: int):
-    """Nearest k (distance, reference id) pairs for one query point."""
-    dists, ids = index.query(np.atleast_2d(x), k)
-    return list(zip(dists[0].tolist(), ids[0].tolist()))
-
-
-def knn_predict(
-    index: NeighborIndex, labels, x, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Majority vote among the k nearest references.
-
-    Returns (predictions, scores) where score is the anomaly-vote fraction;
-    a tied vote predicts anomaly.
-    """
-    labels = np.asarray(labels)
-    if len(labels) != index.n:
-        raise WidthMismatch("labels must parallel the reference rows")
-    _, ids = index.query(x, k)
-    scores = labels[ids].mean(axis=1)
-    return (scores >= 0.5).astype(np.int8), scores
-
-
 class LocalOutlierFactor:
     """LOF with exactly k neighbors per point.
 
@@ -194,10 +172,3 @@ def _lof_ratio(neighbor_mean: np.ndarray, own: np.ndarray) -> np.ndarray:
     ratio = np.where(np.isinf(neighbor_mean) & ~np.isinf(own), np.inf, ratio)
     ratio = np.where(~np.isinf(neighbor_mean) & np.isinf(own), 0.0, ratio)
     return np.where(both_inf, 1.0, ratio)
-
-
-def lof_scores(index: NeighborIndex, k: int) -> np.ndarray:
-    """Per-reference LOF values for an existing index."""
-    lof = LocalOutlierFactor(k)
-    lof.fit(index.refs)
-    return lof.fit_scores()

@@ -309,7 +309,7 @@ def fit_cart(
     return data.grow(*grow_args, block=data.block(all_feats))
 
 
-class _FlatTree:
+class FlatTree:
     """Array form of a tree for vectorized routing."""
 
     def __init__(self, root: TreeNode):
@@ -348,23 +348,6 @@ class _FlatTree:
                                   self.right[node[rows]])
 
 
-def predict_proba_tree(tree: TreeNode, x) -> float | np.ndarray:
-    """Leaf value(s) reached by x; accepts one row or a matrix."""
-    arr = _as_array(x)
-    flat = _FlatTree(tree)
-    if arr.ndim == 1:
-        return float(flat.route(arr[None, :])[0])
-    return flat.route(arr)
-
-
-def predict_tree(tree: TreeNode, x, cutoff: float = 0.5):
-    """Hard 0/1 prediction; probability ties at the cutoff go to anomaly."""
-    proba = predict_proba_tree(tree, x)
-    if np.isscalar(proba):
-        return int(proba >= cutoff)
-    return (proba >= cutoff).astype(np.int8)
-
-
 def tree_max_depth(node: TreeNode) -> int:
     if node.is_leaf:
         return 0
@@ -378,7 +361,7 @@ class RandomForest:
     config: ForestConfig
     trees: list[TreeNode] = field(default_factory=list)
     n_features: int = 0
-    _flat: list[_FlatTree] | None = None
+    _flat: list[FlatTree] | None = None
 
     def predict_proba(self, X) -> np.ndarray:
         if not self.trees:
@@ -389,41 +372,20 @@ class RandomForest:
                 f"{arr.shape[1]} columns, model expects {self.n_features}"
             )
         if self._flat is None:
-            self._flat = [_FlatTree(t) for t in self.trees]
+            self._flat = [FlatTree(t) for t in self.trees]
         acc = np.zeros(arr.shape[0])
         for flat in self._flat:
             acc += flat.route(arr)
         return acc / len(self.trees)
 
-    def predict(self, X, cutoff: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= cutoff).astype(np.int8)
-
     def to_payload(self) -> dict:
-        return {
-            "config": {
-                "n_trees": self.config.n_trees,
-                "max_depth": self.config.max_depth,
-                "features_per_split": self.config.features_per_split,
-                "bootstrap_fraction": encode_float(self.config.bootstrap_fraction),
-                "seed": self.config.seed,
-            },
-            "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        return {"n_features": self.n_features,
+                "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RandomForest":
-        c = payload["config"]
-        cfg = ForestConfig(
-            n_trees=c["n_trees"],
-            max_depth=c["max_depth"],
-            features_per_split=c["features_per_split"],
-            bootstrap_fraction=decode_float(c["bootstrap_fraction"]),
-            seed=c["seed"],
-        )
-        model = cls(cfg, [TreeNode.from_dict(t) for t in payload["trees"]],
-                    payload["n_features"])
-        return model
+    def from_payload(cls, payload: dict, config: ForestConfig) -> "RandomForest":
+        return cls(config, [TreeNode.from_dict(t) for t in payload["trees"]],
+                   payload["n_features"])
 
 
 def fit_random_forest(X, y, cfg: ForestConfig) -> RandomForest:
@@ -466,7 +428,7 @@ class GbtModel:
     n_features: int = 0
     base_margin: float = 0.0
     loss_trace: list[float] = field(default_factory=list)
-    _flat: list[_FlatTree] | None = None
+    _flat: list[FlatTree] | None = None
 
     def margins(self, X) -> np.ndarray:
         arr = np.atleast_2d(_as_array(X))
@@ -475,7 +437,7 @@ class GbtModel:
                 f"{arr.shape[1]} columns, model expects {self.n_features}"
             )
         if self._flat is None:
-            self._flat = [_FlatTree(t) for t in self.trees]
+            self._flat = [FlatTree(t) for t in self.trees]
         m = np.full(arr.shape[0], self.base_margin)
         for flat in self._flat:
             m += self.config.learning_rate * flat.route(arr)
@@ -484,24 +446,8 @@ class GbtModel:
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.margins(X))
 
-    def predict(self, X, cutoff: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= cutoff).astype(np.int8)
-
     def to_payload(self) -> dict:
-        c = self.config
         return {
-            "config": {
-                "rounds": c.rounds,
-                "learning_rate": encode_float(c.learning_rate),
-                "max_depth": c.max_depth,
-                "lam": encode_float(c.lam),
-                "gamma_split": encode_float(c.gamma_split),
-                "min_child_weight": encode_float(c.min_child_weight),
-                "subsample": encode_float(c.subsample),
-                "colsample": encode_float(c.colsample),
-                "base_score": encode_float(c.base_score),
-                "seed": c.seed,
-            },
             "n_features": self.n_features,
             "base_margin": encode_float(self.base_margin),
             "loss_trace": [encode_float(v) for v in self.loss_trace],
@@ -509,22 +455,9 @@ class GbtModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "GbtModel":
-        c = payload["config"]
-        cfg = BoostConfig(
-            rounds=c["rounds"],
-            learning_rate=decode_float(c["learning_rate"]),
-            max_depth=c["max_depth"],
-            lam=decode_float(c["lam"]),
-            gamma_split=decode_float(c["gamma_split"]),
-            min_child_weight=decode_float(c["min_child_weight"]),
-            subsample=decode_float(c["subsample"]),
-            colsample=decode_float(c["colsample"]),
-            base_score=decode_float(c["base_score"]),
-            seed=c["seed"],
-        )
+    def from_payload(cls, payload: dict, config: BoostConfig) -> "GbtModel":
         return cls(
-            cfg,
+            config,
             [TreeNode.from_dict(t) for t in payload["trees"]],
             payload["n_features"],
             decode_float(payload["base_margin"]),
@@ -578,7 +511,7 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
         block = data.block(candidates) if full_block is None else full_block
         tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block)
         model.trees.append(tree)
-        margin += cfg.learning_rate * _FlatTree(tree).route(X)
+        margin += cfg.learning_rate * FlatTree(tree).route(X)
         model.loss_trace.append(_log_loss(margin, y))
     return model
 

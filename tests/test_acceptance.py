@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import canids
 from canids import metrics as mx
 from canids.autoencoder import _grads, make_autoencoder
 from canids.detectors import (
@@ -202,7 +203,7 @@ def test_criterion_5_gbt_closed_forms_and_training():
                                       learning_rate=0.3, lam=1.0, seed=0))
     trace = np.array(model.loss_trace)
     assert np.all(np.diff(trace) <= 1e-12), "training loss increased"
-    accuracy = (model.predict(X) == y).mean()
+    accuracy = ((model.predict_proba(X) >= 0.5) == y).mean()
     assert accuracy >= 0.99
     _report(5, "GBT closed forms and training", time.perf_counter() - started,
             30.0, f"final training accuracy {accuracy:.4f}")
@@ -295,6 +296,10 @@ def test_criterion_9_cli_determinism(tmp_path):
     }
     cfg_path = tmp_path / "determinism.json"
     cfg_path.write_text(json.dumps(config))
+    # the child imports the same canids, installed or not
+    src = os.path.dirname(os.path.dirname(canids.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for run, threads in (("run1", 1), ("run2", 4)):
         out_dir = tmp_path / run
@@ -302,7 +307,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             [sys.executable, "-m", "canids.cli", "compare",
              "--config", str(cfg_path), "--out", str(out_dir),
              "--threads", str(threads)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_dir / "comparison.csv").read_bytes())

@@ -10,7 +10,6 @@ from canids.autoencoder import (
     TrainConfig,
     _grads,
     compute_threshold,
-    dae_classify,
     fine_tune_threshold,
     make_autoencoder,
     net_from_payload,
@@ -25,7 +24,8 @@ from canids.errors import (
     EmptyLosses,
     WidthMismatch,
 )
-from canids.features import FeatureMatrix
+from canids.detectors import DaeDetector
+from canids.features import FeatureMatrix, Standardizer
 
 
 def straight_line_forward(net, x):
@@ -308,18 +308,24 @@ def test_fine_tune_degenerate_validation():
         fine_tune_threshold(net, single)
 
 
-def test_dae_classify_boundary_rules():
-    net = AutoencoderNet(
+def test_dae_decide_boundary_rules():
+    # a fitted dae around the zero net, with an identity standardizer
+    det = DaeDetector()
+    det.net = AutoencoderNet(
         [DenseLayer(np.zeros((2, 2)), np.zeros(2), "identity")],
         [DenseLayer(np.zeros((2, 2)), np.zeros(2), "identity")],
     )
+    det.standardizer = Standardizer(np.zeros(2), np.ones(2))
+    det.n_features, det.fitted = 2, True
     x = np.array([2.0, 0.0])  # loss = mean(4, 0) = 2.0
-    pred, loss = dae_classify(net, 2.0, x)
+    det.threshold = 2.0
+    [loss] = det.score(x)
+    [pred] = det.predict(x)
     assert loss == 2.0 and pred == 0  # exactly at threshold stays normal
-    pred, _ = dae_classify(net, 0.0, x)
-    assert pred == 1
-    pred, _ = dae_classify(net, 1.9, x)
-    assert pred == 1
+    det.threshold = 0.0
+    assert det.predict(x)[0] == 1
+    det.threshold = 1.9
+    assert det.predict(x)[0] == 1
 
 
 def test_net_serialization_round_trip():

@@ -106,7 +106,16 @@ def test_train_dae_normal_only_with_val(feature_csvs, tmp_path):
     assert code == 0
     doc = json.loads(model_path.read_text())
     assert doc["kind"] == "dae"
-    assert "threshold" in doc["payload"]
+    assert "threshold" in doc["payload"]["state"]
+
+
+def test_train_dae_without_normal_only(feature_csvs, tmp_path):
+    # dae always fits on the normal rows of a labeled training CSV
+    code = run_cli(
+        "train", "--model", "dae", "--in", str(feature_csvs["train"]),
+        "--out", str(tmp_path / "dae.json"), "--params", "epochs=2",
+    )
+    assert code == 0
 
 
 def test_train_grid_search(feature_csvs, tmp_path, capsys):

@@ -11,9 +11,10 @@ from canids.density import (
     fit_robust_covariance,
     iso_score,
     mahalanobis_score,
-    rc_predict,
 )
+from canids.detectors import RcDetector
 from canids.errors import BadSubsample, TooFewSamples
+from canids.features import FeatureMatrix
 
 
 def test_full_support_equals_empirical_estimate():
@@ -91,12 +92,13 @@ def test_cstep_determinants_never_increase():
         assert np.all(diffs <= 1e-7), trace
 
 
-def test_rc_predict_uses_chi2_cutoff():
+def test_rc_detector_uses_chi2_cutoff():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(500, 3))
-    model = fit_robust_covariance(X, support_fraction=1.0, cutoff_level=0.99)
-    assert model.cutoff == pytest.approx(stats.chi2.ppf(0.99, 3))
-    preds = rc_predict(model, X)
+    det = RcDetector(support_fraction=1.0, cutoff_level=0.99)
+    det.fit(FeatureMatrix(X, column_ids=(0, 1, 2)))
+    assert det.model.cutoff == pytest.approx(stats.chi2.ppf(0.99, 3))
+    preds = det.predict(X)
     # roughly the nominal false-positive rate on clean data
     assert preds.mean() < 0.05
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from canids.detectors import (
     make_detector,
     save_detector,
 )
-from canids.errors import MissingLabels, UnfitModel
+from canids.errors import IoError, MissingLabels, UnfitModel, WrongWidth
 from canids.features import FeatureMatrix
 
 
@@ -40,19 +42,39 @@ FAST_PARAMS = {
 }
 
 
+# every constructor keyword away from its default
+OTHER_PARAMS = {
+    "dt": {"max_depth": 5, "min_samples_leaf": 2, "cutoff": 0.4},
+    "knn": {"k": 4},
+    "rf": {"n_trees": 7, "max_depth": 4, "features_per_split": 2,
+           "bootstrap_fraction": 0.8, "cutoff": 0.45},
+    "gbt": {"rounds": 12, "learning_rate": 0.2, "max_depth": 3, "lam": 0.5,
+            "gamma_split": 0.01, "min_child_weight": 0.5, "subsample": 0.9,
+            "colsample": 0.8, "base_score": 0.4, "cutoff": 0.6},
+    "rc": {"support_fraction": 0.8, "cutoff_level": 0.95},
+    "lof": {"k": 7, "threshold": 1.3, "max_fit_samples": 100},
+    "iforest": {"n_trees": 25, "subsample": 50, "threshold": 0.55},
+    "dae": {"hidden": (6,), "bottleneck": 2, "epochs": 5, "batch_size": 16,
+            "learning_rate": 0.005, "optimizer": "sgd"},
+}
+
+
+def fit_view(det, train):
+    """Every row for supervised models, the normal rows otherwise."""
+    if det.supervised:
+        return train
+    rows = np.flatnonzero(train.labels == 0)
+    return FeatureMatrix(train.values[rows], train.labels[rows],
+                         train.column_ids)
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_detector_contract(name):
     train = small_dataset(seed=1)
     val = small_dataset(seed=2, n=120)
     test = small_dataset(seed=3, n=120)
     det = make_detector(name, FAST_PARAMS[name], seed=derive_seed(7, name))
-    if det.supervised:
-        fit_m = train
-    else:
-        rows = np.flatnonzero(train.labels == 0)
-        fit_m = FeatureMatrix(train.values[rows], train.labels[rows],
-                              train.column_ids)
-    det.fit(fit_m, val=val)
+    det.fit(fit_view(det, train), val=val)
     scores = det.score(test)
     preds = det.predict(test)
     assert scores.shape == (test.n_rows,)
@@ -86,12 +108,7 @@ def test_detector_serialization_round_trip(name, tmp_path):
     val = small_dataset(seed=5, n=120)
     test = small_dataset(seed=6, n=100)
     det = make_detector(name, FAST_PARAMS[name], seed=1)
-    if det.supervised:
-        det.fit(train, val=val)
-    else:
-        rows = np.flatnonzero(train.labels == 0)
-        det.fit(FeatureMatrix(train.values[rows], train.labels[rows],
-                              train.column_ids), val=val)
+    det.fit(fit_view(det, train), val=val)
     path = tmp_path / f"{name}.json"
     save_detector(path, det)
     restored = load_detector(path)
@@ -132,3 +149,39 @@ def test_dae_threshold_fallback_without_validation():
     det.fit(normal)  # no val: falls back to train percentile
     assert det.threshold > 0
     assert det.threshold_config.p == 95.0
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_detector_rejects_other_widths(name):
+    train = small_dataset(seed=10)
+    det = make_detector(name, FAST_PARAMS[name], seed=1)
+    det.fit(fit_view(det, train), val=small_dataset(seed=11, n=120))
+    test = small_dataset(seed=12, n=20).values
+    for X in (test[:, :-1], np.hstack([test, test[:, :1]])):
+        with pytest.raises(WrongWidth):
+            det.score(X)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_params_round_trip(name, tmp_path):
+    train = small_dataset(seed=13)
+    test = small_dataset(seed=14, n=100)
+    det = make_detector(name, OTHER_PARAMS[name], seed=5)
+    det.fit(fit_view(det, train), val=small_dataset(seed=15, n=120))
+    path = tmp_path / f"{name}.json"
+    save_detector(path, det)
+    restored = load_detector(path)
+    assert restored.params() == det.params()
+    assert restored.seed == det.seed
+    assert det.score(test).tobytes() == restored.score(test).tobytes()
+
+
+def test_version_1_model_file_is_refused(tmp_path):
+    det = make_detector("dt", FAST_PARAMS["dt"]).fit(small_dataset(seed=16))
+    path = tmp_path / "dt.json"
+    save_detector(path, det)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match="version 1"):
+        load_detector(path)

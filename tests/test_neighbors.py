@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from canids.detectors import KnnDetector
 from canids.errors import EmptyData, KTooLarge, WidthMismatch
-from canids.neighbors import (
-    LocalOutlierFactor,
-    NeighborIndex,
-    knn_predict,
-    knn_query,
-    lof_scores,
-)
+from canids.features import FeatureMatrix
+from canids.neighbors import LocalOutlierFactor, NeighborIndex
 
 
 def brute_force_knn(refs, query, k):
@@ -48,16 +44,33 @@ def brute_force_lof(refs, k):
     return np.array(lof)
 
 
+def nearest(index, x, k):
+    """(distance, reference id) pairs of the k nearest references to x."""
+    dists, ids = index.query(np.atleast_2d(x), k)
+    return list(zip(dists[0].tolist(), ids[0].tolist()))
+
+
+def lof_of_refs(refs, k):
+    return LocalOutlierFactor(k).fit(refs).fit_scores()
+
+
+def knn_vote(refs, labels, x, k):
+    """(predictions, scores) of a KnnDetector fitted on refs."""
+    det = KnnDetector(k=k).fit(FeatureMatrix(refs, labels, (0,)))
+    scores = det.score(x)
+    return det.decide(scores), scores
+
+
 def test_query_exact_match_is_zero():
     refs = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
     index = NeighborIndex(refs)
-    pairs = knn_query(index, np.array([3.0, 4.0]), 1)
+    pairs = nearest(index, np.array([3.0, 4.0]), 1)
     assert pairs == [(0.0, 1)]
 
 
 def test_query_1d_two_refs():
     index = NeighborIndex(np.array([[0.0], [10.0]]))
-    pairs = knn_query(index, np.array([1.0]), 2)
+    pairs = nearest(index, np.array([1.0]), 2)
     assert pairs == [(1.0, 0), (9.0, 1)]
 
 
@@ -73,7 +86,7 @@ def test_query_matches_brute_force_on_random_instances():
         query = rng.normal(size=d)
         k = int(rng.integers(1, n + 1))
         index = NeighborIndex(refs)
-        got = knn_query(index, query, k)
+        got = nearest(index, query, k)
         want = brute_force_knn(refs, query, k)
         assert [i for _, i in got] == [i for _, i in want]
         for (dg, _), (dw, _) in zip(got, want):
@@ -83,7 +96,7 @@ def test_query_matches_brute_force_on_random_instances():
 def test_query_tie_break_low_row_id():
     refs = np.array([[1.0], [1.0], [1.0], [2.0]])
     index = NeighborIndex(refs)
-    pairs = knn_query(index, np.array([1.0]), 3)
+    pairs = nearest(index, np.array([1.0]), 3)
     assert [i for _, i in pairs] == [0, 1, 2]
 
 
@@ -106,30 +119,27 @@ def test_empty_reference_matrix():
         NeighborIndex(np.empty((0, 2)))
 
 
-def test_knn_predict_k1_nearest_label():
+def test_knn_detector_k1_nearest_label():
     refs = np.array([[0.0], [10.0]])
     labels = np.array([0, 1])
-    index = NeighborIndex(refs)
-    pred, score = knn_predict(index, labels, np.array([[1.0]]), 1)
+    pred, score = knn_vote(refs, labels, np.array([[1.0]]), 1)
     assert pred[0] == 0 and score[0] == 0.0
-    pred, score = knn_predict(index, labels, np.array([[9.0]]), 1)
+    pred, score = knn_vote(refs, labels, np.array([[9.0]]), 1)
     assert pred[0] == 1 and score[0] == 1.0
 
 
-def test_knn_predict_majority_and_score():
+def test_knn_detector_majority_and_score():
     refs = np.array([[0.0], [1.0], [2.0]])
     labels = np.array([1, 1, 0])
-    index = NeighborIndex(refs)
-    pred, score = knn_predict(index, labels, np.array([[0.5]]), 3)
+    pred, score = knn_vote(refs, labels, np.array([[0.5]]), 3)
     assert pred[0] == 1
     assert score[0] == pytest.approx(2 / 3)
 
 
-def test_knn_predict_tie_goes_to_anomaly():
+def test_knn_detector_tie_goes_to_anomaly():
     refs = np.array([[0.0], [2.0]])
     labels = np.array([1, 0])
-    index = NeighborIndex(refs)
-    pred, score = knn_predict(index, labels, np.array([[1.0]]), 2)
+    pred, score = knn_vote(refs, labels, np.array([[1.0]]), 2)
     assert score[0] == 0.5 and pred[0] == 1
 
 
@@ -143,7 +153,7 @@ def test_lof_identical_points_convention():
 
 def test_lof_uniform_grid_interior_near_one():
     refs = np.arange(30, dtype=float).reshape(-1, 1)
-    scores = lof_scores(NeighborIndex(refs), 2)
+    scores = lof_of_refs(refs, 2)
     interior = scores[5:25]
     assert np.all(np.abs(interior - 1.0) < 0.05)
 
@@ -154,7 +164,7 @@ def test_lof_isolated_point_stands_out():
     radius = np.linalg.norm(cluster, axis=1).max()
     outlier = np.array([[10 * radius, 0.0]])
     refs = np.vstack([cluster, outlier])
-    scores = lof_scores(NeighborIndex(refs), 3)
+    scores = lof_of_refs(refs, 3)
     assert scores[-1] > 1.5
     assert scores[-1] > scores[:-1].max()
 
@@ -165,7 +175,7 @@ def test_lof_matches_naive_oracle():
         n = int(rng.integers(8, 30))
         k = int(rng.integers(2, min(6, n - 1)))
         refs = rng.normal(size=(n, 3))
-        got = lof_scores(NeighborIndex(refs), k)
+        got = lof_of_refs(refs, k)
         want = brute_force_lof(refs, k)
         assert np.allclose(got, want, rtol=1e-9)
 
@@ -173,9 +183,9 @@ def test_lof_matches_naive_oracle():
 def test_lof_translation_and_scale_invariance():
     rng = np.random.default_rng(3)
     refs = rng.normal(size=(40, 4))
-    base = lof_scores(NeighborIndex(refs), 5)
-    shifted = lof_scores(NeighborIndex(refs + 100.0), 5)
-    scaled = lof_scores(NeighborIndex(refs * 7.0), 5)
+    base = lof_of_refs(refs, 5)
+    shifted = lof_of_refs(refs + 100.0, 5)
+    scaled = lof_of_refs(refs * 7.0, 5)
     assert np.allclose(base, shifted, rtol=1e-7)
     assert np.allclose(base, scaled, rtol=1e-9)
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from canids.autoencoder import sigmoid
+from canids.detectors import DecisionTreeDetector, RandomForestDetector
 from canids.errors import EmptyData, NonBinaryLabels, UnfitModel, WidthMismatch
+from canids.features import FeatureMatrix
 from canids.trees import (
     BoostConfig,
     ForestConfig,
@@ -19,8 +21,6 @@ from canids.trees import (
     fit_cart,
     fit_gbt,
     fit_random_forest,
-    predict_proba_tree,
-    predict_tree,
     tree_max_depth,
 )
 
@@ -86,23 +86,32 @@ def test_root_split_on_separable_1d():
     assert (tree.feature, tree.threshold) in argmax
 
 
+def fit_dt(X, y, **params):
+    return DecisionTreeDetector(**params).fit(
+        FeatureMatrix(X, y, tuple(range(X.shape[1]))))
+
+
 def test_predict_single_leaf():
-    leaf = TreeNode(value=0.8)
+    # depth 0: the root is a leaf holding the positive fraction 4/5
+    det = fit_dt(np.arange(5.0).reshape(-1, 1), np.array([1, 1, 0, 1, 1]),
+                 max_depth=0)
+    assert det.tree.is_leaf
     for x in ([0.0], [123.0]):
-        assert predict_proba_tree(leaf, np.array(x)) == 0.8
+        assert det.score(np.array(x)).tolist() == [0.8]
 
 
 def test_predict_traces_split():
     X = np.array([[1.0], [2.0], [8.0], [9.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_cart(X, y, max_depth=3)
-    assert predict_proba_tree(tree, np.array([1.5])) == 0.0
-    assert predict_proba_tree(tree, np.array([8.5])) == 1.0
+    det = fit_dt(X, y, max_depth=3)
+    assert det.score(np.array([1.5])).tolist() == [0.0]
+    assert det.score(np.array([8.5])).tolist() == [1.0]
 
 
 def test_predict_cutoff_tie_goes_to_anomaly():
-    leaf = TreeNode(value=0.5)
-    assert predict_tree(leaf, np.array([0.0]), cutoff=0.5) == 1
+    det = fit_dt(np.zeros((2, 1)), np.array([0, 1]), max_depth=0, cutoff=0.5)
+    assert det.tree.value == 0.5
+    assert det.predict(np.array([0.0])).tolist() == [1]
 
 
 def test_cart_matches_exhaustive_oracle():
@@ -171,15 +180,14 @@ def test_cart_monotone_transform_invariance():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] + X[:, 2] > 0).astype(int)
-    tree = fit_cart(X, y, max_depth=5)
+    det = fit_dt(X, y, max_depth=5)
     Xt = X.copy()
     Xt[:, 0] = np.exp(X[:, 0])
     Xt[:, 1] = X[:, 1] ** 3
     Xt[:, 2] = 2 * X[:, 2] + 7
-    tree_t = fit_cart(Xt, y, max_depth=5)
+    det_t = fit_dt(Xt, y, max_depth=5)
     # queries drawn from the training support route identically
-    assert np.array_equal(predict_proba_tree(tree, X),
-                          predict_proba_tree(tree_t, Xt))
+    assert np.array_equal(det.score(X), det_t.score(Xt))
 
 
 # --- random forest ---------------------------------------------------------------
@@ -206,8 +214,9 @@ def test_forest_separable_training_accuracy():
     X = np.concatenate([rng.normal(-3, 0.5, size=(50, 1)),
                         rng.normal(3, 0.5, size=(50, 1))])
     y = np.array([0] * 50 + [1] * 50)
-    model = fit_random_forest(X, y, ForestConfig(n_trees=50, max_depth=6, seed=2))
-    assert (model.predict(X) == y).mean() == 1.0
+    det = RandomForestDetector(n_trees=50, max_depth=6, seed=2)
+    det.fit(FeatureMatrix(X, y, (0,)))
+    assert (det.predict(X) == y).mean() == 1.0
 
 
 def test_forest_deterministic_under_seed():
@@ -226,7 +235,7 @@ def test_forest_serialization_round_trip():
     y = (X[:, 0] > 0).astype(int)
     model = fit_random_forest(X, y, ForestConfig(n_trees=5, max_depth=4, seed=1))
     payload = json.loads(json.dumps(model.to_payload()))
-    restored = RandomForest.from_payload(payload)
+    restored = RandomForest.from_payload(payload, model.config)
     assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
 
 
@@ -268,7 +277,7 @@ def test_gbt_blobs_accuracy_and_loss_monotonicity():
     cfg = BoostConfig(rounds=50, max_depth=3, learning_rate=0.3, lam=1.0,
                       seed=0)
     model = fit_gbt(X, y, cfg)
-    acc = (model.predict(X) == y).mean()
+    acc = ((model.predict_proba(X) >= 0.5) == y).mean()
     assert acc >= 0.99
     trace = np.array(model.loss_trace)
     assert np.all(np.diff(trace) <= 1e-12)
@@ -288,7 +297,7 @@ def test_gbt_serialization_bit_exact():
     X, y = _blobs(seed=5)
     model = fit_gbt(X, y, BoostConfig(rounds=8, max_depth=3, seed=2))
     payload = json.loads(json.dumps(model.to_payload()))
-    restored = GbtModel.from_payload(payload)
+    restored = GbtModel.from_payload(payload, model.config)
     assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
     assert restored.loss_trace == model.loss_trace
 
@@ -299,10 +308,11 @@ def test_gbt_binary_feature_fast_path_consistency():
     bits = rng.integers(0, 2, size=(120, 6)).astype(float)
     y = (bits[:, 2] * 2 + bits[:, 4] > 1.5).astype(int)
     model = fit_gbt(bits, y, BoostConfig(rounds=20, max_depth=3, seed=1))
-    assert (model.predict(bits) == y).mean() >= 0.99
+    assert ((model.predict_proba(bits) >= 0.5) == y).mean() >= 0.99
     # the same data with thresholds shifted off 0.5 (scaled 0/2 columns)
     model2 = fit_gbt(bits * 2, y, BoostConfig(rounds=20, max_depth=3, seed=1))
-    assert np.array_equal(model.predict(bits), model2.predict(bits * 2))
+    assert np.array_equal(model.predict_proba(bits) >= 0.5,
+                          model2.predict_proba(bits * 2) >= 0.5)
 
 
 def test_gbt_rejects_bad_labels():
@@ -470,6 +480,13 @@ def _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg):
     return best
 
 
+def _ref_route(node, x):
+    """Leaf value reached by one row, walking the linked nodes."""
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.value
+
+
 def _ref_is_binary(X):
     return np.all((X == 0.0) | (X == 1.0), axis=0)
 
@@ -551,7 +568,8 @@ def ref_fit_gbt(X, y, cfg):
                                    replace=False))
                 if cfg.colsample < 1.0 else np.arange(d))
         trees.append(grow(g, h, rows, cand, 0))
-        margin += cfg.learning_rate * predict_proba_tree(trees[-1], X)
+        margin += cfg.learning_rate * np.array([_ref_route(trees[-1], x)
+                                                for x in X])
     return trees
 
 

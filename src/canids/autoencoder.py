@@ -161,15 +161,6 @@ def make_autoencoder(
     return AutoencoderNet(encoder, decoder)
 
 
-def reconstruction_loss(x, x_prime) -> float:
-    """Per-sample mean squared error over coordinates."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x_prime, dtype=np.float64)
-    if a.shape != b.shape:
-        raise WidthMismatch(f"shapes {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
 def reconstruction_losses(net: AutoencoderNet, X) -> np.ndarray:
     """Per-row reconstruction loss for a matrix of samples."""
     arr = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))

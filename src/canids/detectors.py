@@ -31,7 +31,7 @@ from .density import (
     iso_score,
     mahalanobis_score,
 )
-from .errors import EmptyData, MissingLabels, UnfitModel, WrongWidth
+from .errors import EmptyData, IoError, MissingLabels, UnfitModel, WrongWidth
 from .features import FeatureMatrix, Standardizer, fit_standardizer
 from .model_io import (
     decode_array,
@@ -345,10 +345,17 @@ class LofDetector(Detector):
         return (scores > self.threshold).astype(np.int8)
 
     def _state(self):
-        return {"refs": encode_array(self.lof.index.refs)}
+        return {"refs": encode_array(self.lof.index.refs),
+                "ref_kdist": encode_array(self.lof.ref_kdist),
+                "ref_lrd": encode_array(self.lof.ref_lrd),
+                "ref_lof": encode_array(self.lof.ref_lof)}
 
     def _restore(self, state):
-        self.lof = LocalOutlierFactor(self.k).fit(decode_array(state["refs"]))
+        self.lof = LocalOutlierFactor.from_state(
+            self.k, decode_array(state["refs"]),
+            decode_array(state["ref_kdist"]), decode_array(state["ref_lrd"]),
+            decode_array(state["ref_lof"]),
+        )
 
 
 @dataclass(eq=False)
@@ -495,14 +502,22 @@ def save_detector(path, det: Detector) -> None:
 
 
 def load_detector(path) -> Detector:
+    """The detector a model file holds; IoError if the file names an
+    unknown kind or lacks a key its kind needs."""
     kind, payload = load_model(path)
-    det = make_detector(kind, payload["params"], payload["seed"])
-    state = payload["state"]
-    if det.standardized:
-        s = state["standardizer"]
-        det.standardizer = Standardizer(decode_array(s["mean"]),
-                                        decode_array(s["std"]))
-    det.n_features = payload["n_features"]
-    det._restore(state)
+    if kind not in _REGISTRY:
+        raise IoError(f"model file {path}: unknown model kind {kind!r}")
+    try:
+        det = make_detector(kind, payload["params"], payload["seed"])
+        state = payload["state"]
+        if det.standardized:
+            s = state["standardizer"]
+            det.standardizer = Standardizer(decode_array(s["mean"]),
+                                            decode_array(s["std"]))
+        det.n_features = payload["n_features"]
+        det._restore(state)
+    except KeyError as exc:
+        raise IoError(f"model file {path}: {kind} model has no "
+                      f"{exc.args[0]!r} key") from exc
     det.fitted = True
     return det

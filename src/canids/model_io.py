@@ -1,15 +1,19 @@
 """Versioned JSON model files with bit-exact float round-tripping.
 
 All fitted models serialize through the same envelope:
-    {"format": "canids-model", "version": 2, "kind": "<model name>",
+    {"format": "canids-model", "version": 3, "kind": "<model name>",
      "payload": {...}}
-Floats inside fitted state are stored as C99 hex strings (float.hex()),
-which round-trip doubles exactly. Files of any other version are refused.
+Every fitted array is stored as {"shape": [...], "data": "<base64>"}, where
+data is the base64 of the array's little-endian float64 bytes in C order.
+Scalars are stored as C99 hex strings (float.hex()). Both round-trip doubles
+exactly. Files of any other version are refused.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,9 @@ import numpy as np
 from .errors import IoError
 
 FORMAT_NAME = "canids-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+_LE_F8 = np.dtype("<f8")
 
 
 def encode_float(x: float) -> str:
@@ -29,15 +35,27 @@ def decode_float(s: str) -> float:
 
 
 def encode_array(a: np.ndarray) -> dict:
-    return {
-        "shape": list(a.shape),
-        "data": [float(v).hex() for v in np.asarray(a, dtype=np.float64).ravel()],
-    }
+    a = np.asarray(a, dtype=_LE_F8)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def decode_array(obj: dict) -> np.ndarray:
-    flat = np.array([float.fromhex(s) for s in obj["data"]], dtype=np.float64)
-    return flat.reshape(obj["shape"])
+    """A native-endian, writeable float64 copy of an encoded array."""
+    try:
+        shape = tuple(obj["shape"])
+        raw = base64.b64decode(obj["data"], validate=True)
+    except KeyError as exc:
+        raise IoError(f"encoded array has no {exc.args[0]!r} key") from exc
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise IoError(f"encoded array is malformed: {exc}") from exc
+    if not all(isinstance(d, int) and d >= 0 for d in shape):
+        raise IoError(f"encoded array shape {list(shape)} is not a list of sizes")
+    need = _LE_F8.itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise IoError(f"encoded array holds {len(raw)} bytes, shape "
+                      f"{list(shape)} needs {need}")
+    return np.frombuffer(raw, dtype=_LE_F8).astype(np.float64).reshape(shape)
 
 
 def save_model(path: str | Path, kind: str, payload: dict) -> None:
@@ -60,8 +78,11 @@ def load_model(path: str | Path) -> tuple[str, dict]:
         raise IoError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(f"model file {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise IoError(f"{path} is not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise IoError(f"unsupported model version {doc.get('version')}")
+    for key in ("kind", "payload"):
+        if key not in doc:
+            raise IoError(f"model file {path} has no {key!r} key")
     return doc["kind"], doc["payload"]

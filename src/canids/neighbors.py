@@ -142,6 +142,22 @@ class LocalOutlierFactor:
         self.ref_lof = _lof_ratio(self.ref_lrd[ids].mean(axis=1), self.ref_lrd)
         return self
 
+    @classmethod
+    def from_state(cls, k: int, refs, kdist: np.ndarray, lrd: np.ndarray,
+                   lof: np.ndarray) -> "LocalOutlierFactor":
+        """A fitted LOF rebuilt from what fit computed: the references and
+        their k-distances, lrd and LOF. No neighbour search is run."""
+        self = cls(k)
+        self.index = NeighborIndex(refs)
+        if self.k >= self.index.n:
+            raise KTooLarge(f"k={self.k} needs more than {self.index.n} points")
+        for name, a in (("k-distances", kdist), ("lrd", lrd), ("lof", lof)):
+            if a.shape != (self.index.n,):
+                raise WidthMismatch(f"{name} shape {a.shape} != "
+                                    f"({self.index.n},) references")
+        self.ref_kdist, self.ref_lrd, self.ref_lof = kdist, lrd, lof
+        return self
+
     def fit_scores(self) -> np.ndarray:
         """LOF of every reference point (the fit-time scores)."""
         self._require_fit()

@@ -14,7 +14,6 @@ from canids.autoencoder import (
     make_autoencoder,
     net_from_payload,
     net_to_payload,
-    reconstruction_loss,
     reconstruction_losses,
     train,
 )
@@ -117,11 +116,23 @@ def test_forward_width_check():
         net.forward(np.ones(5))
 
 
-def test_reconstruction_loss_cases():
-    assert reconstruction_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert reconstruction_loss([1.0, 1.0], [0.0, 0.0]) == 1.0
-    with pytest.raises(WidthMismatch):
-        reconstruction_loss([1.0], [1.0, 2.0])
+def linear_net(scale: float, width: int = 2) -> AutoencoderNet:
+    """width -> width -> width identity-activation net that multiplies its
+    input by scale: 1.0 reconstructs every row exactly, 0.0 outputs zeros."""
+    return AutoencoderNet(
+        [DenseLayer(scale * np.eye(width), np.zeros(width), "identity")],
+        [DenseLayer(np.eye(width), np.zeros(width), "identity")],
+    )
+
+
+def test_reconstruction_losses_cases():
+    # a row reconstructed exactly has zero loss
+    assert reconstruction_losses(linear_net(1.0), [[1.0, 2.0]])[0] == 0.0
+    # [1, 1] reconstructed as [0, 0]
+    assert reconstruction_losses(linear_net(0.0), [[1.0, 1.0]])[0] == 1.0
+    for X in ([[1.0]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(WidthMismatch):
+            reconstruction_losses(linear_net(1.0), X)
 
 
 def test_zero_net_loss_is_mean_square():

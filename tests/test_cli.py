@@ -183,3 +183,15 @@ def test_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{broken")
     assert run_cli("compare", "--config", str(cfg)) == 2
+
+
+def test_eval_model_file_missing_key_exit_2(feature_csvs, tmp_path, capsys):
+    model_path = tmp_path / "dt.json"
+    assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
+                   "--out", str(model_path)) == 0
+    doc = json.loads(model_path.read_text())
+    doc["payload"] = {"params": {}}
+    model_path.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model-file", str(model_path),
+                   "--test", str(feature_csvs["test"])) == 2
+    assert "'seed'" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from canids.detectors import (
 )
 from canids.errors import IoError, MissingLabels, UnfitModel, WrongWidth
 from canids.features import FeatureMatrix
+from canids.neighbors import NeighborIndex
 
 
 def small_dataset(seed=0, n=300):
@@ -113,7 +114,7 @@ def test_detector_serialization_round_trip(name, tmp_path):
     save_detector(path, det)
     restored = load_detector(path)
     assert restored.name == name
-    assert np.array_equal(det.score(test), restored.score(test))
+    assert det.score(test).tobytes() == restored.score(test).tobytes()
     assert np.array_equal(det.predict(test), restored.predict(test))
 
 
@@ -176,12 +177,62 @@ def test_params_round_trip(name, tmp_path):
     assert det.score(test).tobytes() == restored.score(test).tobytes()
 
 
-def test_version_1_model_file_is_refused(tmp_path):
+def saved_dt(tmp_path):
     det = make_detector("dt", FAST_PARAMS["dt"]).fit(small_dataset(seed=16))
     path = tmp_path / "dt.json"
     save_detector(path, det)
-    doc = json.loads(path.read_text())
-    doc["version"] = 1
+    return path, json.loads(path.read_text())
+
+
+def refuse_version(version, tmp_path):
+    path, doc = saved_dt(tmp_path)
+    doc["version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(IoError, match="version 1"):
+    with pytest.raises(IoError, match=f"version {version}"):
         load_detector(path)
+
+
+def test_version_1_model_file_is_refused(tmp_path):
+    refuse_version(1, tmp_path)
+
+
+def test_version_2_model_file_is_refused(tmp_path):
+    refuse_version(2, tmp_path)
+
+
+@pytest.mark.parametrize("drop", ["kind", "payload", "params", "seed",
+                                  "n_features", "state", "tree"])
+def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
+    path, doc = saved_dt(tmp_path)
+    for obj in (doc, doc["payload"], doc["payload"]["state"]):
+        obj.pop(drop, None)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=repr(drop)):
+        load_detector(path)
+
+
+def test_model_file_unknown_kind_is_an_io_error(tmp_path):
+    path, doc = saved_dt(tmp_path)
+    doc["kind"] = "svm"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match="unknown model kind 'svm'"):
+        load_detector(path)
+
+
+def test_lof_loads_without_neighbour_search(tmp_path, monkeypatch):
+    train = small_dataset(seed=17)
+    test = small_dataset(seed=18, n=100)
+    det = make_detector("lof", FAST_PARAMS["lof"], seed=3)
+    det.fit(fit_view(det, train))
+    path = tmp_path / "lof.json"
+    save_detector(path, det)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("load_detector ran a neighbour search")
+
+    with monkeypatch.context() as m:
+        m.setattr(NeighborIndex, "query", no_query)
+        restored = load_detector(path)
+    assert (restored.lof.fit_scores().tobytes()
+            == det.lof.fit_scores().tobytes())
+    assert restored.score(test).tobytes() == det.score(test).tobytes()

@@ -31,7 +31,14 @@ from .density import (
     iso_score,
     mahalanobis_score,
 )
-from .errors import EmptyData, IoError, MissingLabels, UnfitModel, WrongWidth
+from .errors import (
+    ConfigError,
+    EmptyData,
+    IoError,
+    MissingLabels,
+    UnfitModel,
+    WrongWidth,
+)
 from .features import FeatureMatrix, Standardizer, fit_standardizer
 from .model_io import (
     decode_array,
@@ -483,11 +490,18 @@ def detector_names() -> tuple[str, ...]:
 
 
 def make_detector(name: str, params: dict | None = None, seed: int = 0) -> Detector:
+    """A detector of kind name; ConfigError if params holds a keyword
+    that the kind does not declare."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {sorted(_REGISTRY)}")
+    cls = _REGISTRY[name]
     kwargs = dict(params or {})
     seed = kwargs.pop("seed", seed)
-    return _REGISTRY[name](seed=seed, **kwargs)
+    declared = [f.name for f in fields(cls) if f.init and f.name != "seed"]
+    for key in kwargs:
+        if key not in declared:
+            raise ConfigError(f"unknown {name} param {key!r}; known: {declared}")
+    return cls(seed=seed, **kwargs)
 
 
 def save_detector(path, det: Detector) -> None:
@@ -503,7 +517,7 @@ def save_detector(path, det: Detector) -> None:
 
 def load_detector(path) -> Detector:
     """The detector a model file holds; IoError if the file names an
-    unknown kind or lacks a key its kind needs."""
+    unknown kind or param, or lacks a key its kind needs."""
     kind, payload = load_model(path)
     if kind not in _REGISTRY:
         raise IoError(f"model file {path}: unknown model kind {kind!r}")
@@ -519,5 +533,7 @@ def load_detector(path) -> Detector:
     except KeyError as exc:
         raise IoError(f"model file {path}: {kind} model has no "
                       f"{exc.args[0]!r} key") from exc
+    except ConfigError as exc:
+        raise IoError(f"model file {path}: {exc}") from exc
     det.fitted = True
     return det

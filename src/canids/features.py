@@ -14,12 +14,13 @@ len(batch) - len(unique ids) rows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canlog import Label, RecordBatch
-from .errors import DlcMismatch, EmptyMatrix, NegativeInterval, WrongWidth
+from .errors import DlcMismatch, EmptyMatrix, IoError, NegativeInterval, WrongWidth
 
 N_PAYLOAD_BITS = 64
 COL_DLC = 64
@@ -218,39 +219,88 @@ def fit_standardizer(m: FeatureMatrix) -> Standardizer:
 
 # --- feature CSV I/O ---------------------------------------------------------
 
+def _column_text(col: np.ndarray, text) -> list[str]:
+    """text(v) for each entry v of col, calling text once per distinct bit
+    pattern, so -0.0 and 0.0 stay apart."""
+    bits = col.view(f"u{col.itemsize}")
+    keys = np.sort(bits)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    strings = [text(v) for v in keys.view(col.dtype).tolist()]
+    return np.array(strings, dtype=object)[np.searchsorted(keys, bits)].tolist()
+
+
 def write_features(path, m: FeatureMatrix) -> None:
-    """Numeric CSV with a header naming each column. Floats are written with
-    repr so values round-trip exactly; a trailing `label` column is added
-    when labels are present."""
+    """Numeric CSV with a header naming each column, written in bulk.
+
+    Each value is written as repr(float(v)), so it reads back bit-exactly
+    and the bytes depend on the values alone; a trailing `label` column of
+    integers is added when labels are present. repr runs once per distinct
+    value of a column, not once per value."""
     names = list(m.column_names())
+    values = np.asarray(m.values, dtype=np.float64)
+    cols = [_column_text(values[:, j], repr) for j in range(m.n_cols)]
     if m.labels is not None:
         names.append("label")
+        cols.append(_column_text(np.asarray(m.labels), lambda v: str(int(v))))
+    if cols:
+        # the newline rides on the last column, so each row is one join
+        cols[-1] = [s + "\n" for s in cols[-1]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(m.n_rows):
-            row = [repr(float(v)) for v in m.values[i]]
-            if m.labels is not None:
-                row.append(str(int(m.labels[i])))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(map(",".join, zip(*cols)))
 
 
 def read_features(path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        has_label = header and header[-1] == "label"
-        feat_names = header[:-1] if has_label else header
-        name_to_id = {name: i for i, name in enumerate(FEATURE_NAMES)}
-        try:
-            column_ids = tuple(name_to_id[name] for name in feat_names)
-        except KeyError as exc:
-            raise WrongWidth(f"unknown feature column {exc}") from None
-        rows, labels = [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
+    """Feature CSV as write_features writes it, parsed in bulk by np.loadtxt;
+    values come back bit-identical to those written.
+
+    A header naming an unknown column raises WrongWidth. A malformed file
+    raises IoError naming it and the line: a blank line, a row whose field
+    count differs from the header's, a value that is not a float, a label
+    that is not the integer 0 or 1, or bytes that are not UTF-8."""
+    lineno = 1
+
+    def body(fh):
+        # loadtxt skips blank lines; refuse them instead. loadtxt pulls one
+        # line per row it parses, so lineno names the failing line.
+        nonlocal lineno
+        for lineno, line in enumerate(fh, 2):
+            if line.isspace():
+                raise IoError(f"{path}: line {lineno} is blank")
+            yield line
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            has_label = header[-1] == "label"
+            feat_names = header[:-1] if has_label else header
+            name_to_id = {name: i for i, name in enumerate(FEATURE_NAMES)}
+            try:
+                column_ids = tuple(name_to_id[name] for name in feat_names)
+            except KeyError as exc:
+                raise WrongWidth(
+                    f"{path}: unknown feature column {exc}") from None
+            # one record per row: the header fixes the field count, and the
+            # label parses as an integer, so "1.0" is refused
+            fields = [("values", np.float64, (len(column_ids),))]
             if has_label:
-                labels.append(int(parts[-1]))
-                parts = parts[:-1]
-            rows.append([float(p) for p in parts])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(column_ids))
-    lab = np.array(labels, dtype=np.int8) if has_label else None
-    return FeatureMatrix(values, lab, column_ids)
+                fields.append(("label", np.int8))
+            lines = body(fh)
+            first = next(lines, None)  # loadtxt warns on an empty body
+            table = np.zeros(0, fields) if first is None else np.loadtxt(
+                itertools.chain([first], lines), dtype=fields, delimiter=",",
+                comments=None, ndmin=1)
+    except UnicodeDecodeError as exc:  # decoded by blocks: no line number
+        raise IoError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise IoError(f"{path}: line {lineno}: {exc}") from None
+    values = np.ascontiguousarray(table["values"])
+    labels = table["label"].copy() if has_label else None
+    if labels is not None:
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise IoError(f"{path}: line {bad[0] + 2}: label {labels[bad[0]]} "
+                          "is not 0 or 1")
+    return FeatureMatrix(values, labels, column_ids)

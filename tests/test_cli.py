@@ -195,3 +195,35 @@ def test_eval_model_file_missing_key_exit_2(feature_csvs, tmp_path, capsys):
     assert run_cli("eval", "--model-file", str(model_path),
                    "--test", str(feature_csvs["test"])) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+def test_train_unknown_param_exit_2(feature_csvs, tmp_path, capsys):
+    code = run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
+                   "--out", str(tmp_path / "dt.json"), "--params", "bogus=1")
+    assert code == 2
+    assert "unknown dt param 'bogus'" in capsys.readouterr().err
+
+
+def test_eval_model_file_unknown_param_exit_2(feature_csvs, tmp_path, capsys):
+    model_path = tmp_path / "dt.json"
+    assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
+                   "--out", str(model_path)) == 0
+    doc = json.loads(model_path.read_text())
+    doc["payload"]["params"]["bogus"] = 1
+    model_path.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model-file", str(model_path),
+                   "--test", str(feature_csvs["test"])) == 2
+    assert "unknown dt param 'bogus'" in capsys.readouterr().err
+
+
+def test_eval_malformed_feature_csv_exit_2(feature_csvs, tmp_path, capsys):
+    model_path = tmp_path / "dt.json"
+    assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
+                   "--out", str(model_path)) == 0
+    lines = feature_csvs["test"].read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",1.0\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    assert run_cli("eval", "--model-file", str(model_path),
+                   "--test", str(bad)) == 2
+    assert f"{bad}: line 4" in capsys.readouterr().err

@@ -12,7 +12,13 @@ from canids.detectors import (
     make_detector,
     save_detector,
 )
-from canids.errors import IoError, MissingLabels, UnfitModel, WrongWidth
+from canids.errors import (
+    ConfigError,
+    IoError,
+    MissingLabels,
+    UnfitModel,
+    WrongWidth,
+)
 from canids.features import FeatureMatrix
 from canids.neighbors import NeighborIndex
 
@@ -129,6 +135,11 @@ def test_make_detector_unknown_name():
         make_detector("svm")
 
 
+def test_make_detector_unknown_param_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown dt param 'bogus'"):
+        make_detector("dt", {"max_depth": 3, "bogus": 1})
+
+
 def test_model_groups():
     assert set(SUPERVISED_MODELS) | set(SEMI_SUPERVISED_MODELS) == set(ALL_MODELS)
     assert not set(SUPERVISED_MODELS) & set(SEMI_SUPERVISED_MODELS)
@@ -208,6 +219,14 @@ def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
         obj.pop(drop, None)
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=repr(drop)):
+        load_detector(path)
+
+
+def test_model_file_unknown_param_is_an_io_error(tmp_path):
+    path, doc = saved_dt(tmp_path)
+    doc["payload"]["params"]["bogus"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match="unknown dt param 'bogus'"):
         load_detector(path)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from canids.canlog import CanRecord, Label, RecordBatch, clean
 from canids.errors import (
     DlcMismatch,
     EmptyMatrix,
+    IoError,
     NegativeInterval,
     WrongWidth,
 )
@@ -15,6 +18,7 @@ from canids.features import (
     FEATURE_NAMES,
     FeatureMatrix,
     N_FEATURES,
+    SUBSETS,
     compute_intervals,
     expand_data_field,
     extract,
@@ -278,9 +282,149 @@ def test_feature_csv_round_trip(tmp_path):
     assert header.split(",")[:3] == ["bit00", "bit01", "bit02"]
     assert header.split(",")[-4:] == ["dlc", "can_id", "interval", "label"]
     loaded = read_features(path)
-    assert np.array_equal(loaded.values, m.values)
-    assert np.array_equal(loaded.labels, m.labels)
+    assert loaded.values.tobytes() == m.values.tobytes()
+    assert loaded.labels.dtype == m.labels.dtype
+    assert loaded.labels.tobytes() == m.labels.tobytes()
     assert loaded.column_ids == m.column_ids
+
+
+# per-value writer and reader: the oracle for the bulk ones
+def ref_write_features(path, m):
+    names = list(m.column_names())
+    if m.labels is not None:
+        names.append("label")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for i in range(m.n_rows):
+            row = [repr(float(v)) for v in m.values[i]]
+            if m.labels is not None:
+                row.append(str(int(m.labels[i])))
+            fh.write(",".join(row) + "\n")
+
+
+def ref_read_features(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        has_label = header[-1] == "label"
+        feat_names = header[:-1] if has_label else header
+        column_ids = tuple(FEATURE_NAMES.index(name) for name in feat_names)
+        rows, labels = [], []
+        for line in fh:
+            parts = line.rstrip("\n").split(",")
+            if has_label:
+                labels.append(int(parts[-1]))
+                parts = parts[:-1]
+            rows.append([float(p) for p in parts])
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(column_ids))
+    lab = np.array(labels, dtype=np.int8) if has_label else None
+    return FeatureMatrix(values, lab, column_ids)
+
+
+# floats a text format could lose or mangle: NaN, signed zero, infinities,
+# both ends of the subnormal range, and integers that float64 cannot count
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 5e-324, -5e-324,
+           2.2250738585072009e-308, np.finfo(np.float64).max,
+           float(2**53 + 2), float(2**63), -float(2**60 + 2**8))
+
+floats = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True))
+column_sets = st.one_of(
+    st.sampled_from([SUBSETS["first66"], SUBSETS["last3"], (COL_INTERVAL,)]),
+    st.lists(st.integers(0, N_FEATURES - 1), min_size=1, max_size=8,
+             unique=True).map(tuple),
+)
+
+
+@st.composite
+def feature_matrices(draw):
+    cols = draw(column_sets)
+    n = draw(st.integers(0, 6))
+    # a small pool makes values repeat heavily, as in the 0/1 columns
+    pool = draw(st.lists(floats, min_size=1, max_size=draw(st.sampled_from([2, 40]))))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=n * len(cols), max_size=n * len(cols)))
+    values = np.array([pool[i] for i in picks], dtype=np.float64)
+    values = values.reshape(n, len(cols))
+    labels = None
+    if draw(st.booleans()):
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)), dtype=np.int8)
+    return FeatureMatrix(values, labels, cols)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(feature_matrices())
+def test_feature_csv_matches_per_value_oracle(tmp_path, m):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_features(got, m)
+    ref_write_features(want, m)
+    assert got.read_bytes() == want.read_bytes()
+    back, ref = read_features(got), ref_read_features(want)
+    assert back.column_ids == ref.column_ids == m.column_ids
+    assert back.values.shape == ref.values.shape == m.values.shape
+    assert back.values.dtype == np.float64
+    assert back.values.tobytes() == ref.values.tobytes()
+    if m.labels is None:
+        assert back.labels is None and ref.labels is None
+    else:
+        assert back.labels.dtype == ref.labels.dtype == np.int8
+        assert back.labels.tobytes() == ref.labels.tobytes()
+
+
+def test_feature_csv_oracle_on_extracted_rows(tmp_path):
+    m = extract(generate_normal(default_profile(), 2.0, 3))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_features(got, m)
+    ref_write_features(want, m)
+    assert got.read_bytes() == want.read_bytes()
+    assert read_features(got).values.tobytes() == m.values.tobytes()
+
+
+MALFORMED = {
+    "short row": ("1.0,2.0,0\n", "line 3"),
+    "long row": ("1.0,2.0,0.5,0,7\n", "line 3"),
+    "non-numeric value": ("1.0,abc,0.5,0\n", "line 3"),
+    "empty value": ("1.0,,0.5,0\n", "line 3"),
+    "blank line": ("\n", "line 3 is blank"),
+    "float label": ("1.0,2.0,0.5,1.0\n", "line 3"),
+    "label 2": ("1.0,2.0,0.5,2\n", "line 3: label 2 is not 0 or 1"),
+    "label -1": ("1.0,2.0,0.5,-1\n", "line 3: label -1 is not 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_feature_csv_is_an_io_error(case, tmp_path):
+    bad, where = MALFORMED[case]
+    good = "8.0,496.0,0.01,0\n"
+    path = tmp_path / "bad.csv"
+    path.write_text("dlc,can_id,interval,label\n" + good + bad + good)
+    with pytest.raises(IoError, match=where) as info:
+        read_features(path)
+    assert str(path) in str(info.value)
+
+
+def test_non_utf8_feature_csv_is_an_io_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"dlc,can_id,interval,label\n8.0,496.0,0.01,0\n\xff\n")
+    with pytest.raises(IoError, match="can't decode byte 0xff") as info:
+        read_features(path)
+    assert str(path) in str(info.value)
+
+
+def test_unlabeled_row_narrower_than_header_is_an_io_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("dlc,can_id,interval\n8.0,496.0\n")
+    with pytest.raises(IoError, match="line 2"):
+        read_features(path)
+
+
+def test_unknown_header_column_is_wrong_width(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("dlc,speed,label\n8.0,1.0,0\n")
+    with pytest.raises(WrongWidth, match="'speed'"):
+        read_features(path)
 
 
 def test_feature_names_layout():

@@ -11,7 +11,6 @@ from .canlog import (
     CanRecord,
     CleaningStats,
     Label,
-    LogFormat,
     RecordBatch,
     clean,
     hex_to_decimal,

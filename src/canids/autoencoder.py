@@ -21,7 +21,7 @@ from .errors import (
     EmptyData,
     EmptyLosses,
     NonFiniteActivation,
-    WidthMismatch,
+    WrongWidth,
 )
 from .metrics import confusion, f1
 from .model_io import decode_array, decode_float, encode_array, encode_float
@@ -72,7 +72,7 @@ class DenseLayer:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weights.shape[0] != self.bias.shape[0]:
-            raise WidthMismatch("bias length must match output width")
+            raise WrongWidth("bias length must match output width")
 
     def forward(self, a_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = a_prev @ self.weights.T + self.bias
@@ -100,7 +100,7 @@ class AutoencoderNet:
         single = arr.ndim == 1
         a = np.atleast_2d(arr)
         if a.shape[1] != self.input_width:
-            raise WidthMismatch(
+            raise WrongWidth(
                 f"input width {a.shape[1]}, net expects {self.input_width}"
             )
         for layer in self.encoder:

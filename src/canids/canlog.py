@@ -41,14 +41,6 @@ class Label(enum.Enum):
     UNLABELED = "Unlabeled"
 
 
-class LogFormat(enum.Enum):
-    """Input log dialects. Only the challenge CSV is implemented; a
-    candump-style text format is reserved so new corpora can slot in."""
-
-    CHALLENGE_CSV = "challenge-csv"
-    CANDUMP = "candump"
-
-
 @dataclass(frozen=True)
 class CanRecord:
     """One CAN frame.
@@ -159,14 +151,12 @@ def _parse_label(text: str) -> Label:
     return Label(canonical)
 
 
-def parse_line(line: str, fmt: LogFormat = LogFormat.CHALLENGE_CSV) -> CanRecord:
+def parse_line(line: str) -> CanRecord:
     """Parse one log line into a fully validated CanRecord.
 
     The Class column may be absent, in which case the record is Unlabeled.
     Raises MalformedLine, BadHex, DlcMismatch, or NonFiniteTimestamp.
     """
-    if fmt is not LogFormat.CHALLENGE_CSV:
-        raise MalformedLine(f"log format {fmt.value!r} not implemented")
     parts = line.rstrip("\r\n").split(",")
     if len(parts) == 4:
         ts_s, id_s, dlc_s, data_s = parts
@@ -221,11 +211,7 @@ def _looks_like_header(line: str) -> bool:
         return True
 
 
-def load_lines(
-    lines: Iterable[str],
-    fmt: LogFormat = LogFormat.CHALLENGE_CSV,
-    source_name: str = "",
-) -> RecordBatch:
+def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
     """Lenient reader: bad lines become ParseFailure entries, not exceptions.
 
     A header row (non-numeric first field) is skipped when present. Blank
@@ -240,16 +226,16 @@ def load_lines(
         if line_no == 1 and _looks_like_header(line):
             continue
         try:
-            records.append(parse_line(line, fmt))
+            records.append(parse_line(line))
         except ParseError as exc:
             failures.append(ParseFailure(line_no, _failure_reason(exc), line))
     return RecordBatch(tuple(records), source_name, tuple(failures))
 
 
-def load_log(path: str | Path, fmt: LogFormat = LogFormat.CHALLENGE_CSV) -> RecordBatch:
+def load_log(path: str | Path) -> RecordBatch:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        return load_lines(fh, fmt, source_name=str(path))
+        return load_lines(fh, source_name=str(path))
 
 
 def write_log(path: str | Path, batch: RecordBatch, header: bool = True) -> None:

@@ -5,6 +5,13 @@ The covariance estimator is a concentration-step scheme: several random
 starting subsets are refined by refitting on the lowest-Mahalanobis rows
 until the retained subset repeats, and the determinant-minimizing solution
 wins. support_fraction 1.0 degenerates to the plain empirical estimate.
+
+Isolation trees are trees.FlatTree arrays. A node sends x left when
+x < t for its random threshold t; it stores nextafter(t, -inf) instead,
+because FlatTree.route tests <= and x < t holds exactly when
+x <= nextafter(t, -inf) does, for every float x (infinities and NaN
+included) and every t but -inf, which the draw never gives. Leaf values
+are the path length: depth plus c(rows at the leaf).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import (
     TooFewSamples,
     UnfitModel,
 )
+from .trees import FlatTree
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -171,65 +179,35 @@ def average_path_length(m: int | np.ndarray) -> np.ndarray:
     return out if out.ndim else np.float64(out)
 
 
-class _IsoTree:
-    """One isolation tree in flat-array form."""
+def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
+                    rng: np.random.Generator) -> FlatTree:
+    """One isolation tree on X[rows], thresholds stored as nextafter(t, -inf)."""
+    nodes: list[list] = []  # FlatTree.of_rows rows
 
-    __slots__ = ("feature", "threshold", "left", "right", "adjust")
-
-    def __init__(self, X: np.ndarray, rows: np.ndarray, height_limit: int,
-                 rng: np.random.Generator):
-        feats: list[int] = []
-        thrs: list[float] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        adj: list[float] = []
-
-        def build(idx: np.ndarray, depth: int) -> int:
-            node = len(feats)
-            feats.append(-1)
-            thrs.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            adj.append(0.0)
-            if idx.size <= 1 or depth >= height_limit:
-                adj[node] = depth + float(average_path_length(idx.size))
-                return node
+    def build(idx: np.ndarray, depth: int) -> int:
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        if idx.size > 1 and depth < height_limit:
             sub = X[idx]
             lo = sub.min(axis=0)
             hi = sub.max(axis=0)
             usable = np.flatnonzero(hi > lo)
-            if usable.size == 0:
-                adj[node] = depth + float(average_path_length(idx.size))
-                return node
-            f = int(usable[rng.integers(0, usable.size)])
-            thr = lo[f] + rng.random() * (hi[f] - lo[f])
-            if thr <= lo[f]:
-                thr = np.nextafter(lo[f], hi[f])
-            go_left = sub[:, f] < thr
-            feats[node] = f
-            thrs[node] = float(thr)
-            lefts[node] = build(idx[go_left], depth + 1)
-            rights[node] = build(idx[~go_left], depth + 1)
-            return node
+            if usable.size:
+                f = int(usable[rng.integers(0, usable.size)])
+                thr = lo[f] + rng.random() * (hi[f] - lo[f])
+                if thr <= lo[f]:
+                    thr = np.nextafter(lo[f], hi[f])
+                thr = np.nextafter(thr, -np.inf)
+                go_left = sub[:, f] <= thr
+                nodes[i][:2] = f, float(thr)
+                nodes[i][2] = build(idx[go_left], depth + 1)
+                nodes[i][3] = build(idx[~go_left], depth + 1)
+                return i
+        nodes[i][4] = depth + float(average_path_length(idx.size))
+        return i
 
-        build(rows, 0)
-        self.feature = np.array(feats, dtype=np.int64)
-        self.threshold = np.array(thrs)
-        self.left = np.array(lefts, dtype=np.int64)
-        self.right = np.array(rights, dtype=np.int64)
-        self.adjust = np.array(adj)
-
-    def path_lengths(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature[node]
-            internal = feats >= 0
-            if not internal.any():
-                return self.adjust[node]
-            rows = np.flatnonzero(internal)
-            go_left = X[rows, feats[rows]] < self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]],
-                                  self.right[node[rows]])
+    build(rows, 0)
+    return FlatTree.of_rows(nodes)
 
 
 @dataclass
@@ -237,7 +215,7 @@ class IsoForestModel:
     n_trees: int
     subsample: int
     seed: int
-    trees: list[_IsoTree] = field(default_factory=list)
+    trees: list[FlatTree] = field(default_factory=list)
     _norm: float = 1.0  # c(subsample)
 
     def mean_path_length(self, X) -> np.ndarray:
@@ -246,40 +224,23 @@ class IsoForestModel:
         arr = np.atleast_2d(_as_array(X))
         acc = np.zeros(arr.shape[0])
         for tree in self.trees:
-            acc += tree.path_lengths(arr)
+            acc += tree.route(arr)
         return acc / len(self.trees)
 
     def to_payload(self) -> dict:
-        from .model_io import encode_array
         return {
             "n_trees": self.n_trees,
             "subsample": self.subsample,
             "seed": self.seed,
-            "trees": [
-                {
-                    "feature": [int(v) for v in t.feature],
-                    "threshold": encode_array(t.threshold),
-                    "left": [int(v) for v in t.left],
-                    "right": [int(v) for v in t.right],
-                    "adjust": encode_array(t.adjust),
-                }
-                for t in self.trees
-            ],
+            "trees": [t.to_payload() for t in self.trees],
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "IsoForestModel":
-        from .model_io import decode_array
-        model = cls(payload["n_trees"], payload["subsample"], payload["seed"])
+    def from_payload(cls, payload: dict, width: int) -> "IsoForestModel":
+        """The model to_payload wrote; see FlatTree.from_payload."""
+        model = cls(payload["n_trees"], payload["subsample"], payload["seed"],
+                    [FlatTree.from_payload(t, width) for t in payload["trees"]])
         model._norm = float(average_path_length(model.subsample))
-        for obj in payload["trees"]:
-            tree = _IsoTree.__new__(_IsoTree)
-            tree.feature = np.array(obj["feature"], dtype=np.int64)
-            tree.threshold = decode_array(obj["threshold"])
-            tree.left = np.array(obj["left"], dtype=np.int64)
-            tree.right = np.array(obj["right"], dtype=np.int64)
-            tree.adjust = decode_array(obj["adjust"])
-            model.trees.append(tree)
         return model
 
 
@@ -302,7 +263,7 @@ def fit_isolation_forest(
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=subsample, replace=False)
-        model.trees.append(_IsoTree(X, rows, height_limit, rng))
+        model.trees.append(_isolation_tree(X, rows, height_limit, rng))
     return model
 
 

@@ -32,6 +32,7 @@ from .density import (
     mahalanobis_score,
 )
 from .errors import (
+    CanidsError,
     ConfigError,
     EmptyData,
     IoError,
@@ -168,7 +169,7 @@ class DecisionTreeDetector(Detector):
                              self.min_samples_leaf)
 
     def _score(self, X):
-        return FlatTree(self.tree).route(X)
+        return FlatTree.from_node(self.tree).route(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
@@ -177,7 +178,7 @@ class DecisionTreeDetector(Detector):
         return {"tree": self.tree.to_dict()}
 
     def _restore(self, state):
-        self.tree = TreeNode.from_dict(state["tree"])
+        self.tree = TreeNode.from_dict(state["tree"], self.n_features)
 
 
 @dataclass(eq=False)
@@ -389,7 +390,8 @@ class IsoForestDetector(Detector):
         return {"model": self.model.to_payload()}
 
     def _restore(self, state):
-        self.model = IsoForestModel.from_payload(state["model"])
+        self.model = IsoForestModel.from_payload(state["model"],
+                                                 self.n_features)
 
 
 # without labeled validation the threshold is this percentile of train losses
@@ -516,8 +518,9 @@ def save_detector(path, det: Detector) -> None:
 
 
 def load_detector(path) -> Detector:
-    """The detector a model file holds; IoError if the file names an
-    unknown kind or param, or lacks a key its kind needs."""
+    """The detector a model file holds; IoError naming the file if it names
+    an unknown kind or param, lacks a key its kind needs, or holds state
+    that does not rebuild its model."""
     kind, payload = load_model(path)
     if kind not in _REGISTRY:
         raise IoError(f"model file {path}: unknown model kind {kind!r}")
@@ -529,11 +532,13 @@ def load_detector(path) -> Detector:
             det.standardizer = Standardizer(decode_array(s["mean"]),
                                             decode_array(s["std"]))
         det.n_features = payload["n_features"]
+        if not isinstance(det.n_features, int) or det.n_features < 1:
+            raise IoError(f"n_features {det.n_features!r} is not a width")
         det._restore(state)
     except KeyError as exc:
         raise IoError(f"model file {path}: {kind} model has no "
                       f"{exc.args[0]!r} key") from exc
-    except ConfigError as exc:
+    except CanidsError as exc:
         raise IoError(f"model file {path}: {exc}") from exc
     det.fitted = True
     return det

@@ -49,7 +49,8 @@ class NegativeInterval(CanidsError):
 
 
 class WrongWidth(CanidsError):
-    """A feature matrix does not have the expected column count."""
+    """A matrix, query or array does not have the width the model, net or
+    file expects."""
 
 
 class EmptyMatrix(CanidsError):
@@ -74,10 +75,6 @@ class EmptyData(CanidsError):
 
 class NonBinaryLabels(CanidsError):
     """Labels outside {0, 1} passed to a binary classifier."""
-
-
-class WidthMismatch(CanidsError):
-    """Query width differs from the width the model was fitted with."""
 
 
 class UnfitModel(CanidsError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics as mx
 from . import synth
-from .canlog import RecordBatch, clean, load_log
+from .canlog import clean, load_log
 from .detectors import (
     ALL_MODELS,
     Detector,
@@ -64,18 +64,6 @@ DEFAULT_PARAMS: dict[str, dict] = {
 
 
 # --- splits -----------------------------------------------------------------
-
-def stationary_filter(batch: RecordBatch, predicate=None) -> RecordBatch:
-    """Row-filter hook for corpora that encode vehicle status.
-
-    predicate(record) -> bool keeps the record. Synthetic traffic carries
-    no status, so the default is a pass-through.
-    """
-    if predicate is None:
-        return batch
-    kept = tuple(r for r in batch.records if predicate(r))
-    return RecordBatch(kept, batch.source_name, batch.parse_failures)
-
 
 def _take(m: FeatureMatrix, rows: np.ndarray) -> FeatureMatrix:
     return FeatureMatrix(

@@ -1,7 +1,7 @@
 """Versioned JSON model files with bit-exact float round-tripping.
 
 All fitted models serialize through the same envelope:
-    {"format": "canids-model", "version": 3, "kind": "<model name>",
+    {"format": "canids-model", "version": 4, "kind": "<model name>",
      "payload": {...}}
 Every fitted array is stored as {"shape": [...], "data": "<base64>"}, where
 data is the base64 of the array's little-endian float64 bytes in C order.
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import IoError
 
 FORMAT_NAME = "canids-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _LE_F8 = np.dtype("<f8")
 

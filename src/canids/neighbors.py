@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyData, KTooLarge, WidthMismatch
+from .errors import EmptyData, KTooLarge, WrongWidth
 
 _CHUNK_BYTES = 256 * 1024 * 1024
 
@@ -73,7 +73,7 @@ class NeighborIndex:
     def _check_queries(self, X) -> np.ndarray:
         q = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
         if q.shape[1] != self.width:
-            raise WidthMismatch(
+            raise WrongWidth(
                 f"query width {q.shape[1]} != reference width {self.width}"
             )
         return q
@@ -153,7 +153,7 @@ class LocalOutlierFactor:
             raise KTooLarge(f"k={self.k} needs more than {self.index.n} points")
         for name, a in (("k-distances", kdist), ("lrd", lrd), ("lof", lof)):
             if a.shape != (self.index.n,):
-                raise WidthMismatch(f"{name} shape {a.shape} != "
+                raise WrongWidth(f"{name} shape {a.shape} != "
                                     f"({self.index.n},) references")
         self.ref_kdist, self.ref_lrd, self.ref_lof = kdist, lrd, lof
         return self

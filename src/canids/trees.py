@@ -20,6 +20,11 @@ ascending, so that order equals a per-node stable argsort and BLAS gets the
 same float64 rows in the same layout as a per-node gather: every sum is
 taken over the same numbers in the same order, and the trees are bit for
 bit those of a search that gathers and sorts at each node.
+
+Fitted trees are TreeNode objects; every model, the isolation forest in
+density included, routes rows through FlatTree, their array form, with the
+one test x <= threshold. Model files hold CART and boosted trees as nested
+TreeNode dicts and isolation trees as FlatTree payloads.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import sigmoid
-from .errors import EmptyData, NonBinaryLabels, UnfitModel, WidthMismatch
-from .model_io import decode_float, encode_float
+from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel, WrongWidth
+from .model_io import decode_array, decode_float, encode_array, encode_float
 
 
 @dataclass
@@ -66,15 +71,20 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TreeNode":
+    def from_dict(cls, obj: dict, width: int) -> "TreeNode":
+        """The tree to_dict wrote; IoError if a split feature lies outside
+        [0, width)."""
         if "feature" not in obj:
             return cls(value=decode_float(obj["value"]))
+        f = obj["feature"]
+        if not (isinstance(f, int) and 0 <= f < width):
+            raise IoError(f"tree split on feature {f!r}, fitted width {width}")
         return cls(
-            feature=obj["feature"],
+            feature=f,
             threshold=decode_float(obj["threshold"]),
             gain=decode_float(obj["gain"]),
-            left=cls.from_dict(obj["left"]),
-            right=cls.from_dict(obj["right"]),
+            left=cls.from_dict(obj["left"], width),
+            right=cls.from_dict(obj["right"], width),
         )
 
 
@@ -118,6 +128,13 @@ class BoostConfig:
 def _as_array(X) -> np.ndarray:
     values = getattr(X, "values", X)
     return np.asarray(values, dtype=np.float64)
+
+
+def _checked_width(X, width: int) -> np.ndarray:
+    arr = np.atleast_2d(_as_array(X))
+    if arr.shape[1] != width:
+        raise WrongWidth(f"{arr.shape[1]} columns, model expects {width}")
+    return arr
 
 
 # --- split search ----------------------------------------------------------
@@ -309,32 +326,49 @@ def fit_cart(
     return data.grow(*grow_args, block=data.block(all_feats))
 
 
+@dataclass
 class FlatTree:
-    """Array form of a tree for vectorized routing."""
+    """Array form of a tree, the one form every model routes through.
 
-    def __init__(self, root: TreeNode):
-        feats, thrs, lefts, rights, values = [], [], [], [], []
+    Node i is a leaf when feature[i] == -1; otherwise x goes to left[i]
+    when x[feature[i]] <= threshold[i], else to right[i]. Children come
+    after their parent. value holds the leaf outputs: CART fractions,
+    boosting weights or isolation path lengths.
+    """
+
+    feature: np.ndarray    # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray       # int64
+    right: np.ndarray      # int64
+    value: np.ndarray      # float64
+
+    @classmethod
+    def from_node(cls, root: TreeNode) -> "FlatTree":
+        """root's nodes in pre-order, left subtree first."""
+        rows = []
 
         def visit(node: TreeNode) -> int:
-            i = len(feats)
-            feats.append(node.feature)
-            thrs.append(node.threshold)
-            lefts.append(-1)
-            rights.append(-1)
-            values.append(node.value)
+            i = len(rows)
+            rows.append([node.feature, node.threshold, -1, -1, node.value])
             if not node.is_leaf:
-                lefts[i] = visit(node.left)
-                rights[i] = visit(node.right)
+                rows[i][2] = visit(node.left)
+                rows[i][3] = visit(node.right)
             return i
 
         visit(root)
-        self.feature = np.array(feats, dtype=np.int64)
-        self.threshold = np.array(thrs)
-        self.left = np.array(lefts, dtype=np.int64)
-        self.right = np.array(rights, dtype=np.int64)
-        self.value = np.array(values)
+        return cls.of_rows(rows)
+
+    @classmethod
+    def of_rows(cls, rows: list) -> "FlatTree":
+        """The tree whose node i is rows[i] = [feature, threshold, left,
+        right, value]."""
+        feature, threshold, left, right, value = zip(*rows)
+        return cls(np.array(feature, dtype=np.int64), np.array(threshold),
+                   np.array(left, dtype=np.int64),
+                   np.array(right, dtype=np.int64), np.array(value))
 
     def route(self, X: np.ndarray) -> np.ndarray:
+        """The leaf value each row of X reaches."""
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             feats = self.feature[node]
@@ -346,6 +380,39 @@ class FlatTree:
             go_left = fvals <= self.threshold[node[rows]]
             node[rows] = np.where(go_left, self.left[node[rows]],
                                   self.right[node[rows]])
+
+    def to_payload(self) -> dict:
+        return {"feature": self.feature.tolist(),
+                "threshold": encode_array(self.threshold),
+                "left": self.left.tolist(),
+                "right": self.right.tolist(),
+                "value": encode_array(self.value)}
+
+    @classmethod
+    def from_payload(cls, obj: dict, width: int) -> "FlatTree":
+        """The tree to_payload wrote, checked so that route ends and reads
+        only columns below width; IoError otherwise."""
+        try:
+            feature, left, right = [np.array(obj[k])
+                                    for k in ("feature", "left", "right")]
+        except ValueError as exc:  # nested lists of uneven lengths
+            raise IoError(f"tree index list is malformed: {exc}") from exc
+        tree = cls(feature, decode_array(obj["threshold"]), left, right,
+                   decode_array(obj["value"]))
+        arrays = (feature, tree.threshold, left, right, tree.value)
+        n = feature.size
+        if (n == 0 or any(a.shape != (n,) for a in arrays)
+                or any(a.dtype != np.int64 for a in (feature, left, right))):
+            raise IoError(f"tree arrays have shapes {[a.shape for a in arrays]}"
+                          ", need one non-empty length and integer indices")
+        if np.any((feature < -1) | (feature >= width)):
+            raise IoError(f"tree split on a feature outside [0, {width})")
+        parent = np.flatnonzero(feature >= 0)
+        for kids in (left[parent], right[parent]):
+            if np.any((kids <= parent) | (kids >= n)):
+                raise IoError("tree child index does not lie after its "
+                              f"parent and below {n}")
+        return tree
 
 
 def tree_max_depth(node: TreeNode) -> int:
@@ -361,21 +428,14 @@ class RandomForest:
     config: ForestConfig
     trees: list[TreeNode] = field(default_factory=list)
     n_features: int = 0
-    _flat: list[FlatTree] | None = None
 
     def predict_proba(self, X) -> np.ndarray:
         if not self.trees:
             raise UnfitModel("forest has no trees")
-        arr = np.atleast_2d(_as_array(X))
-        if arr.shape[1] != self.n_features:
-            raise WidthMismatch(
-                f"{arr.shape[1]} columns, model expects {self.n_features}"
-            )
-        if self._flat is None:
-            self._flat = [FlatTree(t) for t in self.trees]
+        arr = _checked_width(X, self.n_features)
         acc = np.zeros(arr.shape[0])
-        for flat in self._flat:
-            acc += flat.route(arr)
+        for tree in self.trees:
+            acc += FlatTree.from_node(tree).route(arr)
         return acc / len(self.trees)
 
     def to_payload(self) -> dict:
@@ -384,8 +444,9 @@ class RandomForest:
 
     @classmethod
     def from_payload(cls, payload: dict, config: ForestConfig) -> "RandomForest":
-        return cls(config, [TreeNode.from_dict(t) for t in payload["trees"]],
-                   payload["n_features"])
+        width = payload["n_features"]
+        return cls(config, [TreeNode.from_dict(t, width)
+                            for t in payload["trees"]], width)
 
 
 def fit_random_forest(X, y, cfg: ForestConfig) -> RandomForest:
@@ -428,19 +489,12 @@ class GbtModel:
     n_features: int = 0
     base_margin: float = 0.0
     loss_trace: list[float] = field(default_factory=list)
-    _flat: list[FlatTree] | None = None
 
     def margins(self, X) -> np.ndarray:
-        arr = np.atleast_2d(_as_array(X))
-        if arr.shape[1] != self.n_features:
-            raise WidthMismatch(
-                f"{arr.shape[1]} columns, model expects {self.n_features}"
-            )
-        if self._flat is None:
-            self._flat = [FlatTree(t) for t in self.trees]
+        arr = _checked_width(X, self.n_features)
         m = np.full(arr.shape[0], self.base_margin)
-        for flat in self._flat:
-            m += self.config.learning_rate * flat.route(arr)
+        for tree in self.trees:
+            m += self.config.learning_rate * FlatTree.from_node(tree).route(arr)
         return m
 
     def predict_proba(self, X) -> np.ndarray:
@@ -456,10 +510,11 @@ class GbtModel:
 
     @classmethod
     def from_payload(cls, payload: dict, config: BoostConfig) -> "GbtModel":
+        width = payload["n_features"]
         return cls(
             config,
-            [TreeNode.from_dict(t) for t in payload["trees"]],
-            payload["n_features"],
+            [TreeNode.from_dict(t, width) for t in payload["trees"]],
+            width,
             decode_float(payload["base_margin"]),
             [decode_float(v) for v in payload["loss_trace"]],
         )
@@ -511,7 +566,7 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
         block = data.block(candidates) if full_block is None else full_block
         tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block)
         model.trees.append(tree)
-        margin += cfg.learning_rate * FlatTree(tree).route(X)
+        margin += cfg.learning_rate * FlatTree.from_node(tree).route(X)
         model.loss_trace.append(_log_loss(margin, y))
     return model
 

@@ -21,7 +21,7 @@ from canids.errors import (
     DegenerateValidation,
     DivergedTraining,
     EmptyLosses,
-    WidthMismatch,
+    WrongWidth,
 )
 from canids.detectors import DaeDetector
 from canids.features import FeatureMatrix, Standardizer
@@ -112,7 +112,7 @@ def test_forward_matches_straight_line_oracle():
 
 def test_forward_width_check():
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=0)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(WrongWidth):
         net.forward(np.ones(5))
 
 
@@ -131,7 +131,7 @@ def test_reconstruction_losses_cases():
     # [1, 1] reconstructed as [0, 0]
     assert reconstruction_losses(linear_net(0.0), [[1.0, 1.0]])[0] == 1.0
     for X in ([[1.0]], [[1.0, 2.0, 3.0]]):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(WrongWidth):
             reconstruction_losses(linear_net(1.0), X)
 
 

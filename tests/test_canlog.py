@@ -6,7 +6,6 @@ import pytest
 from canids.canlog import (
     CanRecord,
     Label,
-    LogFormat,
     RecordBatch,
     clean,
     hex_to_decimal,
@@ -200,11 +199,6 @@ def test_load_lines_preserves_order():
     lines = [f"{i * 0.1},{i:03X},0,,Normal" for i in range(10)]
     batch = load_lines(lines)
     assert [r.arbitration_id for r in batch.records] == list(range(10))
-
-
-def test_candump_format_reserved():
-    with pytest.raises(MalformedLine):
-        parse_line("0.1,100,0,", LogFormat.CANDUMP)
 
 
 def test_validate_catches_all_invariants():

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canids
 from canids.cli import main
 from canids.features import read_features
+from canids.model_io import decode_array, encode_array
+
+SRC = str(Path(canids.__file__).resolve().parents[1])
 
 
 def run_cli(*argv) -> int:
@@ -227,3 +235,75 @@ def test_eval_malformed_feature_csv_exit_2(feature_csvs, tmp_path, capsys):
     assert run_cli("eval", "--model-file", str(model_path),
                    "--test", str(bad)) == 2
     assert f"{bad}: line 4" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def model_files(feature_csvs, tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    files = {}
+    for kind, params in [("dt", "max_depth=4"),
+                         ("iforest", "n_trees=5,subsample=32"),
+                         ("lof", "k=5"), ("dae", "epochs=1")]:
+        files[kind] = root / f"{kind}.json"
+        assert run_cli("train", "--model", kind,
+                       "--in", str(feature_csvs["train"]),
+                       "--out", str(files[kind]), "--params", params) == 0
+    return files
+
+
+def _iforest_tree(doc):
+    return doc["payload"]["state"]["model"]["trees"][0]
+
+
+def iforest_cyclic(doc):
+    tree = _iforest_tree(doc)
+    last = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][last] = 0  # back to the root
+
+
+def iforest_ragged(doc):
+    _iforest_tree(doc)["left"].pop()
+
+
+def iforest_child_out_of_range(doc):
+    tree = _iforest_tree(doc)
+    tree["right"][0] = len(tree["feature"]) + 5
+
+
+def dt_feature_99(doc):
+    root = doc["payload"]["state"]["tree"]
+    assert "feature" in root
+    root["feature"] = 99
+
+
+def lof_short_lrd(doc):
+    state = doc["payload"]["state"]
+    state["ref_lrd"] = encode_array(decode_array(state["ref_lrd"])[:3])
+
+
+def dae_short_bias(doc):
+    layer = doc["payload"]["state"]["net"]["encoder"][0]
+    layer["bias"] = encode_array(decode_array(layer["bias"])[:-1])
+
+
+@pytest.mark.parametrize("corrupt", [
+    iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
+    lof_short_lrd, dae_short_bias,
+], ids=lambda f: f.__name__)
+def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
+                                          corrupt):
+    # a subprocess, so that a model file that makes routing loop fails the
+    # test by its timeout instead of hanging the suite
+    kind = corrupt.__name__.split("_")[0]
+    doc = json.loads(model_files[kind].read_text())
+    corrupt(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    pythonpath = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "canids.cli", "eval", "--model-file", str(path),
+         "--test", str(feature_csvs["test"])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"data error: model file {path}: " in proc.stderr

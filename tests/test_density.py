@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from canids.density import (
@@ -204,3 +207,131 @@ def test_iso_constant_data_all_truncated():
     # no split possible: every point sits at a root leaf, path c(16)
     assert np.allclose(model.mean_path_length(X), average_path_length(16))
     assert np.all(scores == scores[0])
+
+
+# --- isolation-forest oracle -----------------------------------------------------
+
+class RefIsoTree:
+    """Reference isolation tree: splits x < t at the drawn threshold t, and
+    routes with the same strict test."""
+
+    def __init__(self, X, rows, height_limit, rng):
+        feats, thrs, lefts, rights, adj = [], [], [], [], []
+
+        def build(idx, depth):
+            node = len(feats)
+            feats.append(-1)
+            thrs.append(0.0)
+            lefts.append(-1)
+            rights.append(-1)
+            adj.append(0.0)
+            if idx.size <= 1 or depth >= height_limit:
+                adj[node] = depth + float(average_path_length(idx.size))
+                return node
+            sub = X[idx]
+            lo = sub.min(axis=0)
+            hi = sub.max(axis=0)
+            usable = np.flatnonzero(hi > lo)
+            if usable.size == 0:
+                adj[node] = depth + float(average_path_length(idx.size))
+                return node
+            f = int(usable[rng.integers(0, usable.size)])
+            thr = lo[f] + rng.random() * (hi[f] - lo[f])
+            if thr <= lo[f]:
+                thr = np.nextafter(lo[f], hi[f])
+            go_left = sub[:, f] < thr
+            feats[node] = f
+            thrs[node] = float(thr)
+            lefts[node] = build(idx[go_left], depth + 1)
+            rights[node] = build(idx[~go_left], depth + 1)
+            return node
+
+        build(rows, 0)
+        self.feature = np.array(feats, dtype=np.int64)
+        self.threshold = np.array(thrs)
+        self.left = np.array(lefts, dtype=np.int64)
+        self.right = np.array(rights, dtype=np.int64)
+        self.adjust = np.array(adj)
+
+    def path_lengths(self, X):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            feats = self.feature[node]
+            internal = feats >= 0
+            if not internal.any():
+                return self.adjust[node]
+            rows = np.flatnonzero(internal)
+            go_left = X[rows, feats[rows]] < self.threshold[node[rows]]
+            node[rows] = np.where(go_left, self.left[node[rows]],
+                                  self.right[node[rows]])
+
+
+def ref_isolation_trees(X, n_trees, subsample, seed):
+    height_limit = math.ceil(math.log2(subsample))
+    trees = []
+    for stream in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(stream)
+        rows = rng.choice(X.shape[0], size=subsample, replace=False)
+        trees.append(RefIsoTree(X, rows, height_limit, rng))
+    return trees
+
+
+def ref_mean_path_length(trees, X):
+    acc = np.zeros(X.shape[0])
+    for tree in trees:
+        acc += tree.path_lengths(X)
+    return acc / len(trees)
+
+
+# signed zeros, subnormals, infinities, ties and ranges whose width overflows
+_ISO_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.0, 1.0, 3.0, np.inf, -np.inf,
+                     np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+    st.floats(allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def iso_data(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, d), elements=_ISO_VALUES))
+    return X, draw(st.integers(2, n))
+
+
+def _queries(X, trees, seed):
+    """The training rows, plus rows built from every drawn threshold, its
+    one-ulp neighbours and the special values, alone and mixed."""
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
+    pool = np.concatenate([
+        thresholds, np.nextafter(thresholds, -np.inf),
+        np.nextafter(thresholds, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
+    d = X.shape[1]
+    rng = np.random.default_rng(seed)
+    return np.vstack([X, np.repeat(pool[:, None], d, axis=1),
+                      rng.choice(pool, size=(4 * pool.size, d))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(iso_data(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example((np.array([[0.0], [1.0]]), 2), 3, 0)
+def test_isolation_forest_matches_strict_less_than_reference(data, n_trees,
+                                                             seed):
+    X, subsample = data
+    with np.errstate(over="ignore", invalid="ignore"):  # max - min overflows
+        model = fit_isolation_forest(X, n_trees, subsample, seed)
+        want = ref_isolation_trees(X, n_trees, subsample, seed)
+    assert len(model.trees) == len(want)
+    for got, ref in zip(model.trees, want):
+        assert np.array_equal(got.feature, ref.feature)
+        assert np.array_equal(got.left, ref.left)
+        assert np.array_equal(got.right, ref.right)
+        split = ref.feature >= 0
+        assert (got.threshold[split].tobytes()
+                == np.nextafter(ref.threshold[split], -np.inf).tobytes())
+        assert got.value.tobytes() == ref.adjust.tobytes()
+    Q = _queries(X, want, seed)
+    assert (model.mean_path_length(Q).tobytes()
+            == ref_mean_path_length(want, Q).tobytes())

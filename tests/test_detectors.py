@@ -211,6 +211,10 @@ def test_version_2_model_file_is_refused(tmp_path):
     refuse_version(2, tmp_path)
 
 
+def test_version_3_model_file_is_refused(tmp_path):
+    refuse_version(3, tmp_path)
+
+
 @pytest.mark.parametrize("drop", ["kind", "payload", "params", "seed",
                                   "n_features", "state", "tree"])
 def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
@@ -227,6 +231,15 @@ def test_model_file_unknown_param_is_an_io_error(tmp_path):
     doc["payload"]["params"]["bogus"] = 1
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match="unknown dt param 'bogus'"):
+        load_detector(path)
+
+
+@pytest.mark.parametrize("width", ["6", 0, 2.5, None])
+def test_model_file_bad_width_is_an_io_error(width, tmp_path):
+    path, doc = saved_dt(tmp_path)
+    doc["payload"]["n_features"] = width
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"model file {path}: n_features"):
         load_detector(path)
 
 

@@ -29,7 +29,6 @@ from canids.harness import (
     run_ablation,
     run_comparison,
     split_fraction,
-    stationary_filter,
 )
 from canids.metrics import ConfusionCounts
 
@@ -85,15 +84,6 @@ def test_carve_validation_stratified():
     frac_val = (val.labels == 1).mean()
     frac_all = (m.labels == 1).mean()
     assert abs(frac_val - frac_all) < 0.1
-
-
-def test_stationary_filter_default_passthrough():
-    from canids.synth import benchmark_batch
-    batch = benchmark_batch(seed=0, attacks=(), horizon=2.0)
-    assert stationary_filter(batch) is batch
-    halved = stationary_filter(batch,
-                               predicate=lambda r: r.arbitration_id != 0x0C0)
-    assert all(r.arbitration_id != 0x0C0 for r in halved.records)
 
 
 # --- grid search -------------------------------------------------------------

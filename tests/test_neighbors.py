@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from canids.detectors import KnnDetector
-from canids.errors import EmptyData, KTooLarge, WidthMismatch
+from canids.errors import EmptyData, KTooLarge, WrongWidth
 from canids.features import FeatureMatrix
 from canids.neighbors import LocalOutlierFactor, NeighborIndex
 
@@ -110,7 +110,7 @@ def test_query_k_too_large():
 
 def test_query_width_mismatch():
     index = NeighborIndex(np.ones((3, 2)))
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(WrongWidth):
         index.query(np.ones((1, 3)), 1)
 
 

@@ -9,10 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 from canids.autoencoder import sigmoid
 from canids.detectors import DecisionTreeDetector, RandomForestDetector
-from canids.errors import EmptyData, NonBinaryLabels, UnfitModel, WidthMismatch
+from canids.errors import (
+    EmptyData,
+    IoError,
+    NonBinaryLabels,
+    UnfitModel,
+    WrongWidth,
+)
 from canids.features import FeatureMatrix
+from canids.model_io import encode_array
 from canids.trees import (
     BoostConfig,
+    FlatTree,
     ForestConfig,
     GbtModel,
     RandomForest,
@@ -239,6 +247,75 @@ def test_forest_serialization_round_trip():
     assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
 
 
+# --- array trees -------------------------------------------------------------------
+
+def _cart_data(seed=12):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 3))
+    return X, (X[:, 0] + X[:, 2] > 0).astype(int)
+
+
+def _flat_payload():
+    tree = FlatTree.from_node(fit_cart(*_cart_data()))
+    return json.loads(json.dumps(tree.to_payload()))
+
+
+def test_flat_tree_payload_round_trip():
+    X, y = _cart_data()
+    tree = FlatTree.from_node(fit_cart(X, y))
+    back = FlatTree.from_payload(_flat_payload(), 3)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        a, b = getattr(tree, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert back.route(X).tobytes() == tree.route(X).tobytes()
+
+
+def _set(key, i, v):
+    def corrupt(p):
+        p[key][i] = v
+    return corrupt
+
+
+def _point_back_up(p):
+    internal = [i for i, f in enumerate(p["feature"]) if f >= 0]
+    p["right"][internal[-1]] = internal[0]
+
+
+def _empty(p):
+    p.update({k: [] for k in ("feature", "left", "right")})
+    p.update({k: encode_array(np.zeros(0)) for k in ("threshold", "value")})
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_set("left", 0, 0), "after its parent"),
+    (_point_back_up, "after its parent"),
+    (_set("right", 0, 10 ** 6), "after its parent"),
+    (lambda p: p["left"].pop(), "one non-empty length"),
+    (lambda p: p.update(value=encode_array(np.zeros((1, 1)))), "length"),
+    (_empty, "non-empty"),
+    (_set("feature", 0, 3), r"outside \[0, 3\)"),
+    (_set("feature", 0, -2), r"outside \[0, 3\)"),
+    (_set("left", 0, 1.5), "integer"),
+    (_set("feature", 0, "0"), "integer"),
+    (_set("left", 0, [1, 2]), "malformed"),
+], ids=["cycle-at-root", "child-before-parent", "child-past-end", "ragged",
+        "value-2d", "empty", "feature-3", "feature-minus-2", "float-index",
+        "string-feature", "nested-index"])
+def test_flat_tree_payload_is_checked(corrupt, match):
+    payload = _flat_payload()
+    corrupt(payload)
+    with pytest.raises(IoError, match=match):
+        FlatTree.from_payload(payload, 3)
+
+
+def test_tree_dict_feature_outside_width_is_refused():
+    obj = fit_cart(*_cart_data()).to_dict()
+    assert TreeNode.from_dict(obj, 3).to_dict() == obj
+    for width in (0, 1, 2):
+        with pytest.raises(IoError, match=f"fitted width {width}"):
+            TreeNode.from_dict(obj, width)
+
+
 # --- gradient boosting ---------------------------------------------------------------
 
 def test_gbt_balanced_single_leaf_weight_zero():
@@ -325,7 +402,7 @@ def test_gbt_rejects_bad_labels():
 def test_gbt_width_check_on_predict():
     X, y = _blobs(seed=6)
     model = fit_gbt(X, y, BoostConfig(rounds=2, max_depth=2, seed=0))
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(WrongWidth):
         model.predict_proba(np.ones((3, 5)))
 
 

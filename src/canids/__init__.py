@@ -22,7 +22,6 @@ from .features import (
     FeatureMatrix,
     Standardizer,
     compute_intervals,
-    expand_data_field,
     extract,
     fit_standardizer,
     select_subset,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateValidation,
     DivergedTraining,
     EmptyData,
@@ -70,7 +71,7 @@ class DenseLayer:
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.weights.shape[0] != self.bias.shape[0]:
             raise WrongWidth("bias length must match output width")
 
@@ -181,11 +182,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ConfigError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+            raise ConfigError("learning rate must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _grads(net: AutoencoderNet, X: np.ndarray):
@@ -284,9 +285,9 @@ class ThresholdConfig:
 
     def __post_init__(self):
         if not 0 < self.p <= 100:
-            raise ValueError("percentile must lie in (0, 100]")
+            raise ConfigError("percentile must lie in (0, 100]")
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ConfigError("gamma must be >= 0")
 
 
 DEFAULT_THRESHOLD_GRID = tuple(

@@ -4,15 +4,22 @@ The supported wire format is the challenge CSV layout
 ``Timestamp,Arbitration_ID,DLC,Data,Class`` where Data holds DLC
 space-separated two-digit hex bytes and the Class column is optional.
 Hex arbitration IDs are converted to decimal integers at parse time.
+
+A RecordBatch holds frames as numpy columns and checks every record
+invariant when it is built; CanRecord is the row view of one frame.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     BadHex,
@@ -41,39 +48,16 @@ class Label(enum.Enum):
     UNLABELED = "Unlabeled"
 
 
-@dataclass(frozen=True)
-class CanRecord:
-    """One CAN frame.
-
-    data_bytes is None only for records built leniently from rows with a
-    missing Data field; clean() drops those. Valid records always satisfy
-    len(data_bytes) == dlc.
-    """
+class CanRecord(NamedTuple):
+    """One CAN frame: the row view of a RecordBatch, and the field tuple
+    RecordBatch.of builds columns from. A valid record has
+    len(data_bytes) == dlc."""
 
     timestamp: float
     arbitration_id: int
     dlc: int
-    data_bytes: tuple[int, ...] | None
+    data_bytes: tuple[int, ...]
     label: Label = Label.UNLABELED
-
-    def validate(self) -> None:
-        """Raise the specific ParseError this record violates, if any."""
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise NonFiniteTimestamp(f"bad timestamp {self.timestamp!r}")
-        if not (0 <= self.arbitration_id < MAX_ARBITRATION_ID):
-            raise MalformedLine(
-                f"arbitration id {self.arbitration_id:#x} outside 29-bit range"
-            )
-        if not (0 <= self.dlc <= MAX_DLC):
-            raise DlcMismatch(f"dlc {self.dlc} outside [0, {MAX_DLC}]")
-        if self.data_bytes is None:
-            raise MalformedLine("missing data field")
-        if len(self.data_bytes) != self.dlc:
-            raise DlcMismatch(
-                f"{len(self.data_bytes)} data bytes but dlc {self.dlc}"
-            )
-        if any(not (0 <= b <= 0xFF) for b in self.data_bytes):
-            raise BadHex("data byte outside [0, 255]")
 
 
 @dataclass(frozen=True)
@@ -85,24 +69,111 @@ class ParseFailure:
     line: str
 
 
-@dataclass(frozen=True)
-class RecordBatch:
-    """An ordered sequence of records from one source.
+# label column code of each Label; code -1 indexes the last entry of _LABELS
+_LABEL_CODE = {Label.NORMAL: 0, Label.ANOMALY: 1, Label.UNLABELED: -1}
+_LABELS = (Label.NORMAL, Label.ANOMALY, Label.UNLABELED)
 
-    Order always preserves file order; nothing in this module re-sorts.
-    parse_failures carries lines rejected by the lenient reader so that
-    clean() can account for them.
+_COLUMNS = {"timestamp": np.float64, "arbitration_id": np.int64,
+            "dlc": np.uint8, "payload": np.uint8, "label": np.int8}
+
+
+def _refuse(bad: np.ndarray, error: type[ParseError], what: str) -> None:
+    """Raise error naming the first row flagged in bad."""
+    if bad.any():
+        raise error(f"record {int(np.argmax(bad))}: {what}")
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """The frames of one source as numpy columns, in file order.
+
+    timestamp f8; arbitration_id i8; dlc u1; payload (n, 8) u1, the data
+    bytes right-aligned with zeros above the DLC (the byte image that
+    features.extract unpacks); label i1: -1 unlabeled, 0 normal, 1 anomaly.
+    Construction checks every record invariant and raises the ParseError
+    of the first failing check, so a batch holds valid frames only.
+    Nothing in this module re-sorts. parse_failures carries lines rejected
+    by the lenient reader so that clean() can account for them.
     """
 
-    records: tuple[CanRecord, ...]
+    timestamp: np.ndarray
+    arbitration_id: np.ndarray
+    dlc: np.ndarray
+    payload: np.ndarray
+    label: np.ndarray
     source_name: str = ""
     parse_failures: tuple[ParseFailure, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def __post_init__(self):
+        n = len(self.timestamp)
+        for name, dtype in _COLUMNS.items():
+            col = getattr(self, name)
+            shape = (n, MAX_DLC) if name == "payload" else (n,)
+            if col.dtype != dtype or col.shape != shape:
+                raise TypeError(f"column {name} must be {np.dtype(dtype)} "
+                                f"of shape {shape}")
+        ts, ids, dlc = self.timestamp, self.arbitration_id, self.dlc
+        _refuse(~np.isfinite(ts) | (ts < 0), NonFiniteTimestamp,
+                "timestamp is NaN, infinite or negative")
+        _refuse((ids < 0) | (ids >= MAX_ARBITRATION_ID), MalformedLine,
+                "arbitration id outside 29-bit range")
+        _refuse(dlc > MAX_DLC, DlcMismatch, f"dlc outside [0, {MAX_DLC}]")
+        above = np.arange(MAX_DLC) < MAX_DLC - dlc[:, None]
+        _refuse((above & (self.payload != 0)).any(axis=1), DlcMismatch,
+                "payload byte above the dlc")
+        _refuse((self.label < -1) | (self.label > 1), MalformedLine,
+                "label code not -1, 0 or 1")
 
-    def __iter__(self) -> Iterator[CanRecord]:
-        return iter(self.records)
+    @classmethod
+    def of(cls, rows: Iterable[tuple], source_name: str = "",
+           parse_failures: tuple[ParseFailure, ...] = ()) -> RecordBatch:
+        """Batch of (timestamp, arbitration_id, dlc, data_bytes, label) rows,
+        such as CanRecords. Raises DlcMismatch if a row's DLC lies outside
+        [0, 8] or differs from its byte count, BadHex if a byte lies
+        outside [0, 255], and whatever the batch's own checks raise."""
+        rows = list(rows)
+        ts, ids, dlcs, data, labels = ([row[k] for row in rows] for k in range(5))
+        dlc = np.array(dlcs, dtype=np.int64)
+        _refuse((dlc < 0) | (dlc > MAX_DLC), DlcMismatch,
+                f"dlc outside [0, {MAX_DLC}]")
+        _refuse(np.fromiter(map(len, data), np.int64, len(rows)) != dlc,
+                DlcMismatch, "data byte count differs from the dlc")
+        try:
+            image = b"".join(bytes(MAX_DLC - len(d)) + bytes(d) for d in data)
+        except ValueError as exc:
+            raise BadHex(f"data byte: {exc}") from None
+        return cls(np.array(ts, dtype=np.float64),
+                   np.array(ids, dtype=np.int64), dlc.astype(np.uint8),
+                   np.frombuffer(image, np.uint8).reshape(-1, MAX_DLC),
+                   np.array([_LABEL_CODE[lab] for lab in labels], np.int8),
+                   source_name, tuple(parse_failures))
+
+    @classmethod
+    def concat(cls, parts: Iterable[RecordBatch],
+               source_name: str = "") -> RecordBatch:
+        """The frames of parts, in order, as one batch."""
+        parts = list(parts)
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in _COLUMNS), source_name)
+
+    def __len__(self) -> int:
+        return self.timestamp.size
+
+    def take(self, rows) -> RecordBatch:
+        """The batch of the given rows (an index array or mask), in that
+        order."""
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name in _COLUMNS})
+
+    @functools.cached_property
+    def records(self) -> tuple[CanRecord, ...]:
+        """The frames as CanRecords, built on first use."""
+        dlcs = self.dlc.tolist()
+        data = [tuple(image[MAX_DLC - d:])
+                for image, d in zip(self.payload.tolist(), dlcs)]
+        labels = [_LABELS[code] for code in self.label.tolist()]
+        return tuple(map(CanRecord, self.timestamp.tolist(),
+                         self.arbitration_id.tolist(), dlcs, data, labels))
 
 
 @dataclass
@@ -111,9 +182,6 @@ class CleaningStats:
 
     removed: dict[str, int] = field(default_factory=dict)
     kept: int = 0
-
-    def bump(self, reason: str) -> None:
-        self.removed[reason] = self.removed.get(reason, 0) + 1
 
     @property
     def total_removed(self) -> int:
@@ -151,12 +219,8 @@ def _parse_label(text: str) -> Label:
     return Label(canonical)
 
 
-def parse_line(line: str) -> CanRecord:
-    """Parse one log line into a fully validated CanRecord.
-
-    The Class column may be absent, in which case the record is Unlabeled.
-    Raises MalformedLine, BadHex, DlcMismatch, or NonFiniteTimestamp.
-    """
+def _fields(line: str) -> tuple:
+    """The validated (timestamp, id, dlc, data_bytes, label) of one line."""
     parts = line.rstrip("\r\n").split(",")
     if len(parts) == 4:
         ts_s, id_s, dlc_s, data_s = parts
@@ -185,8 +249,16 @@ def parse_line(line: str) -> CanRecord:
     if not (0 <= dlc <= MAX_DLC):
         raise DlcMismatch(f"dlc {dlc} outside [0, {MAX_DLC}]")
 
-    data_bytes = _parse_data_field(data_s, dlc)
-    return CanRecord(timestamp, arbitration_id, dlc, data_bytes, label)
+    return timestamp, arbitration_id, dlc, _parse_data_field(data_s, dlc), label
+
+
+def parse_line(line: str) -> CanRecord:
+    """Parse one log line into a fully validated CanRecord.
+
+    The Class column may be absent, in which case the record is Unlabeled.
+    Raises MalformedLine, BadHex, DlcMismatch, or NonFiniteTimestamp.
+    """
+    return CanRecord(*_fields(line))
 
 
 def render_line(record: CanRecord) -> str:
@@ -195,7 +267,7 @@ def render_line(record: CanRecord) -> str:
     Timestamps use repr so the float round-trips exactly; IDs are
     zero-padded uppercase hex; Unlabeled records render as 4 columns.
     """
-    data = " ".join(f"{b:02X}" for b in (record.data_bytes or ()))
+    data = " ".join(f"{b:02X}" for b in record.data_bytes)
     base = f"{record.timestamp!r},{record.arbitration_id:04X},{record.dlc},{data}"
     if record.label is Label.UNLABELED:
         return base
@@ -217,7 +289,7 @@ def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
     A header row (non-numeric first field) is skipped when present. Blank
     lines are ignored.
     """
-    records: list[CanRecord] = []
+    rows: list[tuple] = []
     failures: list[ParseFailure] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -226,10 +298,10 @@ def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
         if line_no == 1 and _looks_like_header(line):
             continue
         try:
-            records.append(parse_line(line))
+            rows.append(_fields(line))
         except ParseError as exc:
             failures.append(ParseFailure(line_no, _failure_reason(exc), line))
-    return RecordBatch(tuple(records), source_name, tuple(failures))
+    return RecordBatch.of(rows, source_name, tuple(failures))
 
 
 def load_log(path: str | Path) -> RecordBatch:
@@ -255,39 +327,13 @@ def _failure_reason(exc: ParseError) -> str:
     }.get(type(exc), "malformed_line")
 
 
-def _record_problem(rec: CanRecord) -> str | None:
-    """Reason a record should be cleaned away, or None if it is valid."""
-    if rec.data_bytes is None:
-        return "missing_field"
-    try:
-        rec.validate()
-    except NonFiniteTimestamp:
-        return "bad_timestamp"
-    except DlcMismatch:
-        return "dlc_mismatch"
-    except BadHex:
-        return "bad_hex"
-    except ParseError:
-        return "malformed_line"
-    return None
-
-
 def clean(batch: RecordBatch) -> tuple[RecordBatch, CleaningStats]:
-    """Drop records that failed parsing or violate the record invariants.
+    """Count and drop the parse failures the lenient reader recorded.
 
-    Survivor order is preserved and the result carries no parse failures,
-    which makes clean idempotent: cleaning a cleaned batch removes nothing.
+    A batch holds valid records only, so every record survives, in order.
+    The result carries no parse failures, which makes clean idempotent:
+    cleaning a cleaned batch removes nothing.
     """
-    stats = CleaningStats()
-    for failure in batch.parse_failures:
-        stats.bump(failure.reason)
-    survivors = []
-    for rec in batch.records:
-        problem = _record_problem(rec)
-        if problem is None:
-            survivors.append(rec)
-        else:
-            stats.bump(problem)
-    stats.kept = len(survivors)
-    cleaned = RecordBatch(tuple(survivors), batch.source_name, ())
-    return cleaned, stats
+    removed = Counter(failure.reason for failure in batch.parse_failures)
+    return (replace(batch, parse_failures=()),
+            CleaningStats(dict(removed), kept=len(batch)))

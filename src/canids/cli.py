@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, synth
-from .canlog import clean, load_log
+from .canlog import clean, load_log, write_log
 from .detectors import (
     ALL_MODELS,
     derive_seed,
@@ -24,7 +23,6 @@ from .detectors import (
 from .errors import (
     CanidsError,
     ConfigError,
-    DegenerateLabels,
     EmptyMatrix,
     EmptySplit,
     IoError,
@@ -41,14 +39,11 @@ from .features import (
 from .harness import (
     DEFAULT_GRIDS,
     EvalReport,
-    EvalRow,
     emit_report,
     grid_search,
     load_experiment_config,
     read_report_json,
 )
-from .metrics import ScoredLabels, confusion, roc_auc
-from . import metrics as mx
 
 _DATA_ERRORS = (ParseError, IoError, ConfigError, NegativeInterval,
                 WrongWidth, EmptyMatrix, EmptySplit, FileNotFoundError,
@@ -136,7 +131,7 @@ def _build_parser() -> _Parser:
 def _cmd_parse(args) -> int:
     batch = load_log(args.infile)
     cleaned, stats = clean(batch)
-    print(f"{args.infile}: {len(batch.records)} parsed records, "
+    print(f"{args.infile}: {len(batch)} parsed records, "
           f"{len(batch.parse_failures)} unparseable lines")
     print(f"clean: kept {stats.kept}, removed {stats.total_removed}")
     if args.stats and (stats.removed or batch.parse_failures):
@@ -155,14 +150,11 @@ def _cmd_synth(args) -> int:
         spec = synth.parse_attack_arg(text)
         if spec.seed == 0:
             # keep attacks distinguishable under one run seed
-            spec = synth.AttackSpec(spec.kind, spec.window, spec.target_id,
-                                    spec.multiplier, spec.rate,
-                                    seed=derive_seed(args.seed, f"attack{i}"))
+            spec = replace(spec, seed=derive_seed(args.seed, f"attack{i}"))
         batch = synth.inject_attack(batch, spec, profile=profile,
                                     horizon=args.horizon)
-    from .canlog import write_log
     write_log(args.out, batch)
-    print(f"wrote {len(batch.records)} frames to {args.out}")
+    print(f"wrote {len(batch)} frames to {args.out}")
     return 0
 
 
@@ -173,7 +165,7 @@ def _cmd_extract(args) -> int:
     if args.subset != "all67":
         matrix = select_subset(matrix, args.subset)
     write_features(args.out, matrix)
-    dropped = len(cleaned.records) - matrix.n_rows
+    dropped = len(cleaned) - matrix.n_rows
     print(f"wrote {matrix.n_rows} x {matrix.n_cols} features to {args.out} "
           f"({stats.total_removed} cleaned, {dropped} first-per-id drops)")
     return 0
@@ -222,20 +214,7 @@ def _cmd_eval(args) -> int:
     test = read_features(args.test)
     if test.labels is None:
         raise ConfigError("eval needs a labeled feature CSV")
-    truth = np.asarray(test.labels)
-    scores = np.asarray(det.score(test), dtype=np.float64)
-    preds = det.decide(scores)
-    counts = confusion(preds, truth)
-    try:
-        auc = roc_auc(ScoredLabels(scores, truth))
-    except DegenerateLabels:
-        auc = None
-    report = EvalReport(rows=[EvalRow(
-        model=det.name, params=det.params(), counts=counts,
-        accuracy=mx.accuracy(counts), precision=mx.precision(counts),
-        recall=mx.recall(counts), f1=mx.f1(counts), roc_auc=auc,
-        scored=ScoredLabels(scores, truth),
-    )])
+    report = EvalReport(rows=[harness.evaluate(det, test)])
     print(emit_report(report, "text"), end="")
     if args.out:
         emit_report(report, "csv", args.out)

@@ -25,6 +25,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     BadSubsample,
+    ConfigError,
     EmptyData,
     SingularCovariance,
     TooFewSamples,
@@ -103,7 +104,7 @@ def fit_robust_covariance(
     if n <= dim:
         raise TooFewSamples(f"{n} rows for {dim} dimensions")
     if not 0.5 < support_fraction <= 1.0:
-        raise ValueError("support_fraction must lie in (0.5, 1]")
+        raise ConfigError("support_fraction must lie in (0.5, 1]")
     m = math.ceil(support_fraction * n)
 
     det_traces: list[list[float]] = []
@@ -254,7 +255,7 @@ def fit_isolation_forest(
         raise EmptyData("isolation forest needs a non-empty 2-D matrix")
     n = X.shape[0]
     if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+        raise ConfigError("n_trees must be >= 1")
     if subsample < 2 or subsample > n:
         raise BadSubsample(f"subsample {subsample} invalid for {n} rows")
     height_limit = math.ceil(math.log2(subsample))

@@ -135,5 +135,7 @@ class IoError(CanidsError):
     """Report or model file could not be read or written."""
 
 
-class ConfigError(CanidsError):
-    """An experiment config file is invalid."""
+class ConfigError(CanidsError, ValueError):
+    """A config value is invalid: an experiment config file, a model's
+    params, or a traffic profile or attack setting. Also a ValueError, so
+    callers that catch ValueError keep working."""

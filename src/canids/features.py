@@ -1,4 +1,4 @@
-"""67-dimensional feature extraction from cleaned CAN record batches.
+"""67-dimensional feature extraction from the columns of a RecordBatch.
 
 Column layout, fixed everywhere:
     0..63   payload bits (8-byte image, present bytes right-aligned,
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canlog import Label, RecordBatch
-from .errors import DlcMismatch, EmptyMatrix, IoError, NegativeInterval, WrongWidth
+from .canlog import RecordBatch
+from .errors import EmptyMatrix, IoError, NegativeInterval, WrongWidth
 
 N_PAYLOAD_BITS = 64
 COL_DLC = 64
@@ -75,20 +75,6 @@ class FeatureMatrix:
         return tuple(FEATURE_NAMES[i] for i in self.column_ids)
 
 
-def expand_data_field(data_bytes, dlc: int) -> np.ndarray:
-    """64-bit payload image of one frame.
-
-    Present bytes occupy the low-order (rightmost) byte positions; absent
-    high-order positions are zero-filled; each byte unpacks MSB first.
-    """
-    if dlc < 0 or dlc > 8 or len(data_bytes) != dlc:
-        raise DlcMismatch(f"{len(data_bytes)} bytes for dlc {dlc}")
-    image = np.zeros(8, dtype=np.uint8)
-    if dlc:
-        image[8 - dlc:] = list(data_bytes)
-    return np.unpackbits(image).astype(np.float64)
-
-
 def compute_intervals(
     batch: RecordBatch, assume_sorted: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +92,12 @@ def compute_intervals(
     Returns (intervals, drop) both aligned to batch order; dropped records
     carry interval NaN.
     """
-    n = len(batch.records)
+    n = len(batch)
     intervals = np.full(n, np.nan)
     drop = np.zeros(n, dtype=bool)
     if n == 0:
         return intervals, drop
-    ids = np.array([r.arbitration_id for r in batch.records], dtype=np.int64)
-    times = np.array([r.timestamp for r in batch.records], dtype=np.float64)
+    ids, times = batch.arbitration_id, batch.timestamp
     if assume_sorted:
         order = np.lexsort((np.arange(n), ids))
     else:
@@ -140,32 +125,18 @@ def compute_intervals(
 
 def extract(batch: RecordBatch, assume_sorted: bool = False) -> FeatureMatrix:
     """Feature matrix in the fixed 67-column order, one row per record that
-    has a same-ID predecessor. Labels are copied when the whole batch is
-    labeled; a batch containing any Unlabeled record yields labels=None."""
+    has a same-ID predecessor. Labels are copied when every kept record is
+    labeled; if any is Unlabeled, labels=None."""
     intervals, drop = compute_intervals(batch, assume_sorted)
-    keep = ~drop
-    kept_idx = np.flatnonzero(keep)
-    n = kept_idx.size
-    values = np.zeros((n, N_FEATURES))
-    if n:
-        dlcs = np.array([batch.records[i].dlc for i in kept_idx], dtype=np.int64)
-        byte_image = np.zeros((n, 8), dtype=np.uint8)
-        for row, i in enumerate(kept_idx):
-            rec = batch.records[i]
-            if rec.dlc:
-                byte_image[row, 8 - rec.dlc:] = rec.data_bytes
-        values[:, :N_PAYLOAD_BITS] = np.unpackbits(byte_image, axis=1)
-        values[:, COL_DLC] = dlcs
-        values[:, COL_CAN_ID] = [batch.records[i].arbitration_id for i in kept_idx]
-        values[:, COL_INTERVAL] = intervals[kept_idx]
-    labels: np.ndarray | None = None
-    kept_labels = [batch.records[i].label for i in kept_idx]
-    if all(lab is not Label.UNLABELED for lab in kept_labels):
-        labels = np.array(
-            [1 if lab is Label.ANOMALY else 0 for lab in kept_labels],
-            dtype=np.int8,
-        )
-    return FeatureMatrix(values, labels, tuple(range(N_FEATURES)), kept_idx)
+    kept_idx = np.flatnonzero(~drop)
+    values = np.empty((kept_idx.size, N_FEATURES))
+    values[:, :N_PAYLOAD_BITS] = np.unpackbits(batch.payload[kept_idx], axis=1)
+    values[:, COL_DLC] = batch.dlc[kept_idx]
+    values[:, COL_CAN_ID] = batch.arbitration_id[kept_idx]
+    values[:, COL_INTERVAL] = intervals[kept_idx]
+    labels = batch.label[kept_idx]
+    return FeatureMatrix(values, None if np.any(labels < 0) else labels,
+                         tuple(range(N_FEATURES)), kept_idx)
 
 
 def select_subset(m: FeatureMatrix, subset: str) -> FeatureMatrix:

@@ -26,6 +26,7 @@ from .detectors import (
     make_detector,
 )
 from .errors import (
+    CanidsError,
     ConfigError,
     DegenerateLabels,
     EmptyGrid,
@@ -82,7 +83,7 @@ def split_fraction(
     """Disjoint shuffled (train, val, test) with sizes floor(f*N); the test
     part absorbs the rounding remainder."""
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+        raise ConfigError("split fractions must sum to 1")
     n = m.n_rows
     n_train = int(fractions[0] * n)
     n_val = int(fractions[1] * n)
@@ -159,7 +160,9 @@ def grid_search(
     """Exhaustive search: fit each grid point on train, score F1 on val.
 
     Returns (best_params, best_f1, all evaluations); ties keep the earliest
-    grid point. Undefined F1 counts as -1.
+    grid point. Undefined F1 counts as -1, and a point whose make, fit or
+    predict raises a CanidsError scores -inf; any other exception is a bug
+    and propagates.
     """
     points = expand_grid(grid) if isinstance(grid, dict) else list(grid)
     if not points:
@@ -174,7 +177,7 @@ def grid_search(
             det.fit(fit_m, val=val)
             score = mx.f1(confusion(det.predict(val), np.asarray(val.labels)))
             score = -1.0 if score is None else score
-        except Exception:
+        except CanidsError:
             # a degenerate grid point loses; it must not abort the search
             score = -np.inf
         evaluations.append((params, score))
@@ -271,12 +274,29 @@ def _fit_matrix(det: Detector, train: FeatureMatrix, policy: str) -> FeatureMatr
     if det.name == "dae" or policy == "normal-only":
         if train.labels is None:
             raise ConfigError("normal-only policy needs labeled training data")
-        rows = np.flatnonzero(np.asarray(train.labels) == 0)
-        normal = _take(train, rows)
-        assert normal.labels is None or not np.any(np.asarray(normal.labels) == 1)
-        return normal
+        return _take(train, np.flatnonzero(np.asarray(train.labels) == 0))
     # contaminated: all rows, labels hidden
     return FeatureMatrix(train.values, None, train.column_ids, train.row_index)
+
+
+def evaluate(det: Detector, test: FeatureMatrix) -> EvalRow:
+    """Row of a fitted detector on a labeled test matrix: scores, decisions,
+    confusion counts, the metrics they give, and ROC AUC (None when the
+    test labels hold one class)."""
+    scores = np.asarray(det.score(test), dtype=np.float64)
+    truth = np.asarray(test.labels)
+    counts = confusion(det.decide(scores), truth)
+    scored = ScoredLabels(scores, truth)
+    try:
+        auc = roc_auc(scored)
+    except DegenerateLabels:
+        auc = None
+    return EvalRow(
+        model=det.name, params=det.params(), counts=counts,
+        accuracy=mx.accuracy(counts), precision=mx.precision(counts),
+        recall=mx.recall(counts), f1=mx.f1(counts), roc_auc=auc,
+        scored=scored,
+    )
 
 
 def _run_model(
@@ -298,21 +318,9 @@ def _run_model(
         if not det.supervised:
             policy = "normal-only" if det.name == "dae" else cfg.policy
         det.fit(_fit_matrix(det, train, cfg.policy), val=val)
-        scores = np.asarray(det.score(test), dtype=np.float64)
-        preds = det.decide(scores)
-        truth = np.asarray(test.labels)
-        counts = confusion(preds, truth)
-        scored = ScoredLabels(scores, truth)
-        try:
-            auc = roc_auc(scored)
-        except DegenerateLabels:
-            auc = None
-        row = EvalRow(
-            model=name, params=det.params(), policy=policy, counts=counts,
-            accuracy=mx.accuracy(counts), precision=mx.precision(counts),
-            recall=mx.recall(counts), f1=mx.f1(counts), roc_auc=auc,
-            wall_clock=time.perf_counter() - started, scored=scored,
-        )
+        row = evaluate(det, test)
+        row.policy = policy
+        row.wall_clock = time.perf_counter() - started
         return row, det
     except Exception as exc:  # a failed model must not abort the run
         row = EvalRow(model=name, params=params, policy=policy,

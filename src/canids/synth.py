@@ -2,7 +2,9 @@
 
 Stands in for proprietary vehicle captures so every test runs self-contained.
 All generation is a pure function of (profile, horizon, seed): the same call
-always yields byte-identical batches.
+always yields byte-identical batches. Generators draw frames one at a time,
+so the random streams stay fixed, and build one RecordBatch from the field
+tuples; merging batches is one lexsort of their columns.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .canlog import CanRecord, Label, RecordBatch
-from .errors import EmptyProfile, MalformedLine, WindowOutOfRange
+from .canlog import Label, RecordBatch
+from .errors import ConfigError, EmptyProfile, MalformedLine, WindowOutOfRange
 
 MAX_STANDARD_ID = 0x7FF  # fuzzing draws 11-bit identifiers
 
@@ -41,11 +43,11 @@ class PayloadModel:
 
     def __post_init__(self):
         if self.kind not in ("constant", "counter", "random"):
-            raise ValueError(f"unknown payload model {self.kind!r}")
+            raise ConfigError(f"unknown payload model {self.kind!r}")
         if self.kind == "counter" and len(self.positions) != 1:
-            raise ValueError("counter model needs exactly one position")
+            raise ConfigError("counter model needs exactly one position")
         if self.kind == "random" and len(self.positions) != len(self.bounds):
-            raise ValueError("random model needs one (lo, hi) per position")
+            raise ConfigError("random model needs one (lo, hi) per position")
 
     def emit(self, frame_index: int, rng: np.random.Generator) -> tuple[int, ...]:
         payload = list(self.base)
@@ -91,19 +93,19 @@ class IdSpec:
 
     def __post_init__(self):
         if self.period <= 0:
-            raise ValueError("period must be positive")
+            raise ConfigError("period must be positive")
         if not (0 <= self.jitter < 0.5):
-            raise ValueError("jitter fraction must lie in [0, 0.5)")
+            raise ConfigError("jitter fraction must lie in [0, 0.5)")
         if len(self.payload.base) != self.dlc:
-            raise ValueError("payload base length must equal dlc")
+            raise ConfigError("payload base length must equal dlc")
         if self.burst_len < 1:
-            raise ValueError("burst_len must be >= 1")
+            raise ConfigError("burst_len must be >= 1")
         if self.burst_len > 1:
             if self.intra_gap <= 0:
-                raise ValueError("bursts need a positive intra_gap")
+                raise ConfigError("bursts need a positive intra_gap")
             span = (self.burst_len - 1) * self.intra_gap
             if span >= self.period * (1 - 2 * self.jitter):
-                raise ValueError("burst span must fit inside the period")
+                raise ConfigError("burst span must fit inside the period")
 
     @property
     def is_periodic(self) -> bool:
@@ -151,13 +153,13 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.kind not in ("flooding", "fuzzing", "spoofing"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise ConfigError(f"unknown attack kind {self.kind!r}")
         if self.window[0] > self.window[1]:
-            raise ValueError("attack window start exceeds end")
+            raise ConfigError("attack window start exceeds end")
         if self.kind == "flooding" and self.multiplier <= 1:
-            raise ValueError("flooding rate multiplier must exceed 1")
+            raise ConfigError("flooding rate multiplier must exceed 1")
         if self.kind in ("flooding", "spoofing") and self.target_id is None:
-            raise ValueError(f"{self.kind} needs a target id")
+            raise ConfigError(f"{self.kind} needs a target id")
 
 
 def _frames_before(span: float, step: float) -> int:
@@ -168,11 +170,13 @@ def _frames_before(span: float, step: float) -> int:
     return count
 
 
-def _merge_key(records: list[tuple[float, int, int, CanRecord]]) -> list[CanRecord]:
-    # Ties in timestamp break by (arbitration_id, insertion order) so the
-    # merge is reproducible regardless of generation order.
-    records.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [item[3] for item in records]
+def _merged(parts: list[RecordBatch], source_name: str) -> RecordBatch:
+    """The frames of parts in one batch, ordered by timestamp. Ties break
+    by (arbitration_id, position in parts) so the merge is reproducible
+    regardless of generation order."""
+    batch = RecordBatch.concat(parts, source_name)
+    return batch.take(np.lexsort((np.arange(len(batch)), batch.arbitration_id,
+                                  batch.timestamp)))
 
 
 def generate_normal(
@@ -184,9 +188,8 @@ def generate_normal(
     Deterministic for fixed (profile, horizon, seed).
     """
     if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    entries: list[tuple[float, int, int, CanRecord]] = []
-    order = 0
+        raise ConfigError("horizon must be positive")
+    rows: list[tuple] = []
     # One child stream per ID keeps each ID's draw sequence independent of
     # profile ordering elsewhere in the run.
     streams = np.random.SeedSequence(seed).spawn(len(profile.ids))
@@ -205,17 +208,10 @@ def generate_normal(
                 t = float(times[k]) + j * spec.intra_gap
                 if t >= horizon:
                     break
-                rec = CanRecord(
-                    timestamp=t,
-                    arbitration_id=spec.arbitration_id,
-                    dlc=spec.dlc,
-                    data_bytes=spec.payload.emit(frame, rng),
-                    label=Label.NORMAL,
-                )
-                entries.append((rec.timestamp, rec.arbitration_id, order, rec))
-                order += 1
+                rows.append((t, spec.arbitration_id, spec.dlc,
+                             spec.payload.emit(frame, rng), Label.NORMAL))
                 frame += 1
-    return RecordBatch(tuple(_merge_key(entries)), source_name="synth")
+    return _merged([RecordBatch.of(rows)], "synth")
 
 
 def _check_window(spec: AttackSpec, horizon: float) -> None:
@@ -229,25 +225,23 @@ def _check_window(spec: AttackSpec, horizon: float) -> None:
 def _flooding_frames(
     batch: RecordBatch, spec: AttackSpec, profile: TrafficProfile | None,
     rng: np.random.Generator
-) -> list[CanRecord]:
-    target = [r for r in batch.records if r.arbitration_id == spec.target_id]
+) -> list[tuple]:
+    target = np.flatnonzero(batch.arbitration_id == spec.target_id)
     start, end = spec.window
-    if not target:
+    if not target.size:
         # DoS burst with a fresh (typically high-priority) identifier
         step = 1.0 / (spec.rate * spec.multiplier)
         count = _frames_before(end - start, step)
-        return [
-            CanRecord(start + k * step, spec.target_id, len(spec.payload),
-                      spec.payload, Label.ANOMALY)
-            for k in range(count)
-        ]
-    periods = np.diff([r.timestamp for r in target])
+        return [(start + k * step, spec.target_id, len(spec.payload),
+                 spec.payload, Label.ANOMALY) for k in range(count)]
+    periods = np.diff(batch.timestamp[target])
     nominal = float(np.median(periods)) if len(periods) else 0.01
     step = nominal / spec.multiplier
     count = _frames_before(end - start, step)
     model = None
     if profile is not None and spec.target_id in profile.id_set():
         model = profile.spec_for(spec.target_id)
+    first = batch.take(target[:1]).records[0]
     frames = []
     for k in range(count):
         if model is not None:
@@ -255,63 +249,56 @@ def _flooding_frames(
             # leaving timing as the only per-frame signal
             dlc, payload = model.dlc, model.payload.emit(k, rng)
         else:
-            dlc, payload = target[0].dlc, target[0].data_bytes
-        frames.append(CanRecord(start + k * step, spec.target_id, dlc,
-                                payload, Label.ANOMALY))
+            dlc, payload = first.dlc, first.data_bytes
+        frames.append((start + k * step, spec.target_id, dlc, payload,
+                       Label.ANOMALY))
     return frames
 
 
 def _fuzzing_frames(
     batch: RecordBatch, spec: AttackSpec, rng: np.random.Generator
-) -> list[CanRecord]:
-    present = {r.arbitration_id for r in batch.records}
-    candidates = np.array(
-        [i for i in range(MAX_STANDARD_ID + 1) if i not in present]
-    )
+) -> list[tuple]:
+    candidates = np.setdiff1d(np.arange(MAX_STANDARD_ID + 1),
+                              batch.arbitration_id)
     if candidates.size == 0:
-        raise ValueError("no free arbitration ids left for fuzzing")
+        raise ConfigError("no free arbitration ids left for fuzzing")
     pool = rng.choice(candidates, size=min(FUZZ_ID_POOL, candidates.size),
                       replace=False)
     start, end = spec.window
     count = _frames_before(end - start, 1.0 / spec.rate)
     frames = []
     for k in range(count):
-        t = start + k / spec.rate
-        frames.append(
-            CanRecord(
-                timestamp=t,
-                arbitration_id=int(rng.choice(pool)),
-                dlc=8,
-                data_bytes=tuple(int(b) for b in rng.integers(0, 256, size=8)),
-                label=Label.ANOMALY,
-            )
-        )
+        arbitration_id = int(rng.choice(pool))
+        payload = tuple(rng.integers(0, 256, size=8).tolist())
+        frames.append((start + k / spec.rate, arbitration_id, 8, payload,
+                       Label.ANOMALY))
     return frames
 
 
 def _spoofing_frames(
     batch: RecordBatch, spec: AttackSpec, profile: TrafficProfile | None,
     rng: np.random.Generator
-) -> list[CanRecord]:
+) -> list[tuple]:
     if profile is None:
-        raise ValueError("spoofing needs the traffic profile for payload bounds")
+        raise ConfigError("spoofing needs the traffic profile for payload bounds")
+    if spec.target_id not in profile.id_set():
+        raise ConfigError(f"spoofing target {spec.target_id:#x} is not in the "
+                          "profile")
     id_spec = profile.spec_for(spec.target_id)
     if id_spec.payload.kind != "constant":
-        raise ValueError("spoofing targets must use a constant payload model")
+        raise ConfigError("spoofing targets must use a constant payload model")
     start, end = spec.window
     count = int(math.floor((end - start) * spec.rate))
     times = np.sort(rng.uniform(start, end, size=count))
     frames = []
-    for t in times:
+    for t in times.tolist():
         pos = int(rng.integers(0, id_spec.dlc))
         never = [v for v in range(256)
                  if v not in id_spec.payload.emitted_values(pos)]
         payload = list(id_spec.payload.base)
         payload[pos] = int(never[int(rng.integers(0, len(never)))])
-        frames.append(
-            CanRecord(float(t), spec.target_id, id_spec.dlc, tuple(payload),
-                      Label.ANOMALY)
-        )
+        frames.append((t, spec.target_id, id_spec.dlc, tuple(payload),
+                       Label.ANOMALY))
     return frames
 
 
@@ -330,7 +317,7 @@ def inject_attack(
     if spec.window[0] == spec.window[1]:
         return batch
     if horizon is None:
-        horizon = batch.records[-1].timestamp if batch.records else 0.0
+        horizon = float(batch.timestamp[-1]) if len(batch) else 0.0
     _check_window(spec, horizon)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     if spec.kind == "flooding":
@@ -339,15 +326,7 @@ def inject_attack(
         injected = _fuzzing_frames(batch, spec, rng)
     else:
         injected = _spoofing_frames(batch, spec, profile, rng)
-    entries = [
-        (r.timestamp, r.arbitration_id, i, r)
-        for i, r in enumerate(batch.records)
-    ]
-    entries += [
-        (r.timestamp, r.arbitration_id, len(entries) + j, r)
-        for j, r in enumerate(injected)
-    ]
-    return RecordBatch(tuple(_merge_key(entries)), source_name=batch.source_name)
+    return _merged([batch, RecordBatch.of(injected)], batch.source_name)
 
 
 # --- desk-scale benchmark --------------------------------------------------
@@ -565,15 +544,16 @@ def parse_attack_arg(text: str) -> AttackSpec:
         for token in rest.split(","):
             key, _, value = token.partition("=")
             fields[key] = value
-    window = (0.0, 0.0)
-    if "window" in fields:
-        lo_s, _, hi_s = fields["window"].partition("-")
-        window = (float(lo_s), float(hi_s))
-    return AttackSpec(
-        kind=kind,
-        window=window,
-        target_id=int(fields["target"], 16) if "target" in fields else None,
-        multiplier=float(fields.get("mult", "10")),
-        rate=float(fields.get("rate", "100")),
-        seed=int(fields.get("seed", "0")),
-    )
+    try:
+        window = (0.0, 0.0)
+        if "window" in fields:
+            lo_s, _, hi_s = fields["window"].partition("-")
+            window = (float(lo_s), float(hi_s))
+        target_id = int(fields["target"], 16) if "target" in fields else None
+        multiplier = float(fields.get("mult", "10"))
+        rate = float(fields.get("rate", "100"))
+        seed = int(fields.get("seed", "0"))
+    except ValueError as exc:
+        raise ConfigError(f"bad attack {text!r}: {exc}") from None
+    return AttackSpec(kind=kind, window=window, target_id=target_id,
+                      multiplier=multiplier, rate=rate, seed=seed)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import sigmoid
-from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel, WrongWidth
+from .errors import (ConfigError, EmptyData, IoError, NonBinaryLabels,
+                     UnfitModel, WrongWidth)
 from .model_io import decode_array, decode_float, encode_array, encode_float
 
 
@@ -98,9 +99,9 @@ class ForestConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise ConfigError("n_trees must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1 or None")
+            raise ConfigError("features_per_split must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,11 @@ class BoostConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ConfigError("rounds must be >= 1")
         if not 0 < self.learning_rate <= 1:
-            raise ValueError("learning_rate must lie in (0, 1]")
+            raise ConfigError("learning_rate must lie in (0, 1]")
         if self.lam < 0 or self.gamma_split < 0:
-            raise ValueError("lam and gamma_split must be >= 0")
+            raise ConfigError("lam and gamma_split must be >= 0")
 
 
 def _as_array(X) -> np.ndarray:
@@ -535,7 +536,7 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
     if not np.all((y == 0) | (y == 1)):
         raise NonBinaryLabels("gbt labels must be 0/1")
     if not 0 < cfg.base_score < 1:
-        raise ValueError("base_score must lie in (0, 1)")
+        raise ConfigError("base_score must lie in (0, 1)")
 
     n, n_features = X.shape
     data = _Presorted(X)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from canids.canlog import (
@@ -142,33 +143,46 @@ def test_render_parse_round_trip():
         assert parse_line(render_line(rec)) == rec
 
 
-def test_clean_drops_missing_data_row():
-    good = CanRecord(0.1, 10, 1, (0xAA,), Label.NORMAL)
-    missing = CanRecord(0.2, 11, 2, None, Label.NORMAL)
-    good2 = CanRecord(0.3, 12, 0, (), Label.ANOMALY)
-    batch = RecordBatch((good, missing, good2))
-    cleaned, stats = clean(batch)
-    assert cleaned.records == (good, good2)
-    assert stats.removed == {"missing_field": 1}
-    assert stats.kept == 2
+def test_load_lines_render_round_trip():
+    rng = random.Random(11)
+    records = tuple(_random_record(rng) for _ in range(300))
+    records += (CanRecord(0.0, 0, 0, ()), CanRecord(5e-324, 1, 8, (0,) * 8))
+    assert load_lines(map(render_line, records)).records == records
+
+
+def test_batch_columns_hold_the_byte_image():
+    batch = RecordBatch.of([
+        CanRecord(0.5, 0x1F0, 2, (0xAB, 0x01), Label.NORMAL),
+        CanRecord(1.5, 7, 0, (), Label.ANOMALY),
+        CanRecord(2.5, 7, 8, tuple(range(8))),
+    ], source_name="s")
+    assert len(batch) == 3 and batch.source_name == "s"
+    assert batch.timestamp.tolist() == [0.5, 1.5, 2.5]
+    assert batch.arbitration_id.tolist() == [0x1F0, 7, 7]
+    assert batch.dlc.tolist() == [2, 0, 8]
+    assert batch.payload.tolist() == [[0] * 6 + [0xAB, 0x01], [0] * 8,
+                                      list(range(8))]
+    assert batch.label.tolist() == [0, 1, -1]
+    assert batch.take(np.array([2, 0])).records == (batch.records[2],
+                                                    batch.records[0])
 
 
 def test_clean_valid_batch_is_identity():
     rng = random.Random(3)
     records = tuple(_random_record(rng) for _ in range(50))
-    batch = RecordBatch(records)
+    batch = RecordBatch.of(records)
     cleaned, stats = clean(batch)
     assert cleaned.records == records
     assert stats.removed == {}
 
 
 def test_clean_idempotent():
-    records = (
-        CanRecord(0.1, 10, 1, (0xAA,), Label.NORMAL),
-        CanRecord(float("nan"), 10, 1, (0xBB,), Label.NORMAL),
-        CanRecord(0.3, 10, 2, (0xCC,), Label.NORMAL),  # dlc mismatch
-    )
-    cleaned, stats = clean(RecordBatch(records))
+    batch = load_lines([
+        "0.1,00A,1,AA,Normal",
+        "nan,00A,1,BB,Normal",
+        "0.3,00A,2,CC,Normal",  # dlc mismatch
+    ])
+    cleaned, stats = clean(batch)
     assert stats.total_removed == 2
     again, stats2 = clean(cleaned)
     assert again.records == cleaned.records
@@ -202,10 +216,51 @@ def test_load_lines_preserves_order():
 
 
 def test_validate_catches_all_invariants():
-    CanRecord(0.0, 0, 0, (), Label.NORMAL).validate()
+    RecordBatch.of([CanRecord(0.0, 0, 0, (), Label.NORMAL)])
     with pytest.raises(NonFiniteTimestamp):
-        CanRecord(math.inf, 0, 0, (), Label.NORMAL).validate()
+        RecordBatch.of([CanRecord(math.inf, 0, 0, (), Label.NORMAL)])
     with pytest.raises(MalformedLine):
-        CanRecord(0.0, 1 << 29, 0, (), Label.NORMAL).validate()
+        RecordBatch.of([CanRecord(0.0, 1 << 29, 0, (), Label.NORMAL)])
     with pytest.raises(DlcMismatch):
-        CanRecord(0.0, 0, 2, (1,), Label.NORMAL).validate()
+        RecordBatch.of([CanRecord(0.0, 0, 2, (1,), Label.NORMAL)])
+
+
+def _columns(**changes):
+    cols = dict(timestamp=np.array([0.0, 1.0]),
+                arbitration_id=np.array([1, 2]),
+                dlc=np.array([1, 8], dtype=np.uint8),
+                payload=np.zeros((2, 8), dtype=np.uint8),
+                label=np.array([0, -1], dtype=np.int8))
+    return {**cols, **changes}
+
+
+@pytest.mark.parametrize("changes,error", [
+    ({"timestamp": np.array([0.0, np.nan])}, NonFiniteTimestamp),
+    ({"timestamp": np.array([-1.0, 0.0])}, NonFiniteTimestamp),
+    ({"arbitration_id": np.array([1, -1])}, MalformedLine),
+    ({"dlc": np.array([1, 9], dtype=np.uint8)}, DlcMismatch),
+    ({"payload": np.array([[0, 0, 0, 0, 0, 0, 1, 0], [0] * 8],
+                          dtype=np.uint8)}, DlcMismatch),
+    ({"label": np.array([0, 2], dtype=np.int8)}, MalformedLine),
+    ({"label": np.array([0, -2], dtype=np.int8)}, MalformedLine),
+    ({"dlc": np.array([1, 8])}, TypeError),
+    ({"payload": np.zeros((2, 7), dtype=np.uint8)}, TypeError),
+    ({"label": np.zeros(3, dtype=np.int8)}, TypeError),
+])
+def test_batch_construction_checks_columns(changes, error):
+    RecordBatch(**_columns())
+    with pytest.raises(error):
+        RecordBatch(**_columns(**changes))
+
+
+@pytest.mark.parametrize("row,error", [
+    (CanRecord(0.0, 0, 9, (0,) * 9), DlcMismatch),
+    (CanRecord(0.0, 0, -1, ()), DlcMismatch),
+    (CanRecord(0.0, 0, 1, ()), DlcMismatch),
+    (CanRecord(0.0, 0, 2, (1, 256)), BadHex),
+    (CanRecord(0.0, 0, 1, (-1,)), BadHex),
+])
+def test_batch_of_refuses_bad_rows(row, error):
+    RecordBatch.of([CanRecord(0.0, 0, 1, (1,))])
+    with pytest.raises(error):
+        RecordBatch.of([CanRecord(0.0, 0, 1, (1,)), row])

@@ -193,6 +193,15 @@ def test_bad_config_exit_2(tmp_path):
     assert run_cli("compare", "--config", str(cfg)) == 2
 
 
+def test_config_fractions_not_summing_to_one_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "models": ["dt"], "fractions": [0.5, 0.1, 0.1],
+        "data": {"kind": "synth", "attacks": ["flooding"], "horizon": 25.0}}))
+    assert run_cli("compare", "--config", str(cfg)) == 2
+    assert "split fractions must sum to 1" in capsys.readouterr().err
+
+
 def test_eval_model_file_missing_key_exit_2(feature_csvs, tmp_path, capsys):
     model_path = tmp_path / "dt.json"
     assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
@@ -286,9 +295,13 @@ def dae_short_bias(doc):
     layer["bias"] = encode_array(decode_array(layer["bias"])[:-1])
 
 
+def dae_bogus_activation(doc):
+    doc["payload"]["state"]["net"]["decoder"][0]["activation"] = "bogus"
+
+
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
-    lof_short_lrd, dae_short_bias,
+    lof_short_lrd, dae_short_bias, dae_bogus_activation,
 ], ids=lambda f: f.__name__)
 def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
                                           corrupt):
@@ -307,3 +320,42 @@ def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert f"data error: model file {path}: " in proc.stderr
+
+
+@pytest.mark.parametrize("model,params", [
+    ("rf", "n_trees=0"),
+    ("gbt", "learning_rate=2"),
+    ("rc", "support_fraction=0.2"),
+])
+def test_train_invalid_param_value_exit_2(feature_csvs, tmp_path, capsys,
+                                          model, params):
+    code = run_cli("train", "--model", model, "--in", str(feature_csvs["train"]),
+                   "--out", str(tmp_path / "m.json"), "--params", params)
+    assert code == 2
+    assert "canids: data error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attack", [
+    "bogus:window=1-2",
+    "flooding:target=0xZZ,window=1-2",
+])
+def test_synth_invalid_attack_exit_2(tmp_path, capsys, attack):
+    code = run_cli("synth", "--horizon", "5", "--attack", attack,
+                   "--out", str(tmp_path / "traffic.csv"))
+    assert code == 2
+    assert "canids: data error: " in capsys.readouterr().err
+
+
+def test_eval_model_file_invalid_param_value_exit_2(feature_csvs, tmp_path,
+                                                    capsys):
+    model_path = tmp_path / "rf.json"
+    assert run_cli("train", "--model", "rf", "--in", str(feature_csvs["train"]),
+                   "--out", str(model_path), "--params",
+                   "n_trees=3,max_depth=4") == 0
+    doc = json.loads(model_path.read_text())
+    doc["payload"]["params"]["n_trees"] = 0
+    model_path.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model-file", str(model_path),
+                   "--test", str(feature_csvs["test"])) == 2
+    assert (f"data error: model file {model_path}: n_trees must be >= 1"
+            in capsys.readouterr().err)

@@ -20,7 +20,6 @@ from canids.features import (
     N_FEATURES,
     SUBSETS,
     compute_intervals,
-    expand_data_field,
     extract,
     fit_standardizer,
     read_features,
@@ -34,30 +33,38 @@ def rec(t, arb_id, data=(), label=Label.NORMAL) -> CanRecord:
     return CanRecord(t, arb_id, len(data), tuple(data), label)
 
 
-# --- expand_data_field -------------------------------------------------------
+# --- payload bits -------------------------------------------------------------
+
+def payload_bits(data_bytes, dlc=None) -> np.ndarray:
+    """The 64 payload-bit columns of a frame carrying data_bytes: the one
+    row extracted from a two-frame batch whose second frame it is."""
+    dlc = len(data_bytes) if dlc is None else dlc
+    batch = RecordBatch.of((rec(0.0, 5), CanRecord(0.1, 5, dlc, tuple(data_bytes))))
+    return extract(batch).values[0, :64]
+
 
 def test_expand_full_payload_all_ones():
-    bits = expand_data_field([0xFF] * 8, 8)
+    bits = payload_bits([0xFF] * 8, 8)
     assert bits.tolist() == [1.0] * 64
 
 
 def test_expand_empty_payload_all_zeros():
-    assert expand_data_field([], 0).tolist() == [0.0] * 64
+    assert payload_bits([], 0).tolist() == [0.0] * 64
 
 
 def test_expand_single_byte_right_aligned():
-    bits = expand_data_field([0x01], 1)
+    bits = payload_bits([0x01], 1)
     assert bits[63] == 1.0
     assert bits[:63].tolist() == [0.0] * 63
 
 
 def test_expand_msb_first_within_byte():
-    bits = expand_data_field([0x80], 1)
+    bits = payload_bits([0x80], 1)
     assert bits[56] == 1.0 and bits[57:].sum() == 0
 
 
 def test_expand_two_bytes_block():
-    bits = expand_data_field([0xFF, 0x00], 2)
+    bits = payload_bits([0xFF, 0x00], 2)
     assert bits[48:56].tolist() == [1.0] * 8
     assert bits[56:64].tolist() == [0.0] * 8
     assert bits[:48].sum() == 0
@@ -65,13 +72,13 @@ def test_expand_two_bytes_block():
 
 def test_expand_dlc_mismatch():
     with pytest.raises(DlcMismatch):
-        expand_data_field([0xFF], 2)
+        payload_bits([0xFF], 2)
 
 
 # --- compute_intervals ------------------------------------------------------
 
 def test_intervals_single_id():
-    batch = RecordBatch((rec(0.000, 5), rec(0.010, 5), rec(0.025, 5)))
+    batch = RecordBatch.of((rec(0.000, 5), rec(0.010, 5), rec(0.025, 5)))
     intervals, drop = compute_intervals(batch)
     assert drop.tolist() == [True, False, False]
     assert intervals[1] == pytest.approx(0.010)
@@ -79,7 +86,7 @@ def test_intervals_single_id():
 
 
 def test_intervals_interleaved_ids():
-    batch = RecordBatch((rec(0.00, 0xA), rec(0.01, 0xB),
+    batch = RecordBatch.of((rec(0.00, 0xA), rec(0.01, 0xB),
                          rec(0.02, 0xA), rec(0.03, 0xB)))
     intervals, drop = compute_intervals(batch)
     assert drop.tolist() == [True, True, False, False]
@@ -95,7 +102,7 @@ def test_intervals_drop_count_by_enumeration():
 
 
 def test_intervals_unsorted_input_sorted_by_default():
-    batch = RecordBatch((rec(0.02, 5), rec(0.00, 5), rec(0.01, 5)))
+    batch = RecordBatch.of((rec(0.02, 5), rec(0.00, 5), rec(0.01, 5)))
     intervals, drop = compute_intervals(batch)
     # record at t=0 is the group's first and gets dropped
     assert drop.tolist() == [False, True, False]
@@ -104,20 +111,20 @@ def test_intervals_unsorted_input_sorted_by_default():
 
 
 def test_intervals_assume_sorted_flags_regression():
-    batch = RecordBatch((rec(0.02, 5), rec(0.00, 5), rec(0.01, 5)))
+    batch = RecordBatch.of((rec(0.02, 5), rec(0.00, 5), rec(0.01, 5)))
     with pytest.raises(NegativeInterval):
         compute_intervals(batch, assume_sorted=True)
 
 
 def test_intervals_empty_batch():
-    intervals, drop = compute_intervals(RecordBatch(()))
+    intervals, drop = compute_intervals(RecordBatch.of(()))
     assert intervals.size == 0 and drop.size == 0
 
 
 # --- extract ----------------------------------------------------------------
 
 def test_extract_example_row():
-    batch = RecordBatch((
+    batch = RecordBatch.of((
         rec(0.00, 496, (0xFF, 0x00)),
         rec(0.01, 496, (0xFF, 0x00)),
     ))
@@ -133,7 +140,7 @@ def test_extract_example_row():
 
 
 def test_extract_empty_batch():
-    m = extract(RecordBatch(()))
+    m = extract(RecordBatch.of(()))
     assert m.values.shape == (0, N_FEATURES)
 
 
@@ -142,11 +149,11 @@ def test_extract_row_count_on_benchmark():
     cleaned, _ = clean(batch)
     m = extract(cleaned)
     unique_ids = len({r.arbitration_id for r in cleaned.records})
-    assert m.n_rows == len(cleaned.records) - unique_ids
+    assert m.n_rows == len(cleaned) - unique_ids
 
 
 def test_extract_mixed_labels_none():
-    batch = RecordBatch((
+    batch = RecordBatch.of((
         rec(0.0, 5, (1,)),
         CanRecord(0.1, 5, 1, (2,), Label.UNLABELED),
     ))
@@ -180,8 +187,8 @@ def test_permutation_invariance_of_intervals():
     m = extract(batch)
 
     rng = np.random.default_rng(0)
-    perm = rng.permutation(len(batch.records))
-    shuffled = RecordBatch(tuple(batch.records[i] for i in perm))
+    perm = rng.permutation(len(batch))
+    shuffled = batch.take(perm)
     m2 = extract(shuffled)
 
     def key_interval_multiset(mat, src):
@@ -195,17 +202,124 @@ def test_permutation_invariance_of_intervals():
     assert key_interval_multiset(m, batch) == key_interval_multiset(m2, shuffled)
 
 
+# Per-record reference: extract and compute_intervals as they were written
+# over CanRecord rows, before the batch became columns.
+def ref_compute_intervals(records, assume_sorted=False):
+    n = len(records)
+    intervals = np.full(n, np.nan)
+    drop = np.zeros(n, dtype=bool)
+    if n == 0:
+        return intervals, drop
+    ids = np.array([r.arbitration_id for r in records], dtype=np.int64)
+    times = np.array([r.timestamp for r in records], dtype=np.float64)
+    if assume_sorted:
+        order = np.lexsort((np.arange(n), ids))
+    else:
+        order = np.lexsort((np.arange(n), times, ids))
+    sorted_ids = ids[order]
+    sorted_times = times[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    diffs = np.empty(n)
+    diffs[0] = np.nan
+    diffs[1:] = sorted_times[1:] - sorted_times[:-1]
+    diffs[new_group] = np.nan
+    within = ~new_group
+    if np.any(diffs[within] < 0):
+        raise NegativeInterval("timestamp regression")
+    intervals[order] = diffs
+    drop[order[new_group]] = True
+    return intervals, drop
+
+
+def ref_extract(records, assume_sorted=False):
+    intervals, drop = ref_compute_intervals(records, assume_sorted)
+    kept_idx = np.flatnonzero(~drop)
+    n = kept_idx.size
+    values = np.zeros((n, N_FEATURES))
+    if n:
+        dlcs = np.array([records[i].dlc for i in kept_idx], dtype=np.int64)
+        byte_image = np.zeros((n, 8), dtype=np.uint8)
+        for row, i in enumerate(kept_idx):
+            r = records[i]
+            if r.dlc:
+                byte_image[row, 8 - r.dlc:] = r.data_bytes
+        values[:, :64] = np.unpackbits(byte_image, axis=1)
+        values[:, COL_DLC] = dlcs
+        values[:, COL_CAN_ID] = [records[i].arbitration_id for i in kept_idx]
+        values[:, COL_INTERVAL] = intervals[kept_idx]
+    labels = None
+    kept_labels = [records[i].label for i in kept_idx]
+    if all(lab is not Label.UNLABELED for lab in kept_labels):
+        labels = np.array([1 if lab is Label.ANOMALY else 0
+                           for lab in kept_labels], dtype=np.int8)
+    return FeatureMatrix(values, labels, tuple(range(N_FEATURES)), kept_idx)
+
+
+@st.composite
+def frame_lists(draw):
+    """Frames with DLC 0-8, IDs drawn from a small pool so they repeat,
+    timestamps with ties, in file order or sorted by time, and labels that
+    are all Normal/Anomaly or include Unlabeled."""
+    id_pool = draw(st.lists(st.integers(0, (1 << 29) - 1), min_size=1,
+                            max_size=4))
+    times = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 1.5]),
+                      st.floats(0.0, 1e3, allow_nan=False))
+    kinds = [Label.NORMAL, Label.ANOMALY]
+    if draw(st.booleans()):
+        kinds.append(Label.UNLABELED)
+    frames = []
+    for _ in range(draw(st.integers(0, 24))):
+        dlc = draw(st.integers(0, 8))
+        frames.append(CanRecord(
+            draw(times), draw(st.sampled_from(id_pool)), dlc,
+            tuple(draw(st.lists(st.integers(0, 255), min_size=dlc,
+                                max_size=dlc))),
+            draw(st.sampled_from(kinds))))
+    if draw(st.booleans()):
+        frames.sort(key=lambda r: r.timestamp)
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_lists(), st.booleans())
+def test_extract_matches_per_record_reference(frames, assume_sorted):
+    batch = RecordBatch.of(frames)
+    try:
+        want = ref_extract(tuple(frames), assume_sorted)
+    except NegativeInterval:
+        with pytest.raises(NegativeInterval):
+            extract(batch, assume_sorted)
+        with pytest.raises(NegativeInterval):
+            compute_intervals(batch, assume_sorted)
+        return
+    got = extract(batch, assume_sorted)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.shape == want.values.shape
+    assert got.row_index.tobytes() == want.row_index.tobytes()
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+    intervals, drop = compute_intervals(batch, assume_sorted)
+    ref_intervals, ref_drop = ref_compute_intervals(tuple(frames), assume_sorted)
+    assert intervals.tobytes() == ref_intervals.tobytes()
+    assert drop.tolist() == ref_drop.tolist()
+
+
 # --- subsets ------------------------------------------------------------------
 
 def test_select_subset_all67_identity():
-    m = extract(RecordBatch((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
+    m = extract(RecordBatch.of((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
     out = select_subset(m, "all67")
     assert np.array_equal(out.values, m.values)
     assert out.column_ids == m.column_ids
 
 
 def test_select_subset_last3():
-    batch = RecordBatch((rec(0.00, 496, (0xFF, 0x00)),
+    batch = RecordBatch.of((rec(0.00, 496, (0xFF, 0x00)),
                          rec(0.01, 496, (0xFF, 0x00))))
     out = select_subset(extract(batch), "last3")
     assert out.values[0].tolist() == pytest.approx([2.0, 496.0, 0.01])
@@ -213,7 +327,7 @@ def test_select_subset_last3():
 
 
 def test_select_subset_first66_drops_interval():
-    m = extract(RecordBatch((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
+    m = extract(RecordBatch.of((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
     out = select_subset(m, "first66")
     assert out.column_ids == tuple(range(66))
     assert out.n_cols == 66
@@ -221,7 +335,7 @@ def test_select_subset_first66_drops_interval():
 
 
 def test_select_subset_requires_full_width():
-    m = extract(RecordBatch((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
+    m = extract(RecordBatch.of((rec(0.0, 5, (1,)), rec(0.1, 5, (2,)))))
     narrowed = select_subset(m, "last3")
     with pytest.raises(WrongWidth):
         select_subset(narrowed, "last3")
@@ -273,7 +387,7 @@ def test_standardizer_width_check():
 # --- feature CSV ---------------------------------------------------------------
 
 def test_feature_csv_round_trip(tmp_path):
-    batch = RecordBatch((rec(0.0, 496, (0xFF, 0x00)),
+    batch = RecordBatch.of((rec(0.0, 496, (0xFF, 0x00)),
                          rec(0.0137, 496, (0xAB, 0x12))))
     m = extract(batch)
     path = tmp_path / "features.csv"

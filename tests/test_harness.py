@@ -145,6 +145,20 @@ def test_grid_search_empty():
         grid_search("dt", [], train, val)
 
 
+def test_grid_search_propagates_a_bug_in_a_grid_point():
+    class Buggy(Detector):
+        name = "buggy"
+        supervised = True
+
+        def _fit(self, train, val=None):
+            raise TypeError("not a model error")
+
+    register_detector("buggy", Buggy)
+    train, val = _search_data()
+    with pytest.raises(TypeError, match="not a model error"):
+        grid_search("buggy", [{}], train, val)
+
+
 # --- comparison with stub detectors ----------------------------------------------
 
 class PerfectOracle(Detector):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from canids.canlog import Label
-from canids.errors import EmptyProfile, WindowOutOfRange
+from canids.canlog import Label, write_log
+from canids.errors import ConfigError, EmptyProfile, WindowOutOfRange
 from canids.synth import (
     AttackSpec,
     IdSpec,
@@ -206,6 +207,22 @@ def test_output_sorted_with_deterministic_ties():
     assert np.all(np.diff(times) >= 0)
 
 
+def test_time_ties_break_by_id_then_generation_order():
+    constant = PayloadModel("constant", (0x01,))
+    profile = TrafficProfile(ids=(IdSpec(0x200, 0.01, 0.0, 1, constant),
+                                  IdSpec(0x100, 0.01, 0.0, 1, constant)))
+    batch = generate_normal(profile, 0.03, seed=0)
+    assert batch.arbitration_id.tolist() == [0x100, 0x200] * 3
+    spec = AttackSpec("flooding", (0.0, 0.02), target_id=0x100, multiplier=2.0)
+    out = inject_attack(batch, spec, profile=profile, horizon=0.03)
+    # an injected frame tied with an original of the same ID comes after it
+    assert out.timestamp.tolist() == [0.0] * 3 + [0.005] + [0.01] * 3 + [
+        0.015, 0.02, 0.02]
+    assert out.arbitration_id.tolist() == [0x100, 0x100, 0x200, 0x100] * 2 + [
+        0x100, 0x200]
+    assert out.label.tolist() == [0, 1, 0, 1] * 2 + [0, 0]
+
+
 def test_event_burst_generation():
     profile = TrafficProfile(ids=(
         IdSpec(0x5E0, 1.0, 0.0, 2, PayloadModel("constant", (0xAA, 0xBB)),
@@ -266,3 +283,34 @@ def test_attack_spec_validation():
         AttackSpec("spoofing", (0, 1), target_id=None)
     with pytest.raises(ValueError):
         AttackSpec("dos", (0, 1))
+
+
+@pytest.mark.parametrize("text", [
+    "bogus:window=1-2",
+    "flooding:target=0xZZ,window=1-2",
+    "fuzzing:rate=fast,window=1-2",
+    "fuzzing:window=1",
+    "fuzzing:seed=1.5,window=1-2",
+])
+def test_bad_attack_arg_is_a_config_error(text):
+    with pytest.raises(ConfigError):
+        parse_attack_arg(text)
+
+
+def test_spoofing_target_outside_profile_is_a_config_error():
+    batch = generate_normal(default_profile(), 2.0, seed=0)
+    spec = AttackSpec("spoofing", (0.5, 1.0), target_id=0x7AB)
+    with pytest.raises(ConfigError):
+        inject_attack(batch, spec, profile=default_profile(), horizon=2.0)
+
+
+# sha256 of write_log's file, pinned from the per-record implementation
+@pytest.mark.parametrize("args,digest", [
+    ((5,), "ff16417118a3d2cd20123e7ac3bd00474fe570d7dc268f76ca790fbd2f89b178"),
+    ((5, ("timing",), 30.0),
+     "bc61c86749b5db86a48ec43332ccdddd30af049979db2db101d0a478e6a3319f"),
+])
+def test_benchmark_batch_golden_digest(args, digest, tmp_path):
+    path = tmp_path / "log.csv"
+    write_log(path, benchmark_batch(*args))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -5,6 +5,13 @@ The supported wire format is the challenge CSV layout
 space-separated two-digit hex bytes and the Class column is optional.
 Hex arbitration IDs are converted to decimal integers at parse time.
 
+The reader takes lines in fixed blocks and scans each block as bytes with
+numpy: lines of the canonical shape (what render_line writes, unless a
+timestamp needs a three-digit exponent) become columns without a Python
+step per line. Every other line goes to _fields, which alone decides
+whether a line is valid and why not, so a block scan changes no result.
+A UTF-8 byte order mark before the first line is dropped.
+
 A RecordBatch holds frames as numpy columns and checks every record
 invariant when it is built; CanRecord is the row view of one frame.
 """
@@ -16,10 +23,12 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadHex,
@@ -283,39 +292,190 @@ def _looks_like_header(line: str) -> bool:
         return True
 
 
-def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
-    """Lenient reader: bad lines become ParseFailure entries, not exceptions.
+# Lines per block of the bulk reader; bounds its working memory.
+_BLOCK_LINES = 65_536
 
-    A header row (non-numeric first field) is skipped when present. Blank
-    lines are ignored.
+# Widest timestamp field the block scan takes; longer ones go to _fields.
+_TS_WIDTH = 24
+
+# Zero bytes around a block's text, so that no field window leaves it.
+_PAD = max(_TS_WIDTH, 3 * MAX_DLC)
+
+# 256-entry byte tables of the canonical line shape: _HEX_VALUE holds the
+# value of an upper-case hex digit and 16 for any other byte; _NON_DIGIT is
+# 0 for a decimal digit, 1 for '.' and 2 for any other byte.
+_HEX_VALUE = np.full(256, 16, np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789ABCDEF", np.uint8)] = np.arange(16)
+_NON_DIGIT = np.full(256, 2, np.uint8)
+_NON_DIGIT[np.frombuffer(b"0123456789", np.uint8)] = 0
+_NON_DIGIT[ord(".")] = 1
+_NORMAL = np.frombuffer(Label.NORMAL.value.encode(), np.uint8)
+_ANOMALY = np.frombuffer(Label.ANOMALY.value.encode(), np.uint8)
+
+
+def _scan_block(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Scan lines (without line ends) as bytes with numpy.
+
+    Returns the mask of the lines of canonical shape and the five batch
+    columns of all lines, which hold each masked line's frame. The
+    canonical shape is digits[.digits][e(+|-)dd],hex{1..8},[0-8],
+    (hh( hh)*)?[,Normal|,Anomaly] with upper-case hex, a timestamp of at
+    most _TS_WIDTH bytes, a byte count equal to the DLC and an ID below
+    2**29; every such line is valid.
     """
-    rows: list[tuple] = []
-    failures: list[ParseFailure] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line_no == 1 and _looks_like_header(line):
+    n = len(lines)
+    cols = {"timestamp": np.zeros(n), "arbitration_id": np.zeros(n, np.int64),
+            "dlc": np.zeros(n, np.uint8),
+            "payload": np.zeros((n, MAX_DLC), np.uint8),
+            "label": np.full(n, -1, np.int8)}
+    text = "\n".join(lines).encode("utf-8", "surrogatepass") + b"\n"
+    buf = np.frombuffer(bytes(_PAD) + text + bytes(_PAD), np.uint8)
+    end = np.flatnonzero(buf == ord("\n"))
+    if len(end) != n:  # a line holds a newline of its own, or there is none
+        return np.zeros(n, bool), cols
+    start = np.concatenate(([_PAD], end[:-1] + 1))
+    comma = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(comma, np.append(start, len(buf)))
+    count, first = np.diff(first), first[:-1]
+    comma = np.append(comma, np.full(4, end[-1] + 1))
+    c1, c2, c3, c4 = (comma[first + k] for k in range(4))
+
+    def window(stop: np.ndarray, width: int) -> np.ndarray:
+        """The width bytes before each stop, one row per line."""
+        return sliding_window_view(buf, width)[stop - width]
+
+    def digit(pos: np.ndarray) -> np.ndarray:
+        return _NON_DIGIT[buf[pos]] == 0
+
+    # timestamp: a mantissa digits[.digits], then e(+|-)dd or nothing
+    ts_width = c1 - start
+    exponent = ((buf[c1 - 4] == ord("e")) & digit(c1 - 2) & digit(c1 - 1)
+                & ((buf[c1 - 3] == ord("+")) | (buf[c1 - 3] == ord("-"))))
+    mantissa = ts_width - 4 * exponent
+    ts_win = sliding_window_view(buf, _TS_WIDTH)[start]
+    non_digits = (_NON_DIGIT[ts_win]
+                  * (np.arange(_TS_WIDTH) < mantissa[:, None])).sum(1)
+    ok = (((count == 3) | (count == 4)) & (ts_width <= _TS_WIDTH)
+          & digit(start) & digit(start + mantissa - 1) & (non_digits <= 1))
+
+    # arbitration ID: 1 to 8 hex digits, right-aligned in an 8-byte window
+    id_width = c2 - c1 - 1
+    in_id = np.arange(8) >= 8 - id_width[:, None]
+    id_digits = _HEX_VALUE[window(c2, 8)]
+    ok &= (id_width >= 1) & (id_width <= 8) & ~((id_digits > 15) & in_id).any(1)
+    id_digits *= in_id
+    ids = ((id_digits[:, 0::2] << 4) | id_digits[:, 1::2]).view(">u4")[:, 0]
+    ok &= ids < MAX_ARBITRATION_ID
+
+    # DLC: one digit 0-8, and the data field 3 * dlc - 1 bytes long
+    dlc = buf[c2 + 1] - np.uint8(ord("0"))
+    ok &= (c3 == c2 + 2) & (dlc <= MAX_DLC)
+    dlc = np.where(ok, dlc, 0).astype(np.int64)
+    labelled = count == 4
+    data_end = np.where(labelled, c4, end)
+    ok &= data_end - c3 - 1 == np.maximum(3 * dlc - 1, 0)
+
+    # data: the 8 payload slots as (separator, high, low) byte triples,
+    # right-aligned like the payload image
+    triples = window(data_end, 3 * MAX_DLC).reshape(n, MAX_DLC, 3)
+    nibbles = _HEX_VALUE[triples[:, :, 1:]]
+    slot = np.arange(MAX_DLC) - (MAX_DLC - dlc[:, None])
+    ok &= ~((((nibbles[:, :, 0] | nibbles[:, :, 1]) > 15) & (slot >= 0))
+            | ((triples[:, :, 0] != ord(" ")) & (slot > 0))).any(1)
+    payload = ((nibbles[:, :, 0] << 4) | nibbles[:, :, 1]) * (slot >= 0)
+
+    # label: nothing, ",Normal" or ",Anomaly"
+    normal, anomaly = ((c4 == end - 1 - len(name))
+                       & (window(end, len(name)) == name).all(1)
+                       for name in (_NORMAL, _ANOMALY))
+    ok &= ~labelled | normal | anomaly
+
+    rows = np.flatnonzero(ok)
+    digits = ts_win[rows] * (np.arange(_TS_WIDTH) < ts_width[rows, None])
+    try:
+        cols["timestamp"][rows] = digits.view(f"S{_TS_WIDTH}")[:, 0].astype(
+            np.float64)
+    except ValueError:  # every line of the block goes to _fields instead
+        return np.zeros(n, bool), cols
+    cols["arbitration_id"] = ids.astype(np.int64)
+    cols["dlc"] = dlc.astype(np.uint8)
+    cols["payload"] = payload
+    cols["label"] = np.where(labelled, anomaly, -1).astype(np.int8)
+    return ok, cols
+
+
+def _load_block(raw: list[str], line_no: int,
+                failures: list[ParseFailure]) -> RecordBatch:
+    """The frames of the lines raw, which start at line line_no, in order;
+    their parse failures are appended to failures."""
+    lines = list(map(str.rstrip, raw, repeat("\r\n")))
+    ok, cols = _scan_block(lines)
+    rows, at = [], []
+    for i in np.flatnonzero(~ok).tolist():
+        line = lines[i]
+        if not line.strip() or (line_no + i == 1 and _looks_like_header(line)):
             continue
         try:
             rows.append(_fields(line))
         except ParseError as exc:
-            failures.append(ParseFailure(line_no, _failure_reason(exc), line))
-    return RecordBatch.of(rows, source_name, tuple(failures))
+            failures.append(ParseFailure(line_no + i, _failure_reason(exc),
+                                         line))
+        else:
+            at.append(i)
+    found = RecordBatch.of(rows)
+    for name in _COLUMNS:
+        cols[name][at] = getattr(found, name)
+    ok[at] = True
+    return RecordBatch(**{name: cols[name][ok] for name in _COLUMNS})
+
+
+def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
+    """Lenient reader: bad lines become ParseFailure entries, not exceptions.
+
+    Lines are taken in blocks of _BLOCK_LINES. Each block is scanned as
+    bytes with numpy, and its lines of canonical shape (see _scan_block)
+    become batch columns directly. Every other line goes to _fields, the
+    one judge of validity and failure reason, and its frame is merged back
+    in file order. A header row (non-numeric first field) on line 1 is
+    skipped. Blank lines are ignored.
+    """
+    lines = iter(lines)
+    parts: list[RecordBatch] = []
+    failures: list[ParseFailure] = []
+    line_no = 1
+    while block := list(islice(lines, _BLOCK_LINES)):
+        parts.append(_load_block(block, line_no, failures))
+        line_no += len(block)
+    batch = RecordBatch.concat(parts or [RecordBatch.of(())], source_name)
+    return replace(batch, parse_failures=tuple(failures))
 
 
 def load_log(path: str | Path) -> RecordBatch:
+    """The frames of the challenge CSV at path, read by load_lines. A
+    UTF-8 byte order mark at the start of the file is dropped."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         return load_lines(fh, source_name=str(path))
 
 
 def write_log(path: str | Path, batch: RecordBatch, header: bool = True) -> None:
+    """Write batch as the challenge CSV, each frame rendered from the
+    columns as render_line renders it."""
+    n = len(batch)
+    # the payload as "HH HH ... HH " groups of 3 * MAX_DLC characters; a
+    # frame's data is the last 3 * dlc - 1 characters before its group ends
+    hexes = batch.payload.tobytes().hex(" ").upper()
+    stop = 3 * MAX_DLC * np.arange(1, n + 1) - 1
+    first = stop - (3 * batch.dlc.astype(np.int64) - 1)
+    data = [hexes[a:b] for a, b in zip(first.tolist(), stop.tolist())]
+    suffix = [f",{label.value}" for label in _LABELS[:-1]] + [""]
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write("Timestamp,Arbitration_ID,DLC,Data,Class\n")
-        for rec in batch.records:
-            fh.write(render_line(rec) + "\n")
+        fh.writelines(map("{!r},{:04X},{},{}{}\n".format,
+                          batch.timestamp.tolist(),
+                          batch.arbitration_id.tolist(), batch.dlc.tolist(),
+                          data, map(suffix.__getitem__, batch.label.tolist())))
 
 
 def _failure_reason(exc: ParseError) -> str:

@@ -79,6 +79,19 @@ class DenseLayer:
         z = a_prev @ self.weights.T + self.bias
         return z, ACTIVATIONS[self.activation](z)
 
+    def apply_columns(self, a_cols: np.ndarray) -> np.ndarray:
+        """Activations, one column per sample, of the samples that are the
+        columns of a_cols. Each output is summed as bias + w_0 a_0 +
+        w_1 a_1 + ... in input order, so that a sample's result does not
+        depend on the other samples (a gemm's blocking does)."""
+        z = np.empty((self.bias.shape[0], a_cols.shape[1]))
+        z[:] = self.bias[:, None]
+        term = np.empty_like(z)
+        for w_j, a_j in zip(self.weights.T, a_cols):
+            np.multiply(w_j[:, None], a_j, out=term)
+            z += term
+        return ACTIVATIONS[self.activation](z)
+
 
 class AutoencoderNet:
     """Encoder stack followed by a mirror-image decoder stack."""
@@ -96,7 +109,8 @@ class AutoencoderNet:
         return self.encoder[0].weights.shape[1]
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(latent, reconstruction) for one row or a batch."""
+        """(latent, reconstruction) for one row or a batch, each row
+        computed alone (DenseLayer.apply_columns); training uses BLAS."""
         arr = np.asarray(x, dtype=np.float64)
         single = arr.ndim == 1
         a = np.atleast_2d(arr)
@@ -104,11 +118,13 @@ class AutoencoderNet:
             raise WrongWidth(
                 f"input width {a.shape[1]}, net expects {self.input_width}"
             )
+        a = np.ascontiguousarray(a.T)
         for layer in self.encoder:
-            _, a = layer.forward(a)
-        latent = a
+            a = layer.apply_columns(a)
+        latent = np.ascontiguousarray(a.T)
         for layer in self.decoder:
-            _, a = layer.forward(a)
+            a = layer.apply_columns(a)
+        a = np.ascontiguousarray(a.T)
         if not np.all(np.isfinite(a)):
             raise NonFiniteActivation("forward pass produced non-finite values")
         if single:

@@ -284,7 +284,11 @@ def render_line(record: CanRecord) -> str:
 
 
 def _looks_like_header(line: str) -> bool:
-    first = line.split(",", 1)[0]
+    """A header row: its first field begins with a letter and is not a
+    number such as nan or inf. A corrupt timestamp such as 0.5x is not."""
+    first = line.split(",", 1)[0].strip()
+    if not first[:1].isalpha():
+        return False
     try:
         float(first)
         return False
@@ -404,16 +408,16 @@ def _scan_block(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return ok, cols
 
 
-def _load_block(raw: list[str], line_no: int,
+def _load_block(lines: list[str], line_no: int, header_at: int | None,
                 failures: list[ParseFailure]) -> RecordBatch:
-    """The frames of the lines raw, which start at line line_no, in order;
-    their parse failures are appended to failures."""
-    lines = list(map(str.rstrip, raw, repeat("\r\n")))
+    """The frames of lines (without line ends), which start at line
+    line_no, in order; lines[header_at] is skipped if it looks like a
+    header, and parse failures are appended to failures."""
     ok, cols = _scan_block(lines)
     rows, at = [], []
     for i in np.flatnonzero(~ok).tolist():
         line = lines[i]
-        if not line.strip() or (line_no + i == 1 and _looks_like_header(line)):
+        if not line.strip() or (i == header_at and _looks_like_header(line)):
             continue
         try:
             rows.append(_fields(line))
@@ -436,15 +440,22 @@ def load_lines(lines: Iterable[str], source_name: str = "") -> RecordBatch:
     bytes with numpy, and its lines of canonical shape (see _scan_block)
     become batch columns directly. Every other line goes to _fields, the
     one judge of validity and failure reason, and its frame is merged back
-    in file order. A header row (non-numeric first field) on line 1 is
-    skipped. Blank lines are ignored.
+    in file order. Blank lines are ignored, and the first other line is
+    skipped if it is a header row (see _looks_like_header).
     """
     lines = iter(lines)
     parts: list[RecordBatch] = []
     failures: list[ParseFailure] = []
     line_no = 1
-    while block := list(islice(lines, _BLOCK_LINES)):
-        parts.append(_load_block(block, line_no, failures))
+    text_seen = False
+    while raw := list(islice(lines, _BLOCK_LINES)):
+        block = list(map(str.rstrip, raw, repeat("\r\n")))
+        header_at = None
+        if not text_seen:
+            header_at = next((i for i, line in enumerate(block)
+                              if line.strip()), None)
+            text_seen = header_at is not None
+        parts.append(_load_block(block, line_no, header_at, failures))
         line_no += len(block)
     batch = RecordBatch.concat(parts or [RecordBatch.of(())], source_name)
     return replace(batch, parse_failures=tuple(failures))

@@ -1,9 +1,19 @@
 """Exact nearest-neighbor machinery: brute-force KNN and Local Outlier
 Factor built on one shared index.
 
-No space partitioning: desk-scale sizes make exact chunked matrix
+No space partitioning: desk-scale sizes make exact blocked matrix
 arithmetic affordable, and exactness keeps the oracle tests trivial.
-Distance ties always break toward the lower reference row id.
+
+A query takes its rows in blocks sized so that every temporary of the
+search fits _BUDGET_BYTES. In each block the BLAS expansion
+||q||^2 + ||r||^2 - 2 q.r picks candidates: every reference whose
+expanded distance lies within a rounding bound of the row's k-th
+smallest, a set that provably holds the exact k nearest. Each candidate's
+squared distance is then recomputed as (q - r) ** 2 summed over the
+columns left to right, and candidates rank by (that distance, reference
+id). A row's neighbours and distances therefore depend on that row and
+the references only, not on the rest of its batch, the block size or
+BLAS blocking. Distance ties break toward the lower reference row id.
 """
 
 from __future__ import annotations
@@ -12,51 +22,13 @@ import numpy as np
 
 from .errors import EmptyData, KTooLarge, WrongWidth
 
-_CHUNK_BYTES = 256 * 1024 * 1024
+# Bytes that one query may hold in temporaries, beyond its inputs and
+# outputs: a block's expansion and its partition copy, or a slice of
+# candidate pairs with their gathered rows.
+_BUDGET_BYTES = 16 * 1024 * 1024
 
-
-def _sq_distances(
-    queries: np.ndarray, refs: np.ndarray, ref_norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared Euclidean distances, (n_queries, n_refs), clipped at 0."""
-    if ref_norms is None:
-        ref_norms = (refs ** 2).sum(axis=1)
-    d2 = (
-        (queries ** 2).sum(axis=1)[:, None]
-        + ref_norms[None, :]
-        - 2.0 * (queries @ refs.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _topk_rows(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row k smallest squared distances ordered by (distance, column id).
-
-    argpartition preselects k+16 candidates; rows whose k-th distance still
-    ties the candidate boundary fall back to a full stable sort so tied ids
-    outside the candidate set cannot be missed.
-    """
-    n = d2.shape[1]
-    kk = min(k + 16, n)
-    part = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-    pd = np.take_along_axis(d2, part, axis=1)
-    # sort candidates by id first, then stably by distance: ties keep id order
-    o1 = np.argsort(part, axis=1, kind="stable")
-    part = np.take_along_axis(part, o1, axis=1)
-    pd = np.take_along_axis(pd, o1, axis=1)
-    o2 = np.argsort(pd, axis=1, kind="stable")
-    part = np.take_along_axis(part, o2, axis=1)
-    pd = np.take_along_axis(pd, o2, axis=1)
-    ids = part[:, :k].copy()
-    dist2 = pd[:, :k].copy()
-    if kk < n:
-        spill = pd[:, k - 1] == pd[:, kk - 1]
-        for row in np.flatnonzero(spill):
-            order = np.argsort(d2[row], kind="stable")[:k]
-            ids[row] = order
-            dist2[row] = d2[row, order]
-    return dist2, ids
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class NeighborIndex:
@@ -64,11 +36,12 @@ class NeighborIndex:
 
     def __init__(self, refs: np.ndarray):
         refs = np.asarray(getattr(refs, "values", refs), dtype=np.float64)
-        if refs.ndim != 2 or refs.shape[0] == 0:
+        if refs.ndim != 2 or refs.size == 0:
             raise EmptyData("reference matrix must be a non-empty 2-D array")
         self.refs = refs
         self.n, self.width = refs.shape
         self._ref_norms = (refs ** 2).sum(axis=1)
+        self._ref_radius = np.sqrt(self._ref_norms.max())
 
     def _check_queries(self, X) -> np.ndarray:
         q = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
@@ -93,19 +66,89 @@ class NeighborIndex:
         if k > limit:
             raise KTooLarge(f"k={k} exceeds {limit} available references")
         q = self._check_queries(X)
-        chunk = max(1, _CHUNK_BYTES // (8 * self.n))
+        # the expansion and its partition copy take 16 bytes per reference
+        block = max(1, _BUDGET_BYTES // (16 * self.n))
         dists = np.empty((q.shape[0], k))
         ids = np.empty((q.shape[0], k), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            stop = min(start + chunk, q.shape[0])
-            d2 = _sq_distances(q[start:stop], self.refs, self._ref_norms)
-            if exclude_self:
-                rows = np.arange(start, stop)
-                d2[np.arange(stop - start), rows] = np.inf
-            cd, ci = _topk_rows(d2, k)
-            dists[start:stop] = np.sqrt(cd)
-            ids[start:stop] = ci
+        for start in range(0, q.shape[0], block):
+            stop = min(start + block, q.shape[0])
+            mask = self._candidates(q[start:stop], k,
+                                    start if exclude_self else None)
+            self._rank(q[start:stop], mask, dists[start:stop],
+                       ids[start:stop])
+            del mask  # before the next block's expansion
         return dists, ids
+
+    def _candidates(self, q: np.ndarray, k: int,
+                    self_start: int | None) -> np.ndarray:
+        """(rows of q, references) mask of every reference that may be
+        among a row's k nearest; self_start is the reference id of q's
+        first row when each row must not be its own neighbour.
+
+        The expansion e and the left-to-right sum x of the squared
+        differences each lie within gamma_(d+3) (||q|| + ||r||)^2 of the
+        true squared distance (d columns, gamma_m = m u / (1 - m u),
+        u = eps / 2), so |e - x| <= beta = 2 gamma_(d+3) (||q|| + R)^2
+        with R the largest reference norm. The k references of smallest
+        e have x <= e_k + beta, so the k nearest by x have e <= e_k +
+        2 beta. The slack below is twice 2 beta, plus the same multiple
+        of the smallest subnormal for underflow. NaN expansions are kept.
+        """
+        e = q @ self.refs.T
+        e *= -2.0
+        q_norms = (q ** 2).sum(axis=1)
+        e += q_norms[:, None]
+        e += self._ref_norms
+        rows = np.arange(len(q))
+        if self_start is not None:
+            e[rows, self_start + rows] = np.inf
+        kth = np.partition(e, k - 1, axis=1)[:, k - 1].copy()
+        slack = 4 * (self.width + 3) * (
+            _EPS * (np.sqrt(q_norms) + self._ref_radius) ** 2 + _TINY)
+        mask = e > (kth + slack)[:, None]
+        np.logical_not(mask, out=mask)
+        if self_start is not None:
+            mask[rows, self_start + rows] = False
+        return mask
+
+    def _rank(self, q: np.ndarray, mask: np.ndarray, dists: np.ndarray,
+              ids: np.ndarray) -> None:
+        """Fill dists and ids, (rows of q, k), with each row's k nearest
+        candidates of mask by (exact distance, reference id)."""
+        k = ids.shape[1]
+        counts = mask.sum(axis=1)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # what the mask leaves of the budget, at two gathered rows plus
+        # flat index, row, column, distance, sort order and sort buffer
+        # per pair
+        pairs = max(1, (_BUDGET_BYTES - mask.nbytes) // (16 * self.width + 48))
+        r0 = 0
+        while r0 < len(q):
+            # the rows whose candidates fill one slice, or one row
+            r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + pairs,
+                                                 side="right")))
+            row, col = np.divmod(np.flatnonzero(mask[r0:r1]), self.n)
+            sq = self._exact_sq(q[r0:r1], row, col, pairs)
+            order = np.lexsort((sq, row))  # by row, distance, then column
+            pick = order[(starts[r0:r1] - starts[r0])[:, None] + np.arange(k)]
+            ids[r0:r1] = col[pick]
+            dists[r0:r1] = np.sqrt(sq[pick])
+            r0 = r1
+
+    def _exact_sq(self, q: np.ndarray, row: np.ndarray, col: np.ndarray,
+                  pairs: int) -> np.ndarray:
+        """Squared distance of each (query row, reference) pair as
+        (q - r) ** 2 summed over the columns left to right, pairs at a
+        time."""
+        sq = np.empty(len(row))
+        for s in range(0, len(row), pairs):
+            diff = q[row[s:s + pairs]]
+            diff -= self.refs[col[s:s + pairs]]
+            diff *= diff
+            np.add.accumulate(diff, axis=1, out=diff)
+            sq[s:s + pairs] = diff[:, -1]
+        return sq
 
 
 class LocalOutlierFactor:

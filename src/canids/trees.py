@@ -2,7 +2,8 @@
 second-order gradient-boosted trees with gain importance.
 
 Split search is exact greedy: candidate thresholds are the midpoints
-between consecutive distinct sorted feature values. Gain ties break to the
+between consecutive distinct sorted feature values (the lower value where
+the midpoint rounds up to the upper one). Gain ties break to the
 lowest feature index, and within a feature to the lowest threshold, so fits
 are deterministic. CART and boosting share one search over the left and
 right sides' (count, S1, S2) sums: CART sums (label, 1) and scores Gini
@@ -154,6 +155,15 @@ def _gh_score(G, H, lam):
     return np.where(H + lam > 0, G ** 2 / (H + lam), 0.0)
 
 
+def _split_value(lo: float, hi: float) -> float:
+    """The threshold between consecutive distinct values lo < hi: their
+    midpoint, or lo where the midpoint rounds up to hi (adjacent floats)
+    or overflows, so that x <= threshold always sends lo left and hi
+    right."""
+    mid = (lo + hi) / 2.0
+    return mid if mid < hi else lo
+
+
 class _Gini:
     """CART: S1 counts positives, S2 counts rows (b is None); leaves hold
     the positive fraction and each side needs min_samples_leaf rows."""
@@ -286,7 +296,8 @@ class _Presorted:
             L2 = nL if b is None else np.cumsum(b[s])[boundary]
             gains = masked_gains(nL, L1, L2, m - nL, S1 - L1, S2 - L2)
             j = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            found.append((gains[j], -f, (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0))
+            found.append((gains[j], -f, _split_value(sv[boundary[j]],
+                                                     sv[boundary[j] + 1])))
 
         if not found:
             return None

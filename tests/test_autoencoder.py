@@ -110,6 +110,22 @@ def test_forward_matches_straight_line_oracle():
         assert np.allclose(recon, straight_line_forward(net, x), atol=1e-12)
 
 
+def test_forward_sums_each_layer_in_input_order():
+    """Scoring adds bias + w_0 a_0 + w_1 a_1 + ... in input order, as the
+    straight-line oracle does, so every row matches it bit for bit at
+    the widths of the default net, alone or in a batch."""
+    rng = np.random.default_rng(1)
+    for seed in range(3):
+        net = make_autoencoder(67, seed=seed)
+        X = rng.normal(size=(4, 67))
+        latent, recon = net.forward(X)
+        for i, x in enumerate(X):
+            want = straight_line_forward(net, x)
+            assert recon[i].tobytes() == want.tobytes()
+            assert net.forward(x)[1].tobytes() == want.tobytes()
+        assert latent.shape == (4, 12) and latent.flags.c_contiguous
+
+
 def test_forward_width_check():
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=0)
     with pytest.raises(WrongWidth):

@@ -218,6 +218,26 @@ def test_load_lines_header_detection():
     assert len(with_header.records) == len(without.records) == 1
 
 
+def test_corrupt_first_frame_is_a_parse_failure():
+    batch = load_lines(["0.5x,0110,1,AA,Normal", "0.6,0110,1,AB,Normal"])
+    assert len(batch) == 1
+    assert [(f.line_no, f.reason) for f in batch.parse_failures] == [
+        (1, "bad_timestamp")]
+    for first in ("nan,0110,1,AA,Normal", "inf,0110,1,AA,Normal"):
+        assert len(load_lines([first]).parse_failures) == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, canlog._BLOCK_LINES])
+def test_header_after_blank_lines_is_skipped(block):
+    lines = ["", " ", "Timestamp,Arbitration_ID,DLC,Data,Class",
+             "0.6,0110,1,AB,Normal"]
+    with mock.patch.object(canlog, "_BLOCK_LINES", block):
+        batch = load_lines(lines)
+    assert len(batch) == 1 and batch.parse_failures == ()
+    # only the first non-blank line may be a header
+    assert len(load_lines(lines + lines).parse_failures) == 1
+
+
 def test_load_lines_preserves_order():
     lines = [f"{i * 0.1},{i:03X},0,,Normal" for i in range(10)]
     batch = load_lines(lines)
@@ -278,13 +298,16 @@ def test_batch_of_refuses_bad_rows(row, error):
 # --- block reader against the line-by-line oracle ----------------------------
 
 def ref_load_lines(lines, source_name=""):
-    """The line-by-line reader that the block scan replaced."""
+    """The line-by-line reader that the block scan replaced; the header
+    is looked for on the first non-blank line."""
     rows, failures = [], []
+    text_seen = False
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        if line_no == 1 and _looks_like_header(line):
+        first, text_seen = not text_seen, True
+        if first and _looks_like_header(line):
             continue
         try:
             rows.append(parse_line(line))

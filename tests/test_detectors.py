@@ -1,7 +1,10 @@
 import json
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids.detectors import (
     ALL_MODELS,
@@ -268,3 +271,47 @@ def test_lof_loads_without_neighbour_search(tmp_path, monkeypatch):
     assert (restored.lof.fit_scores().tobytes()
             == det.lof.fit_scores().tobytes())
     assert restored.score(test).tobytes() == det.score(test).tobytes()
+
+
+# --- batch invariance ----------------------------------------------------------
+
+INVARIANCE_PARAMS = {**FAST_PARAMS, "dae": {"epochs": 3, "batch_size": 64}}
+
+
+def can_like_dataset(seed, n):
+    """67 columns as extract makes them: 64 payload bits drawn from a few
+    patterns and 3 coarse timing columns, so rows repeat exactly; anomalies
+    shift the timing columns."""
+    rng = np.random.default_rng(seed)
+    patterns = (rng.random((8, 64)) < 0.4).astype(float)
+    values = np.hstack([patterns[rng.integers(0, 8, n)],
+                        np.round(rng.exponential(1.0, size=(n, 3)), 1)])
+    labels = (rng.random(n) < 0.2).astype(np.int8)
+    values[labels == 1, 64:] += 4.0
+    return FeatureMatrix(values, labels, tuple(range(67)))
+
+
+@cache
+def invariance_case(name):
+    """A fitted detector and the test rows it scores."""
+    train = can_like_dataset(20, 600)
+    det = make_detector(name, INVARIANCE_PARAMS[name], seed=5)
+    det.fit(fit_view(det, train), val=can_like_dataset(21, 300))
+    test = can_like_dataset(22, 400).values
+    test[:40] = train.values[:40]  # exact copies of references
+    return det, test
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scores_do_not_depend_on_the_batch(name, data):
+    """A row's score is the same bytes in any batch: any subset of the
+    test rows, in any order and with repeats, or a permutation of all."""
+    det, test = invariance_case(name)
+    n = len(test)
+    rows = data.draw(st.one_of(
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    rows = np.array(rows)
+    assert det.score(test[rows]).tobytes() == det.score(test)[rows].tobytes()

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from canids.detectors import KnnDetector
+from canids import neighbors
+from canids.detectors import KnnDetector, LofDetector
 from canids.errors import EmptyData, KTooLarge, WrongWidth
 from canids.features import FeatureMatrix
 from canids.neighbors import LocalOutlierFactor, NeighborIndex
@@ -42,6 +45,25 @@ def brute_force_lof(refs, k):
         else:
             lof.append(mean_lrd / lrd[i])
     return np.array(lof)
+
+
+def fixed_order_knn(refs, q, k, skip=None):
+    """(squared distances, ids) of the k references first by (squared
+    distance, id), leaving out reference skip; each squared distance is
+    sum((q - r) ** 2), the column terms added left to right."""
+    sq = np.array([sum((q - r) ** 2) for r in refs])
+    ids = [j for j in sorted(range(len(refs)), key=lambda j: (sq[j], j))
+           if j != skip][:k]
+    return sq[ids], np.array(ids)
+
+
+def assert_fixed_order_neighbours(refs, queries, k, exclude_self=False):
+    dists, ids = NeighborIndex(refs).query(queries, k, exclude_self)
+    for i, q in enumerate(queries):
+        want_sq, want_ids = fixed_order_knn(refs, q, k,
+                                            i if exclude_self else None)
+        assert ids[i].tolist() == want_ids.tolist()
+        assert dists[i].tobytes() == np.sqrt(want_sq).tobytes()
 
 
 def nearest(index, x, k):
@@ -91,6 +113,37 @@ def test_query_matches_brute_force_on_random_instances():
         assert [i for _, i in got] == [i for _, i in want]
         for (dg, _), (dw, _) in zip(got, want):
             assert dg == pytest.approx(dw, abs=1e-9)
+        # bit for bit: distances are the square roots of the fixed-order
+        # sums, and ids rank by (that sum, id)
+        want_sq, want_ids = fixed_order_knn(refs, query, k)
+        assert [i for _, i in got] == want_ids.tolist()
+        assert np.array([d for d, _ in got]).tobytes() == \
+            np.sqrt(want_sq).tobytes()
+
+
+def test_exclude_self_matches_fixed_order_ranking():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        d = int(rng.integers(1, 6))
+        refs = rng.normal(size=(n, d))
+        if rng.random() < 0.5:
+            refs[rng.integers(0, n, size=n // 2)] = refs[rng.integers(0, n)]
+        k = int(rng.integers(1, n))
+        assert_fixed_order_neighbours(refs, refs, k, exclude_self=True)
+
+
+def test_query_is_exact_far_from_the_origin():
+    """References at a large common offset: the expansion ||q||^2 +
+    ||r||^2 - 2 q.r loses the small distances to cancellation and
+    reorders them, and the exact recomputation must not."""
+    rng = np.random.default_rng(7)
+    refs = 1e4 + rng.normal(scale=1e-3, size=(300, 8))
+    refs[10] = refs[20]  # an exact tie as well
+    queries = 1e4 + rng.normal(scale=1e-3, size=(40, 8))
+    queries[0] = refs[20]
+    assert_fixed_order_neighbours(refs, queries, 7)
+    assert_fixed_order_neighbours(refs, refs, 5, exclude_self=True)
 
 
 def test_query_tie_break_low_row_id():
@@ -215,3 +268,66 @@ def test_lof_heldout_scoring():
 def test_lof_k_too_large():
     with pytest.raises(KTooLarge):
         LocalOutlierFactor(5).fit(np.ones((5, 1)))
+
+
+# --- block budget ---------------------------------------------------------------
+
+def tied_features(rng, n, width=67):
+    """CAN-like rows: a few payload bit patterns and coarse intervals, so
+    that many rows are exact duplicates and distances tie."""
+    patterns = (rng.random((6, width - 3)) < 0.3).astype(float)
+    intervals = np.round(rng.exponential(1.0, size=(n, 3)), 1)
+    return np.hstack([patterns[rng.integers(0, 6, n)], intervals])
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_scores_do_not_depend_on_the_budget(budget):
+    """One-row blocks and one-pair slices, or one block for everything:
+    knn scores, LOF fit scores and LOF scores stay byte-identical."""
+    rng = np.random.default_rng(8)
+    train = FeatureMatrix(tied_features(rng, 400),
+                          (rng.random(400) < 0.3).astype(np.int8),
+                          tuple(range(67)))
+    test = tied_features(rng, 150)
+
+    def scores():
+        knn = KnnDetector(k=5).fit(train)
+        lof = LofDetector(k=10).fit(train)
+        return [knn.score(test), lof.lof.fit_scores(), lof.score(test)]
+
+    want = scores()
+    with mock.patch.object(neighbors, "_BUDGET_BYTES", budget):
+        got = scores()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced during fn beyond what was held before)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_neighbour_search_stays_within_the_budget():
+    """3000 queries and a LOF fit against 12 000 references, some of them
+    duplicates with wide candidate bands, peak within the byte budget
+    plus 2 MB beyond the (distances, ids) they return."""
+    rng = np.random.default_rng(9)
+    refs = rng.normal(size=(12_000, 67))
+    refs[rng.integers(0, len(refs), 300)] = refs[0]
+    queries = rng.normal(size=(3000, 67))
+    queries[:100] = refs[0]
+    index = NeighborIndex(refs)
+    slack = neighbors._BUDGET_BYTES + (2 << 20)
+    (dists, ids), peak = traced_peak(lambda: index.query(queries, 5))
+    assert peak <= slack + dists.nbytes + ids.nbytes
+    k = 20
+    _, peak = traced_peak(lambda: LocalOutlierFactor(k).fit(refs))
+    # fit's own (n, k) distances, ids and reachability arrays
+    assert peak <= slack + 4 * len(refs) * k * 8

@@ -35,6 +35,12 @@ from canids.trees import (
 
 # --- exact-rational CART oracle ------------------------------------------------
 
+def ref_split_value(lo, hi):
+    """The midpoint of lo < hi, or lo where it rounds up to hi."""
+    mid = (lo + hi) / 2.0
+    return mid if mid < hi else lo
+
+
 def exhaustive_best_split(X, y, min_samples_leaf=1):
     """All (feature, midpoint) candidates evaluated with Fraction
     arithmetic; returns (best gain, set of argmax (feature, threshold))."""
@@ -66,13 +72,30 @@ def exhaustive_best_split(X, y, min_samples_leaf=1):
             weighted = (gini_num(n_left, pos_left)
                         + gini_num(n_right, pos - pos_left)) / n
             gain = parent - weighted
-            thr = (sv[i] + sv[i + 1]) / 2.0
+            thr = ref_split_value(sv[i], sv[i + 1])
             if gain > best_gain:
                 best_gain = gain
                 argmax = {(f, thr)}
             elif gain == best_gain:
                 argmax.add((f, thr))
     return best_gain, argmax
+
+
+@pytest.mark.parametrize("lo", [-5e-324, 5e-324, np.nextafter(1.0, 2.0),
+                                np.finfo(np.float64).max])
+def test_split_between_adjacent_floats_separates_them(lo):
+    """lo and the next float up: their midpoint rounds up to the upper
+    value (or overflows), and the split must still send lo left."""
+    hi = np.nextafter(lo, np.inf)
+    assert (lo + hi) / 2.0 >= hi
+    X, y = np.array([[lo], [hi]]), np.array([0, 1])
+    tree = fit_cart(X, y, max_depth=1)
+    assert (tree.feature, tree.threshold) == (0, lo)
+    assert FlatTree.from_node(tree).route(X).tolist() == [0.0, 1.0]
+    gbt = fit_gbt(X, y, BoostConfig(rounds=1, max_depth=1, lam=0.0,
+                                    min_child_weight=0.0))
+    low, high = gbt.predict_proba(X)
+    assert low < 0.5 < high
 
 
 def test_pure_node_is_leaf():
@@ -493,7 +516,7 @@ def _ref_best_split_gini(X, y, idx, candidates, is_binary, min_samples_leaf):
         gains = np.where(valid, gains, -np.inf)
         j = int(np.argmax(gains))
         if gains[j] > 0.0:
-            results[f] = (gains[j], (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0)
+            results[f] = (gains[j], ref_split_value(sv[boundary[j]], sv[boundary[j] + 1]))
     for f in candidates:
         if f in results:
             gain, thr = results[f]
@@ -548,7 +571,7 @@ def _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg):
         gains = np.where(valid, gains, -np.inf)
         j = int(np.argmax(gains))
         if gains[j] > 0.0:
-            results[f] = (gains[j], (sv[boundary[j]] + sv[boundary[j] + 1]) / 2.0)
+            results[f] = (gains[j], ref_split_value(sv[boundary[j]], sv[boundary[j] + 1]))
     for f in candidates:
         if f in results:
             gain, thr = results[f]

@@ -81,6 +81,12 @@ def _require_labels(train: FeatureMatrix, name: str) -> np.ndarray:
     return np.asarray(train.labels)
 
 
+def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
+    if index.width != n_features:
+        raise WrongWidth(f"refs have {index.width} columns, "
+                         f"n_features is {n_features}")
+
+
 def _fitted(default=None):
     """A fitted attribute: not a constructor keyword, set by fit or load."""
     return field(default=default, init=False)
@@ -209,7 +215,14 @@ class KnnDetector(Detector):
 
     def _restore(self, state):
         self.index = NeighborIndex(decode_array(state["refs"]))
-        self.labels = np.array(state["labels"], dtype=np.int8)
+        _check_refs_width(self.index, self.n_features)
+        labels = state["labels"]
+        if not isinstance(labels, list) or len(labels) != self.index.n:
+            raise IoError(f"labels must be a list of {self.index.n} entries, "
+                          "one per reference row")
+        if any(type(v) is not int or v not in (0, 1) for v in labels):
+            raise IoError("labels must be the integers 0 and 1")
+        self.labels = np.array(labels, dtype=np.int8)
 
 
 @dataclass(eq=False)
@@ -364,6 +377,7 @@ class LofDetector(Detector):
             decode_array(state["ref_kdist"]), decode_array(state["ref_lrd"]),
             decode_array(state["ref_lof"]),
         )
+        _check_refs_width(self.lof.index, self.n_features)
 
 
 @dataclass(eq=False)

@@ -4,16 +4,22 @@ Factor built on one shared index.
 No space partitioning: desk-scale sizes make exact blocked matrix
 arithmetic affordable, and exactness keeps the oracle tests trivial.
 
-A query takes its rows in blocks sized so that every temporary of the
-search fits _BUDGET_BYTES. In each block the BLAS expansion
-||q||^2 + ||r||^2 - 2 q.r picks candidates: every reference whose
-expanded distance lies within a rounding bound of the row's k-th
-smallest, a set that provably holds the exact k nearest. Each candidate's
-squared distance is then recomputed as (q - r) ** 2 summed over the
-columns left to right, and candidates rank by (that distance, reference
-id). A row's neighbours and distances therefore depend on that row and
-the references only, not on the rest of its batch, the block size or
-BLAS blocking. Distance ties break toward the lower reference row id.
+CAN traffic repeats the same frames, so many reference rows are exact
+copies. The index groups the rows that are identical in their bytes once,
+when it is built, and a query works on the distinct rows. It takes its
+rows in blocks sized so that every temporary of the search fits
+_BUDGET_BYTES. In each block the BLAS expansion ||q||^2 + ||r||^2 - 2 q.r
+over the distinct rows picks candidates: every distinct row whose
+expanded distance lies within a rounding bound of the row's k-th smallest
+over distinct rows, a set that provably holds the exact k nearest. Each
+candidate's squared distance is then recomputed once, as (q - r) ** 2
+summed over the columns left to right, and each candidate group stands
+for its k lowest reference ids (k + 1 when the query's own id may be among
+them and is left out). These rank by (that distance, reference id). A
+row's neighbours and distances therefore depend on that row and the
+references only, not on the rest of its batch, the block size, BLAS
+blocking or how often a reference row repeats. Distance ties break toward
+the lower reference row id.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .errors import EmptyData, KTooLarge, WrongWidth
 
 # Bytes that one query may hold in temporaries, beyond its inputs and
 # outputs: a block's expansion and its partition copy, or a slice of
-# candidate pairs with their gathered rows.
+# candidate pairs with their gathered rows and expanded reference ids. The
+# index's copy of its distinct rows, when it has one, counts against it.
 _BUDGET_BYTES = 16 * 1024 * 1024
 
 _EPS = np.finfo(np.float64).eps
@@ -32,7 +39,8 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class NeighborIndex:
-    """Immutable brute-force index over a reference matrix."""
+    """Immutable brute-force index over a reference matrix, searched over
+    its distinct rows."""
 
     def __init__(self, refs: np.ndarray):
         refs = np.asarray(getattr(refs, "values", refs), dtype=np.float64)
@@ -40,8 +48,27 @@ class NeighborIndex:
             raise EmptyData("reference matrix must be a non-empty 2-D array")
         self.refs = refs
         self.n, self.width = refs.shape
-        self._ref_norms = (refs ** 2).sum(axis=1)
-        self._ref_radius = np.sqrt(self._ref_norms.max())
+        # groups of rows identical in their bytes, numbered by lowest id:
+        # sorted by their bytes, equal rows lie side by side, by id
+        bits = refs.view(np.uint64)
+        order = np.lexsort(bits.T)
+        head = np.zeros(self.n, dtype=bool)  # first of its group in order
+        head[0] = True
+        for col in bits.T:  # one column at a time keeps this O(n) bytes
+            col = col[order]
+            head[1:] |= col[1:] != col[:-1]
+        lead = order[head]  # lowest id of each group
+        renumber = np.empty_like(lead)
+        renumber[np.argsort(lead)] = np.arange(len(lead))
+        self._group = np.empty(self.n, dtype=np.int64)
+        self._group[order] = renumber[np.cumsum(head) - 1]
+        # member ids group by group, ascending within a group
+        self._members = np.argsort(self._group, kind="stable")
+        self._sizes = np.bincount(self._group)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self._rows = refs if len(lead) == self.n else refs[np.sort(lead)]
+        self._norms = (self._rows ** 2).sum(axis=1)
+        self._radius = np.sqrt(self._norms.max())
 
     def _check_queries(self, X) -> np.ndarray:
         q = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
@@ -66,85 +93,115 @@ class NeighborIndex:
         if k > limit:
             raise KTooLarge(f"k={k} exceeds {limit} available references")
         q = self._check_queries(X)
-        # the expansion and its partition copy take 16 bytes per reference
-        block = max(1, _BUDGET_BYTES // (16 * self.n))
+        # a copy of the distinct rows takes its bytes from the budget; the
+        # expansion and its partition copy take 16 bytes per distinct row
+        budget = _BUDGET_BYTES - (0 if self._rows is self.refs
+                                  else self._rows.nbytes)
+        block = max(1, budget // (16 * len(self._rows)))
         dists = np.empty((q.shape[0], k))
         ids = np.empty((q.shape[0], k), dtype=np.int64)
         for start in range(0, q.shape[0], block):
             stop = min(start + block, q.shape[0])
-            mask = self._candidates(q[start:stop], k,
-                                    start if exclude_self else None)
-            self._rank(q[start:stop], mask, dists[start:stop],
-                       ids[start:stop])
+            own = np.arange(start, stop) if exclude_self else None
+            mask = self._candidates(q[start:stop], k, own)
+            self._rank(q[start:stop], mask, own, budget - mask.nbytes,
+                       dists[start:stop], ids[start:stop])
             del mask  # before the next block's expansion
         return dists, ids
 
     def _candidates(self, q: np.ndarray, k: int,
-                    self_start: int | None) -> np.ndarray:
-        """(rows of q, references) mask of every reference that may be
-        among a row's k nearest; self_start is the reference id of q's
-        first row when each row must not be its own neighbour.
+                    own: np.ndarray | None) -> np.ndarray:
+        """(rows of q, distinct rows) mask of every group that may hold one
+        of a row's k nearest references; own holds the reference id of
+        each row of q when a row must not be its own neighbour.
 
         The expansion e and the left-to-right sum x of the squared
         differences each lie within gamma_(d+3) (||q|| + ||r||)^2 of the
         true squared distance (d columns, gamma_m = m u / (1 - m u),
         u = eps / 2), so |e - x| <= beta = 2 gamma_(d+3) (||q|| + R)^2
-        with R the largest reference norm. The k references of smallest
-        e have x <= e_k + beta, so the k nearest by x have e <= e_k +
-        2 beta. The slack below is twice 2 beta, plus the same multiple
-        of the smallest subnormal for underflow. NaN expansions are kept.
+        with R the largest reference norm. Let e_k be the k-th smallest e
+        over the distinct rows, the row's own group set to +inf when it
+        holds no other reference, or the largest e when there are fewer
+        than k distinct rows (then every group is kept). The k groups of
+        smallest e hold at least k references other than the row's own,
+        each with x <= e_k + beta, so the k-th nearest reference counted
+        with duplicates has x <= e_k + beta, and every reference among the
+        k nearest has e <= e_k + 2 beta. (Each group counts once, so e_k
+        is at least the k-th smallest e counted with duplicates, and the
+        band is at least as wide as one built from that.) The slack below
+        is twice 2 beta, plus the same multiple of the smallest subnormal
+        for underflow. NaN expansions are kept.
         """
-        e = q @ self.refs.T
-        e *= -2.0
+        e = (-2.0 * q) @ self._rows.T
         q_norms = (q ** 2).sum(axis=1)
         e += q_norms[:, None]
-        e += self._ref_norms
-        rows = np.arange(len(q))
-        if self_start is not None:
-            e[rows, self_start + rows] = np.inf
-        kth = np.partition(e, k - 1, axis=1)[:, k - 1].copy()
+        e += self._norms
+        if own is not None:
+            # a row whose group holds no other copy drops that group
+            own_group = self._group[own]
+            alone = np.flatnonzero(self._sizes[own_group] == 1)
+            e[alone, own_group[alone]] = np.inf
+        kk = min(k, e.shape[1])
+        kth = np.partition(e, kk - 1, axis=1)[:, kk - 1].copy()
         slack = 4 * (self.width + 3) * (
-            _EPS * (np.sqrt(q_norms) + self._ref_radius) ** 2 + _TINY)
+            _EPS * (np.sqrt(q_norms) + self._radius) ** 2 + _TINY)
         mask = e > (kth + slack)[:, None]
         np.logical_not(mask, out=mask)
-        if self_start is not None:
-            mask[rows, self_start + rows] = False
+        if own is not None:
+            mask[alone, own_group[alone]] = False
         return mask
 
-    def _rank(self, q: np.ndarray, mask: np.ndarray, dists: np.ndarray,
-              ids: np.ndarray) -> None:
+    def _rank(self, q: np.ndarray, mask: np.ndarray, own: np.ndarray | None,
+              spare: int, dists: np.ndarray, ids: np.ndarray) -> None:
         """Fill dists and ids, (rows of q, k), with each row's k nearest
-        candidates of mask by (exact distance, reference id)."""
+        references in the candidate groups of mask by (exact distance,
+        reference id), leaving out each row's own id if own is given.
+
+        All members of a group lie at one distance, so at most its k lowest
+        ids can be among the k nearest, or k + 1 when one may be the row's
+        own."""
         k = ids.shape[1]
+        take = k + (own is not None)
         counts = mask.sum(axis=1)
         ends = np.cumsum(counts)
         starts = ends - counts
-        # what the mask leaves of the budget, at two gathered rows plus
-        # flat index, row, column, distance, sort order and sort buffer
-        # per pair
-        pairs = max(1, (_BUDGET_BYTES - mask.nbytes) // (16 * self.width + 48))
+        # the spare bytes of the budget, at two gathered rows plus flat
+        # index, row, group and distance per pair, and id, pair, rank, row,
+        # distance, sort order and sort buffer per expanded id
+        pairs = max(1, spare // (16 * self.width + 32 + 64 * take))
         r0 = 0
         while r0 < len(q):
             # the rows whose candidates fill one slice, or one row
             r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + pairs,
                                                  side="right")))
-            row, col = np.divmod(np.flatnonzero(mask[r0:r1]), self.n)
-            sq = self._exact_sq(q[r0:r1], row, col, pairs)
-            order = np.lexsort((sq, row))  # by row, distance, then column
-            pick = order[(starts[r0:r1] - starts[r0])[:, None] + np.arange(k)]
-            ids[r0:r1] = col[pick]
+            row, g = np.divmod(np.flatnonzero(mask[r0:r1]), mask.shape[1])
+            sq = self._exact_sq(q[r0:r1], row, g, pairs)
+            # each pair's group expanded to its `take` lowest member ids
+            size = np.minimum(self._sizes[g], take)
+            pair = np.repeat(np.arange(len(g)), size)
+            rank = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size,
+                                                    size)
+            ref = self._members[self._starts[g][pair] + rank]
+            row, sq = row[pair], sq[pair]
+            if own is not None:
+                keep = ref != own[r0 + row]
+                ref, row, sq = ref[keep], row[keep], sq[keep]
+            order = np.lexsort((ref, sq, row))  # by row, distance, then id
+            first = np.searchsorted(row, np.arange(r1 - r0))
+            pick = order[first[:, None] + np.arange(k)]
+            ids[r0:r1] = ref[pick]
             dists[r0:r1] = np.sqrt(sq[pick])
             r0 = r1
 
-    def _exact_sq(self, q: np.ndarray, row: np.ndarray, col: np.ndarray,
+    def _exact_sq(self, q: np.ndarray, row: np.ndarray, g: np.ndarray,
                   pairs: int) -> np.ndarray:
-        """Squared distance of each (query row, reference) pair as
+        """Squared distance of each (query row, distinct row) pair as
         (q - r) ** 2 summed over the columns left to right, pairs at a
         time."""
         sq = np.empty(len(row))
         for s in range(0, len(row), pairs):
             diff = q[row[s:s + pairs]]
-            diff -= self.refs[col[s:s + pairs]]
+            diff -= self._rows[g[s:s + pairs]]
             diff *= diff
             np.add.accumulate(diff, axis=1, out=diff)
             sq[s:s + pairs] = diff[:, -1]

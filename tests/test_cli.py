@@ -252,7 +252,7 @@ def model_files(feature_csvs, tmp_path_factory):
     files = {}
     for kind, params in [("dt", "max_depth=4"),
                          ("iforest", "n_trees=5,subsample=32"),
-                         ("lof", "k=5"), ("dae", "epochs=1")]:
+                         ("knn", "k=3"), ("lof", "k=5"), ("dae", "epochs=1")]:
         files[kind] = root / f"{kind}.json"
         assert run_cli("train", "--model", kind,
                        "--in", str(feature_csvs["train"]),
@@ -285,6 +285,43 @@ def dt_feature_99(doc):
     root["feature"] = 99
 
 
+def _set_knn_labels(doc, labels):
+    doc["payload"]["state"]["labels"] = labels
+
+
+def knn_labels_short(doc):
+    _set_knn_labels(doc, doc["payload"]["state"]["labels"][:-1])
+
+
+def knn_labels_long(doc):
+    _set_knn_labels(doc, doc["payload"]["state"]["labels"] + [0])
+
+
+def knn_labels_seven(doc):
+    _set_knn_labels(doc, [7] * len(doc["payload"]["state"]["labels"]))
+
+
+def knn_labels_string(doc):
+    _set_knn_labels(doc, "a")
+
+
+def knn_labels_300(doc):
+    _set_knn_labels(doc, 300)
+
+
+def _narrow_refs(doc):
+    state = doc["payload"]["state"]
+    state["refs"] = encode_array(decode_array(state["refs"])[:, :-1])
+
+
+def knn_refs_narrow(doc):
+    _narrow_refs(doc)
+
+
+def lof_refs_narrow(doc):
+    _narrow_refs(doc)
+
+
 def lof_short_lrd(doc):
     state = doc["payload"]["state"]
     state["ref_lrd"] = encode_array(decode_array(state["ref_lrd"])[:3])
@@ -301,7 +338,9 @@ def dae_bogus_activation(doc):
 
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
-    lof_short_lrd, dae_short_bias, dae_bogus_activation,
+    knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
+    knn_labels_300, knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
+    dae_short_bias, dae_bogus_activation,
 ], ids=lambda f: f.__name__)
 def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
                                           corrupt):

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids import neighbors
 from canids.detectors import KnnDetector, LofDetector
@@ -144,6 +146,70 @@ def test_query_is_exact_far_from_the_origin():
     queries[0] = refs[20]
     assert_fixed_order_neighbours(refs, queries, 7)
     assert_fixed_order_neighbours(refs, refs, 5, exclude_self=True)
+
+
+# --- repeated reference rows ---------------------------------------------------
+
+# few values, so rows repeat and distinct rows tie at one distance; -0.0 and
+# 0.0 make rows that differ in their bytes only
+TIE_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def repeated_rows(draw):
+    """(refs, queries): references drawn from a few distinct rows, often
+    more copies of one than k, and queries that are copies or new rows."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(TIE_VALUES, min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2,
+                          max_size=40))
+    refs = np.array([distinct[j] for j in picks])
+    queries = np.array(draw(st.lists(st.one_of(row, st.sampled_from(distinct)),
+                                     min_size=1, max_size=8)))
+    return refs, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=repeated_rows(), data=st.data())
+def test_query_over_repeated_rows_matches_fixed_order_ranking(case, data):
+    refs, queries = case
+    k = data.draw(st.integers(1, len(refs)))
+    assert_fixed_order_neighbours(refs, queries, k)
+    assert_fixed_order_neighbours(refs, refs, min(k, len(refs) - 1),
+                                  exclude_self=True)
+
+
+@pytest.mark.parametrize("size", ["1", "k", "k+2"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_exclude_self_inside_a_group(size, k):
+    """The query's own row repeats 1, k or k + 2 times among the
+    references, around copies of other rows at one distance."""
+    copies = {"1": 1, "k": k, "k+2": k + 2}[size]
+    rows = [[0.0, 0.0]] * copies + [[1.0, 0.0], [0.0, 1.0]] * (k + 1)
+    refs = np.array(rows)[np.random.default_rng(k).permutation(len(rows))]
+    assert_fixed_order_neighbours(refs, refs, k, exclude_self=True)
+
+
+def test_signed_zero_rows_are_separate_groups_at_one_distance():
+    refs = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0],
+                     [1.0, 1.0]])
+    dists, ids = NeighborIndex(refs).query(np.array([[0.0, 1.0]]), 4)
+    assert ids.tolist() == [[0, 1, 2, 3]]
+    assert dists.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+    assert_fixed_order_neighbours(refs, refs, 3, exclude_self=True)
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("k", [5, 20])
+def test_duplicate_heavy_query_matches_fixed_order_ranking(k, exclude_self):
+    """CAN-like rows, most of them copies of a few patterns: the distances
+    and ids are the bytes of the fixed-order ranking over every reference,
+    with and without each row's own id."""
+    rng = np.random.default_rng(11)
+    refs = tied_features(rng, 300)
+    queries = refs if exclude_self else tied_features(rng, 100)
+    assert_fixed_order_neighbours(refs, queries, k, exclude_self)
 
 
 def test_query_tie_break_low_row_id():
@@ -327,6 +393,25 @@ def test_neighbour_search_stays_within_the_budget():
     slack = neighbors._BUDGET_BYTES + (2 << 20)
     (dists, ids), peak = traced_peak(lambda: index.query(queries, 5))
     assert peak <= slack + dists.nbytes + ids.nbytes
+    k = 20
+    _, peak = traced_peak(lambda: LocalOutlierFactor(k).fit(refs))
+    # fit's own (n, k) distances, ids and reachability arrays
+    assert peak <= slack + 4 * len(refs) * k * 8
+
+
+def test_search_of_a_row_repeated_50_000_times_stays_within_the_budget():
+    """One row copied 50 000 times among 2000 others, queried by copies
+    of itself: the query and a LOF fit peak within the byte budget plus
+    2 MB beyond the arrays they return."""
+    rng = np.random.default_rng(12)
+    refs = rng.normal(size=(52_000, 67))
+    refs[2000:] = refs[0]
+    queries = np.repeat(refs[:1], 3000, axis=0)
+    index = NeighborIndex(refs)
+    slack = neighbors._BUDGET_BYTES + (2 << 20)
+    (dists, ids), peak = traced_peak(lambda: index.query(queries, 5))
+    assert peak <= slack + dists.nbytes + ids.nbytes
+    assert ids.tolist() == [[0, 2000, 2001, 2002, 2003]] * len(queries)
     k = 20
     _, peak = traced_peak(lambda: LocalOutlierFactor(k).fit(refs))
     # fit's own (n, k) distances, ids and reachability arrays

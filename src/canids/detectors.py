@@ -531,23 +531,36 @@ def save_detector(path, det: Detector) -> None:
                                 "n_features": det.n_features, "state": state})
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise IoError(f"{what} is not an object")
+    return value
+
+
 def load_detector(path) -> Detector:
     """The detector a model file holds; IoError naming the file if it names
-    an unknown kind or param, lacks a key its kind needs, or holds state
-    that does not rebuild its model."""
+    an unknown kind or param, lacks a key its kind needs, holds a part that
+    is not an object where one belongs, or holds state that does not
+    rebuild its model."""
     kind, payload = load_model(path)
     if kind not in _REGISTRY:
         raise IoError(f"model file {path}: unknown model kind {kind!r}")
     try:
-        det = make_detector(kind, payload["params"], payload["seed"])
-        state = payload["state"]
-        if det.standardized:
-            s = state["standardizer"]
-            det.standardizer = Standardizer(decode_array(s["mean"]),
-                                            decode_array(s["std"]))
+        det = make_detector(kind, _object(payload["params"], "params"),
+                            payload["seed"])
+        state = _object(payload["state"], "state")
         det.n_features = payload["n_features"]
         if not isinstance(det.n_features, int) or det.n_features < 1:
             raise IoError(f"n_features {det.n_features!r} is not a width")
+        if det.standardized:
+            s = _object(state["standardizer"], "standardizer")
+            mean, std = decode_array(s["mean"]), decode_array(s["std"])
+            for name, a in (("mean", mean), ("std", std)):
+                if a.shape != (det.n_features,):
+                    raise IoError(f"standardizer {name} has shape "
+                                  f"{list(a.shape)}, n_features is "
+                                  f"{det.n_features}")
+            det.standardizer = Standardizer(mean, std)
         det._restore(state)
     except KeyError as exc:
         raise IoError(f"model file {path}: {kind} model has no "

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -327,6 +328,30 @@ def lof_short_lrd(doc):
     state["ref_lrd"] = encode_array(decode_array(state["ref_lrd"])[:3])
 
 
+def _resize_standardizer(doc, part, by):
+    s = doc["payload"]["state"]["standardizer"]
+    a = decode_array(s[part])
+    s[part] = encode_array(np.resize(a, a.size + by))
+
+
+def knn_mean_short(doc):
+    _resize_standardizer(doc, "mean", -1)
+
+
+def dae_std_long(doc):
+    _resize_standardizer(doc, "std", 1)
+
+
+def knn_refs_choice_short(doc):
+    refs = doc["payload"]["state"]["refs"]
+    refs["choice"] = base64.b64encode(
+        base64.b64decode(refs["choice"])[:-1]).decode("ascii")
+
+
+def knn_state_list(doc):
+    doc["payload"]["state"] = []
+
+
 def dae_short_bias(doc):
     layer = doc["payload"]["state"]["net"]["encoder"][0]
     layer["bias"] = encode_array(decode_array(layer["bias"])[:-1])
@@ -340,7 +365,8 @@ def dae_bogus_activation(doc):
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
     knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
     knn_labels_300, knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
-    dae_short_bias, dae_bogus_activation,
+    dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
+    knn_refs_choice_short, knn_state_list,
 ], ids=lambda f: f.__name__)
 def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
                                           corrupt):

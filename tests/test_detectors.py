@@ -191,11 +191,15 @@ def test_params_round_trip(name, tmp_path):
     assert det.score(test).tobytes() == restored.score(test).tobytes()
 
 
-def saved_dt(tmp_path):
-    det = make_detector("dt", FAST_PARAMS["dt"]).fit(small_dataset(seed=16))
-    path = tmp_path / "dt.json"
+def saved_model(tmp_path, name):
+    det = make_detector(name, FAST_PARAMS[name]).fit(small_dataset(seed=16))
+    path = tmp_path / f"{name}.json"
     save_detector(path, det)
     return path, json.loads(path.read_text())
+
+
+def saved_dt(tmp_path):
+    return saved_model(tmp_path, "dt")
 
 
 def refuse_version(version, tmp_path):
@@ -218,6 +222,10 @@ def test_version_3_model_file_is_refused(tmp_path):
     refuse_version(3, tmp_path)
 
 
+def test_version_4_model_file_is_refused(tmp_path):
+    refuse_version(4, tmp_path)
+
+
 @pytest.mark.parametrize("drop", ["kind", "payload", "params", "seed",
                                   "n_features", "state", "tree"])
 def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
@@ -226,6 +234,19 @@ def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
         obj.pop(drop, None)
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=repr(drop)):
+        load_detector(path)
+
+
+@pytest.mark.parametrize("part, value", [
+    ("payload", []), ("state", []), ("params", [1]), ("standardizer", "x"),
+])
+def test_model_file_part_not_an_object_is_an_io_error(part, value, tmp_path):
+    path, doc = saved_model(tmp_path, "knn")
+    for obj in (doc, doc["payload"], doc["payload"]["state"]):
+        if part in obj:
+            obj[part] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"model file .*: {part} is not an object"):
         load_detector(path)
 
 

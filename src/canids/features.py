@@ -14,10 +14,13 @@ len(batch) - len(unique ids) rows.
 
 from __future__ import annotations
 
-import itertools
+import io
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .canlog import RecordBatch
 from .errors import EmptyMatrix, IoError, NegativeInterval, WrongWidth
@@ -189,86 +192,334 @@ def fit_standardizer(m: FeatureMatrix) -> Standardizer:
 
 
 # --- feature CSV I/O ---------------------------------------------------------
+#
+# Both directions move rows as numpy byte blocks of at most _BLOCK_ROWS rows.
+# The writer renders a block as one row image from per-column text tables;
+# the reader scans a block of lines as bytes and sends any block holding a
+# line of another shape to np.loadtxt, the one judge of the grammar.
 
-def _column_text(col: np.ndarray, text) -> list[str]:
-    """text(v) for each entry v of col, calling text once per distinct bit
-    pattern, so -0.0 and 0.0 stay apart."""
-    bits = col.view(f"u{col.itemsize}")
-    keys = np.sort(bits)
+# Rows per block of write_features and read_features; bounds the
+# temporaries of both.
+_BLOCK_ROWS = 8192
+
+# Widest value field the reader's block scan parses; longer ones are judged.
+_FIELD_WIDTH = 24
+
+# Bit i (most significant first) of each byte value: the packbits code of
+# 8 two-valued columns picks column i's text by _BYTE_BITS[code, i].
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+
+# "0.0," and "1.0," as native uint32 words.
+_ZERO_WORD, _ONE_WORD = np.frombuffer(b"0.0,1.0,", np.uint32)
+
+# 256-entry byte classes of the block scan: 0 for [0-9.e+-], 1 for a
+# comma, 2 for any other byte.
+_BYTE_CLASS = np.full(256, 2, np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789.e+-", np.uint8)] = 0
+_BYTE_CLASS[ord(",")] = 1
+
+
+class _Segment(NamedTuple):
+    """Adjacent output columns rendered from one text table.
+
+    bits is one column's bit patterns (n,), or a packed run's (n, g): g
+    two-valued columns of one text width whose codes are np.packbits of
+    bits == keys, 8 columns per table lookup. A single column's code is its
+    pattern's index in keys. Row c of table is code c's text, separators
+    included; lengths gives each code's byte count when they differ."""
+
+    bits: np.ndarray
+    keys: np.ndarray
+    table: np.ndarray
+    lengths: np.ndarray | None
+
+    def codes(self, a: int, b: int) -> np.ndarray:
+        """(rows, groups) table rows of rows a..b."""
+        if self.bits.ndim == 1:
+            return np.searchsorted(self.keys, self.bits[a:b])[:, None]
+        packed = np.packbits(self.bits[a:b] == self.keys, axis=1)
+        return packed + 256 * np.arange(packed.shape[1])
+
+
+def _column_text(col: np.ndarray, text, sep: str) -> tuple[np.ndarray, list]:
+    """The sorted distinct bit patterns of col and text(v) + sep for each:
+    text runs once per pattern, so -0.0 and 0.0 stay apart."""
+    keys = np.sort(col.view(f"u{col.itemsize}"))
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
-    strings = [text(v) for v in keys.view(col.dtype).tolist()]
-    return np.array(strings, dtype=object)[np.searchsorted(keys, bits)].tolist()
+    return keys, [text(v) + sep for v in keys.view(col.dtype).tolist()]
+
+
+def _text_table(strings: list) -> np.ndarray:
+    """strings as the rows of a zero-padded uint8 table."""
+    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+
+
+def _segments(values: np.ndarray, labels: np.ndarray | None) -> list[_Segment]:
+    """The segments that render each row of values (and labels)."""
+    n_val = values.shape[1]
+    cols = [values[:, j] for j in range(n_val)]
+    texts = [repr] * n_val
+    if labels is not None:
+        cols.append(labels)
+        texts.append(lambda v: str(int(v)))
+    seps = [","] * (len(cols) - 1) + ["\n"]
+    keys, strings = zip(*map(_column_text, cols, texts, seps))
+    # the text width of a value column with at most two texts of one
+    # width, which may join a packed run; 0 for any other column
+    width = [len(t[0]) if j < n_val and len(t) <= 2 and len(t[0]) == len(t[-1])
+             else 0 for j, t in enumerate(strings)]
+    segments, j = [], 0
+    while j < len(cols):
+        stop = j
+        while stop < len(cols) and width[stop] and width[stop] == width[j]:
+            stop += 1
+        if stop - j >= 8:
+            stop -= (stop - j) % 8  # whole groups of 8; the rest run on
+        if stop == j:
+            lengths = np.fromiter(map(len, strings[j]), np.intp, len(strings[j]))
+            segments.append(_Segment(
+                cols[j].view(keys[j].dtype), keys[j], _text_table(strings[j]),
+                None if lengths.min() == lengths.max() else lengths))
+            j += 1
+            continue
+        g = min(stop - j, 8)
+        # pairs[k, i, c]: the text of column j + g * k + i for choice bit c
+        pairs = np.stack([_text_table([strings[i][0], strings[i][-1]])
+                          for i in range(j, stop)]).reshape(-1, g, 2, width[j])
+        table = pairs[:, np.arange(g), _BYTE_BITS[:, :g]]  # (groups, 256, g, w)
+        segments.append(_Segment(
+            values[:, j:stop].view(np.uint64),
+            np.array([keys[i][-1] for i in range(j, stop)]),
+            table.reshape(-1, g * width[j]), None))
+        j = stop
+    return segments
+
+
+def _render(segments: list[_Segment], a: int, b: int) -> np.ndarray:
+    """The text of rows a..b as bytes: each segment fills its part of a
+    row image, and one mask drops the padding of variable-width text."""
+    parts = [(seg, seg.codes(a, b)) for seg in segments]
+    widths = [codes.shape[1] * seg.table.shape[1] for seg, codes in parts]
+    image = np.empty((b - a, sum(widths)), np.uint8)
+    mask = None
+    off = 0
+    for (seg, codes), w in zip(parts, widths):
+        image[:, off:off + w] = np.take(seg.table, codes, axis=0).reshape(-1, w)
+        if seg.lengths is not None:
+            if mask is None:
+                mask = np.ones(image.shape, dtype=bool)
+            mask[:, off:off + w] = seg.lengths[codes] > np.arange(w)
+        off += w
+    return image if mask is None else image[mask]
 
 
 def write_features(path, m: FeatureMatrix) -> None:
-    """Numeric CSV with a header naming each column, written in bulk.
+    """Numeric CSV with a header naming each column, written in blocks.
 
     Each value is written as repr(float(v)), so it reads back bit-exactly
     and the bytes depend on the values alone; a trailing `label` column of
     integers is added when labels are present. repr runs once per distinct
-    value of a column, not once per value."""
+    value of a column, not once per value: each block of _BLOCK_ROWS rows
+    is rendered from per-column text tables into one byte image."""
     names = list(m.column_names())
     values = np.asarray(m.values, dtype=np.float64)
-    cols = [_column_text(values[:, j], repr) for j in range(m.n_cols)]
-    if m.labels is not None:
+    labels = None if m.labels is None else np.asarray(m.labels)
+    if labels is not None:
         names.append("label")
-        cols.append(_column_text(np.asarray(m.labels), lambda v: str(int(v))))
-    if cols:
-        # the newline rides on the last column, so each row is one join
-        cols[-1] = [s + "\n" for s in cols[-1]]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(map(",".join, zip(*cols)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        if not names or m.n_rows == 0:
+            return
+        segments = _segments(values, labels)
+        for a in range(0, m.n_rows, _BLOCK_ROWS):
+            fh.write(_render(segments, a, min(a + _BLOCK_ROWS, m.n_rows)))
 
 
-def read_features(path) -> FeatureMatrix:
-    """Feature CSV as write_features writes it, parsed in bulk by np.loadtxt;
-    values come back bit-identical to those written.
+def _text_lines(data: bytes, encoding: str = "utf-8") -> list[str]:
+    """data decoded and split into lines as a text-mode file reads it:
+    \\n, \\r\\n and a lone \\r each end a line, and read as \\n."""
+    return io.StringIO(data.decode(encoding), newline=None).readlines()
 
-    A header naming an unknown column raises WrongWidth. A malformed file
-    raises IoError naming it and the line: a blank line, a row whose field
-    count differs from the header's, a value that is not a float, a label
-    that is not the integer 0 or 1, or bytes that are not UTF-8."""
-    lineno = 1
 
-    def body(fh):
+def _scan_block(blk: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                values: np.ndarray, labels: np.ndarray | None) -> bool:
+    """Parse the lines blk[starts:ends] (zero bytes follow the last) into
+    values and labels, if every line is of canonical shape; else False.
+
+    A canonical line has the header's field count; each field is 0.0 or
+    1.0, or 1 to _FIELD_WIDTH bytes of [0-9.e+-] that parse as a float,
+    and the label is 0 or 1. Leading fields that are 0.0 or 1.0 on every
+    line are compared as 4-byte words, and the other values are parsed in
+    one astype(float64) of fixed-width byte strings, which parses as
+    float() does and so as np.loadtxt does on these bytes."""
+    rows, n_feat = values.shape
+    n_fields = n_feat + (labels is not None)
+    k = 0
+    if n_fields > 1:
+        words = sliding_window_view(blk, 4 * (n_fields - 1))[starts].view(
+            np.uint32)
+        one = words == _ONE_WORD
+        every = (one | (words == _ZERO_WORD)).all(axis=0)
+        k = n_fields - 1 if every.all() else int(np.argmin(every))
+        values[:, :k] = one[:, :k]
+
+    # the other fields, from the k-th on, as comma-separated byte runs
+    tail_start = starts + 4 * k
+    tail_len = ends - tail_start
+    n_tail = n_fields - k
+    width = int(tail_len.max())
+    if not 0 < width <= n_tail * (_FIELD_WIDTH + 1):
+        return False
+    inside = np.arange(width) < tail_len[:, None]
+    kind = _BYTE_CLASS[sliding_window_view(blk, width)[tail_start]]
+    comma = (kind == 1) & inside
+    if ((kind > 1) & inside).any() or (comma.sum(axis=1) != n_tail - 1).any():
+        return False
+    cut = np.nonzero(comma)[1].reshape(rows, n_tail - 1)
+    first = np.hstack([np.zeros((rows, 1), np.intp), cut + 1])
+    size = np.hstack([cut, tail_len[:, None]]) - first
+    first += tail_start[:, None]
+
+    n_val = n_feat - k
+    if labels is not None:
+        label = blk[first[:, -1]]
+        if ((size[:, -1] != 1) | ((label != ord("0")) & (label != ord("1")))).any():
+            return False
+        labels[:] = label == ord("1")
+    if n_val:
+        size = size[:, :n_val]
+        if ((size < 1) | (size > _FIELD_WIDTH)).any():
+            return False
+        text = (sliding_window_view(blk, _FIELD_WIDTH)[first[:, :n_val]]
+                * (np.arange(_FIELD_WIDTH) < size[..., None]))
+        try:
+            values[:, k:] = text.view(f"S{_FIELD_WIDTH}")[..., 0].astype(
+                np.float64)
+        except ValueError:
+            return False
+    return True
+
+
+def _judge(path, lines: list[str], lineno: int, row: int, fields) -> np.ndarray:
+    """np.loadtxt's table of lines, the first of which is line lineno of
+    the file and holds data row row; a malformed line raises IoError
+    naming it."""
+
+    def body():
         # loadtxt skips blank lines; refuse them instead. loadtxt pulls one
         # line per row it parses, so lineno names the failing line.
         nonlocal lineno
-        for lineno, line in enumerate(fh, 2):
+        for lineno, line in enumerate(lines, lineno):
             if line.isspace():
                 raise IoError(f"{path}: line {lineno} is blank")
             yield line
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            has_label = header[-1] == "label"
-            feat_names = header[:-1] if has_label else header
-            name_to_id = {name: i for i, name in enumerate(FEATURE_NAMES)}
-            try:
-                column_ids = tuple(name_to_id[name] for name in feat_names)
-            except KeyError as exc:
-                raise WrongWidth(
-                    f"{path}: unknown feature column {exc}") from None
-            # one record per row: the header fixes the field count, and the
-            # label parses as an integer, so "1.0" is refused
-            fields = [("values", np.float64, (len(column_ids),))]
-            if has_label:
-                fields.append(("label", np.int8))
-            lines = body(fh)
-            first = next(lines, None)  # loadtxt warns on an empty body
-            table = np.zeros(0, fields) if first is None else np.loadtxt(
-                itertools.chain([first], lines), dtype=fields, delimiter=",",
-                comments=None, ndmin=1)
-    except UnicodeDecodeError as exc:  # decoded by blocks: no line number
-        raise IoError(f"{path}: {exc}") from None
+        return np.loadtxt(body(), dtype=fields, delimiter=",",
+                          comments=None, ndmin=1)
     except ValueError as exc:
-        raise IoError(f"{path}: line {lineno}: {exc}") from None
-    values = np.ascontiguousarray(table["values"])
-    labels = table["label"].copy() if has_label else None
+        # loadtxt counts rows from the first of lines; count from the file's
+        message = re.sub(r"at row (\d+)",
+                         lambda mo: f"at row {int(mo.group(1)) + row}",
+                         str(exc), count=1)
+        raise IoError(f"{path}: line {lineno}: {message}") from None
+
+
+def _line_ends(fh) -> tuple[np.ndarray, int]:
+    """The file offsets of the line ends from fh's position to the end of
+    the file, and the number of lines there as _text_lines splits them.
+
+    A line ends at its \\n, or at the end of the file if it has none. The
+    file is read _BLOCK_ROWS * 64 bytes at a time; the offsets take 8 bytes
+    per line."""
+    found, at, lone_cr, last = [np.zeros(0, np.intp)], fh.tell(), 0, b""
+    while chunk := fh.read(64 * _BLOCK_ROWS):
+        found.append(np.flatnonzero(np.frombuffer(chunk, np.uint8)
+                                    == ord("\n")) + at)
+        if b"\r" in chunk:  # a lone \r ends a line too
+            lone_cr += chunk.count(b"\r") - chunk.count(b"\r\n")
+        lone_cr -= last == b"\r" and chunk[:1] == b"\n"  # \r\n across chunks
+        at += len(chunk)
+        last = chunk[-1:]
+    if last not in (b"", b"\n"):
+        found.append(np.array([at]))
+    ends = np.concatenate(found)
+    return ends, ends.size + lone_cr - (last == b"\r")
+
+
+def read_features(path) -> FeatureMatrix:
+    """Feature CSV as write_features writes it; values come back
+    bit-identical to those written.
+
+    The header may start with a UTF-8 byte order mark, and lines may end
+    in \\r\\n. The body is read as bytes, _BLOCK_ROWS lines at a time, into
+    a matrix sized by a first pass that counts the lines. A block whose
+    lines are all of canonical shape (see _scan_block) becomes columns
+    directly; any other block goes whole to np.loadtxt, which alone
+    decides what is valid and why not.
+
+    A header naming an unknown column raises WrongWidth. A malformed file
+    raises IoError naming it and the line: a blank line, a row whose field
+    count differs from the header's, a value that is not a float, a label
+    that is not the integer 0 or 1, or bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        try:
+            header, *extra = _text_lines(fh.readline(), "utf-8-sig") or [""]
+        except UnicodeDecodeError as exc:
+            raise IoError(f"{path}: {exc}") from None
+        header = header.rstrip("\n").split(",")
+        has_label = header[-1] == "label"
+        feat_names = header[:-1] if has_label else header
+        name_to_id = {name: i for i, name in enumerate(FEATURE_NAMES)}
+        try:
+            column_ids = tuple(name_to_id[name] for name in feat_names)
+        except KeyError as exc:
+            raise WrongWidth(f"{path}: unknown feature column {exc}") from None
+        # one record per row: the header fixes the field count, and the
+        # label parses as an integer, so "1.0" is refused
+        fields = [("values", np.float64, (len(column_ids),))]
+        if has_label:
+            fields.append(("label", np.int8))
+
+        start = fh.tell()
+        ends, n_rows = _line_ends(fh)  # every line is a row
+        fh.seek(start)
+        n_rows += len(extra)
+        values = np.empty((n_rows, len(column_ids)))
+        labels = np.empty(n_rows, np.int8) if has_label else None
+        row, lineno = 0, 2
+
+        def judge(lines):
+            nonlocal row, lineno
+            table = _judge(path, lines, lineno, row, fields)
+            values[row:row + table.size] = table["values"]
+            if has_label:
+                labels[row:row + table.size] = table["label"]
+            row += table.size
+            lineno += table.size
+
+        if extra:  # the header line held a lone \r
+            judge(extra)
+        # zero bytes after a block, so that no window of _scan_block leaves it
+        pad = len(header) * (_FIELD_WIDTH + 5)
+        for a in range(0, ends.size, _BLOCK_ROWS):
+            stops = ends[a:a + _BLOCK_ROWS] - start
+            blk = np.zeros(stops[-1] + 1 + pad, np.uint8)
+            size = fh.readinto(blk[:stops[-1] + 1])
+            n = stops.size
+            if _scan_block(blk, np.concatenate(([0], stops[:-1] + 1)), stops,
+                           values[row:row + n],
+                           None if labels is None else labels[row:row + n]):
+                row += n
+                lineno += n
+            else:
+                try:
+                    judge(_text_lines(blk[:size].tobytes()))
+                except UnicodeDecodeError as exc:  # no line number
+                    raise IoError(f"{path}: {exc}") from None
+            start += size
     if labels is not None:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:

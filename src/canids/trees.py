@@ -221,12 +221,15 @@ class _Presorted:
         return np.ascontiguousarray(self.X[:, feats[self.is_binary[feats]]],
                                     dtype=np.uint8)
 
-    def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None):
+    def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None,
+             leaves=None):
         """One tree on the ascending row indices rows, summing (a, b), or
         (a, row count) when b is None. Every node searches feats, or the
         sorted subset sample() draws from feats. The 0/1 candidates' rows
         come from block, which holds exactly the 0/1 columns of feats, or
-        from X per node when block is None."""
+        from X per node when block is None. If leaves is given, leaves[i]
+        is set to the value of the leaf that row i of rows reaches, the
+        value FlatTree.route gives it."""
         X, mask = self.X, self.mask
         member = np.zeros(X.shape[0], dtype=bool)
         member[rows] = True
@@ -236,11 +239,14 @@ class _Presorted:
             S1 = float(a[idx].sum())
             S2 = float(idx.size) if b is None else float(b[idx].sum())
             leaf = TreeNode(value=crit.leaf(S1, S2))
-            if depth >= max_depth or crit.is_final(S1, S2, idx.size):
-                return leaf
-            cand = feats if sample is None else sample()
-            split = self._best_split(crit, a, b, idx, orders, cand, block, S1, S2)
+            split = None
+            if depth < max_depth and not crit.is_final(S1, S2, idx.size):
+                cand = feats if sample is None else sample()
+                split = self._best_split(crit, a, b, idx, orders, cand, block,
+                                         S1, S2)
             if split is None:
+                if leaves is not None:
+                    leaves[idx] = leaf.value
                 return leaf
             f, thr, gain = split
             go_left = X[idx, f] <= thr
@@ -559,6 +565,7 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.rounds)
     all_feats = np.arange(n_features)
     full_block = None if cfg.colsample < 1.0 else data.block(all_feats)
+    leaves = np.empty(n)  # each row's leaf value in the round's tree
 
     for r in range(cfg.rounds):
         rng = np.random.default_rng(streams[r])
@@ -576,9 +583,14 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
         else:
             candidates = all_feats
         block = data.block(candidates) if full_block is None else full_block
-        tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block)
+        tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block,
+                         leaves=leaves)
         model.trees.append(tree)
-        margin += cfg.learning_rate * FlatTree.from_node(tree).route(X)
+        if rows.size < n:  # rows the tree was not grown on
+            out = np.ones(n, dtype=bool)
+            out[rows] = False
+            leaves[out] = FlatTree.from_node(tree).route(X[out])
+        margin += cfg.learning_rate * leaves
         model.loss_trace.append(_log_loss(margin, y))
     return model
 

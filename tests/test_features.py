@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from canids import features
 from canids.canlog import CanRecord, Label, RecordBatch, clean
 from canids.errors import (
     DlcMismatch,
@@ -517,6 +521,154 @@ def test_malformed_feature_csv_is_an_io_error(case, tmp_path):
     with pytest.raises(IoError, match=where) as info:
         read_features(path)
     assert str(path) in str(info.value)
+
+
+# The grammar read_features accepts beyond what write_features writes. A
+# fast path must leave these to np.loadtxt: float("8_0") == 80.0, so a
+# value holding "_", a space or "x" must never reach a float() parse.
+ACCEPTED = {
+    "crlf line ends": (b"dlc,can_id,interval,label\r\n8.0,496.0,0.01,0\r\n"
+                       b"2.0,7.0,0.5,1\r\n", [[8.0, 496.0, 0.01], [2.0, 7.0, 0.5]],
+                       [0, 1]),
+    "no final newline": (b"dlc,can_id,interval,label\n8.0,496.0,0.01,0\n"
+                         b"2.0,7.0,0.5,1", [[8.0, 496.0, 0.01], [2.0, 7.0, 0.5]],
+                         [0, 1]),
+    "leading space": (b"dlc,can_id,interval,label\n 8.0,496.0,0.01,0\n",
+                      [[8.0, 496.0, 0.01]], [0]),
+    "label +1": (b"dlc,can_id,interval,label\n8.0,496.0,0.01,+1\n",
+                 [[8.0, 496.0, 0.01]], [1]),
+    "nan and -inf": (b"dlc,can_id,interval,label\nnan,-inf,0.01,0\n",
+                     [[np.nan, -np.inf, 0.01]], [0]),
+    "header only": (b"dlc,can_id,interval,label\n", np.zeros((0, 3)), []),
+    # text mode ends a line at a lone \r too
+    "lone cr line ends": (b"dlc,can_id,interval,label\r8.0,496.0,0.01,0\r"
+                          b"2.0,7.0,0.5,1\r", [[8.0, 496.0, 0.01], [2.0, 7.0, 0.5]],
+                          [0, 1]),
+    "lone cr in the body": (b"dlc,can_id,interval,label\n8.0,496.0,0.01,0\r"
+                            b"2.0,7.0,0.5,1\n", [[8.0, 496.0, 0.01], [2.0, 7.0, 0.5]],
+                            [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_feature_csv_grammar_accepts(case, tmp_path):
+    text, values, labels = ACCEPTED[case]
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text)
+    m = read_features(path)
+    want = np.array(values, dtype=np.float64).reshape(-1, 3)
+    assert m.column_ids == (COL_DLC, COL_CAN_ID, COL_INTERVAL)
+    assert m.values.shape == want.shape
+    assert m.values.tobytes() == want.tobytes()
+    assert m.labels.dtype == np.int8 and m.labels.tolist() == labels
+
+
+REFUSED = {
+    "underscore digit": (b"8_0,496.0,0.01,0\n", "line 3"),
+    "hex float": (b"0x1p3,496.0,0.01,0\n", "line 3"),
+    "trailing blank line": (b"\n", "line 3 is blank"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_feature_csv_grammar_refuses(case, tmp_path):
+    bad, where = REFUSED[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"dlc,can_id,interval,label\n8.0,496.0,0.01,0\n" + bad)
+    with pytest.raises(IoError, match=where) as info:
+        read_features(path)
+    assert str(path) in str(info.value)
+
+
+def test_feature_csv_with_utf8_bom_reads_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_features(plain, extract(generate_normal(default_profile(), 0.5, 1)))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read_features(plain), read_features(bom)
+    assert got.column_ids == want.column_ids
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+# --- feature CSV blocks -----------------------------------------------------------
+
+BLOCK_SIZES = (1, 7, features._BLOCK_ROWS)
+
+
+@pytest.fixture(scope="module")
+def blocks_matrix(tmp_path_factory):
+    """An extracted matrix that spans two default blocks, and the bytes
+    and read-back the per-value oracles give for it."""
+    m = extract(generate_normal(default_profile(), 12.0, 4))
+    assert m.n_rows > features._BLOCK_ROWS
+    path = tmp_path_factory.mktemp("blocks") / "want.csv"
+    ref_write_features(path, m)
+    return m, path.read_bytes(), ref_read_features(path)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_feature_csv_is_block_invariant(block, blocks_matrix, tmp_path):
+    m, want_bytes, want = blocks_matrix
+    path = tmp_path / "got.csv"
+    with mock.patch.object(features, "_BLOCK_ROWS", block):
+        write_features(path, m)
+        assert path.read_bytes() == want_bytes
+        back = read_features(path)
+    assert back.values.tobytes() == want.values.tobytes() == m.values.tobytes()
+    assert back.labels.tobytes() == want.labels.tobytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(feature_matrices(), st.sampled_from(BLOCK_SIZES))
+def test_feature_csv_block_invariant_on_drawn_matrices(tmp_path, m, block):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    ref_write_features(want, m)
+    ref = ref_read_features(want)
+    with mock.patch.object(features, "_BLOCK_ROWS", block):
+        write_features(got, m)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_features(got)
+    assert back.values.tobytes() == ref.values.tobytes()
+    assert (back.labels is None) == (ref.labels is None)
+    if ref.labels is not None:
+        assert back.labels.tobytes() == ref.labels.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(REFUSED))
+def test_malformed_line_in_third_block_names_its_line(case, tmp_path):
+    bad = MALFORMED[case][0] if case in MALFORMED else REFUSED[case][0].decode()
+    good = "8.0,496.0,0.01,0\n"
+    path = tmp_path / "bad.csv"
+    # line 1 is the header, so line 18 lies in the third block of 7 lines
+    path.write_text("dlc,can_id,interval,label\n" + good * 16 + bad + good * 3)
+    messages = []
+    for block in (7, features._BLOCK_ROWS):
+        with mock.patch.object(features, "_BLOCK_ROWS", block):
+            with pytest.raises(IoError, match="line 18") as info:
+                read_features(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_feature_csv_io_memory_is_bounded(tmp_path):
+    # 85 k rows, as in the benchmark's ingest
+    m = extract(benchmark_batch(seed=5, horizon=100.0))
+    path = tmp_path / "features.csv"
+    tracemalloc.start()
+    try:
+        write_features(path, m)
+        back = read_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == m.values.tobytes()
+    file_bytes = path.stat().st_size
+    # the matrix read back; the texts of distinct values and the line
+    # offsets, each smaller than the file; and what one block holds
+    block_budget = 8 * features._BLOCK_ROWS * file_bytes // m.n_rows
+    assert m.n_rows > 80_000
+    assert peak <= m.values.nbytes + file_bytes + block_budget
 
 
 def test_non_utf8_feature_csv_is_an_io_error(tmp_path):

@@ -31,6 +31,7 @@ from canids.trees import (
     fit_random_forest,
     tree_max_depth,
 )
+from canids.trees import _log_loss
 
 
 # --- exact-rational CART oracle ------------------------------------------------
@@ -748,3 +749,13 @@ def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
     cfg = BoostConfig(rounds, 0.3, depth, lam, gamma, weight, subsample,
                       colsample, 0.5, seed)
     assert _dicts(fit_gbt(X, y, cfg).trees) == _dicts(ref_fit_gbt(X, y, cfg))
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+def test_gbt_loss_trace_ends_at_the_model_margins(subsample):
+    # the fit adds the leaf values the grower recorded and routes only the
+    # rows a round did not sample; margins() routes every row of every tree
+    X, y = _frames_like()
+    model = fit_gbt(X, y, BoostConfig(rounds=12, max_depth=4,
+                                      subsample=subsample, seed=4))
+    assert model.loss_trace[-1] == _log_loss(model.margins(X), y)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .errors import (
 )
 from .metrics import confusion, f1
 from .model_io import decode_array, decode_float, encode_array, encode_float
+
+if TYPE_CHECKING:
+    from .detectors import DaeDetector
 
 
 def _identity(z):
@@ -185,26 +189,6 @@ def reconstruction_losses(net: AutoencoderNet, X) -> np.ndarray:
     return np.mean((arr - recon) ** 2, axis=1)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"  # or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-
-
 def _grads(net: AutoencoderNet, X: np.ndarray):
     """Mean-loss gradients for every layer: L = mean over batch and
     coordinates of squared reconstruction error."""
@@ -221,37 +205,44 @@ def _grads(net: AutoencoderNet, X: np.ndarray):
     return loss, grads
 
 
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class _Adam:
-    def __init__(self, cfg: TrainConfig, layers: list[DenseLayer]):
-        self.cfg = cfg
+    def __init__(self, learning_rate: float, layers: list[DenseLayer]):
+        self.learning_rate = learning_rate
         self.t = 0
         self.m = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
         self.v = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
 
     def step(self, layers: list[DenseLayer], grads) -> None:
-        c = self.cfg
+        lr = self.learning_rate
         self.t += 1
-        corr1 = 1.0 - c.beta1 ** self.t
-        corr2 = 1.0 - c.beta2 ** self.t
+        corr1 = 1.0 - _BETA1 ** self.t
+        corr2 = 1.0 - _BETA2 ** self.t
         for i, (layer, (gW, gb)) in enumerate(zip(layers, grads)):
             mW, mb = self.m[i]
             vW, vb = self.v[i]
-            mW *= c.beta1
-            mW += (1 - c.beta1) * gW
-            mb *= c.beta1
-            mb += (1 - c.beta1) * gb
-            vW *= c.beta2
-            vW += (1 - c.beta2) * gW ** 2
-            vb *= c.beta2
-            vb += (1 - c.beta2) * gb ** 2
-            layer.weights -= c.learning_rate * (mW / corr1) / (np.sqrt(vW / corr2) + c.eps)
-            layer.bias -= c.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + c.eps)
+            mW *= _BETA1
+            mW += (1 - _BETA1) * gW
+            mb *= _BETA1
+            mb += (1 - _BETA1) * gb
+            vW *= _BETA2
+            vW += (1 - _BETA2) * gW ** 2
+            vb *= _BETA2
+            vb += (1 - _BETA2) * gb ** 2
+            layer.weights -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + _EPS)
+            layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + _EPS)
 
 
 def train(
-    net: AutoencoderNet, X_normal, cfg: TrainConfig
+    net: AutoencoderNet, X_normal, det: DaeDetector
 ) -> tuple[AutoencoderNet, list[float]]:
-    """Mini-batch gradient descent on mean reconstruction loss.
+    """Mini-batch gradient descent on mean reconstruction loss, with det's
+    epochs, batch_size, learning_rate, optimizer ("adam" or "sgd") and seed.
 
     X_normal must contain normal rows only; a labeled FeatureMatrix with
     any anomaly row is rejected. Returns (net, per-epoch loss trace) where
@@ -265,26 +256,27 @@ def train(
                                  dtype=np.float64))
     if X.shape[0] == 0:
         raise EmptyData("cannot train on zero rows")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    optimizer = _Adam(cfg, net.layers) if cfg.optimizer == "adam" else None
+    rng = np.random.default_rng(np.random.SeedSequence(det.seed))
+    optimizer = (_Adam(det.learning_rate, net.layers)
+                 if det.optimizer == "adam" else None)
     trace: list[float] = []
     n = X.shape[0]
     # overflow during a diverging run is expected and surfaces as
     # DivergedTraining, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
+        for _ in range(det.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                batch = X[order[start:start + cfg.batch_size]]
+            for start in range(0, n, det.batch_size):
+                batch = X[order[start:start + det.batch_size]]
                 loss, grads = _grads(net, batch)
                 epoch_loss += loss * batch.shape[0]
                 if optimizer is not None:
                     optimizer.step(net.layers, grads)
                 else:
                     for layer, (gW, gb) in zip(net.layers, grads):
-                        layer.weights -= cfg.learning_rate * gW
-                        layer.bias -= cfg.learning_rate * gb
+                        layer.weights -= det.learning_rate * gW
+                        layer.bias -= det.learning_rate * gb
             epoch_loss /= n
             if not math.isfinite(epoch_loss):
                 raise DivergedTraining(f"loss became {epoch_loss}")

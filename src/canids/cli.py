@@ -66,8 +66,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("parse", help="validate a CAN log and report stats")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", default="challenge-csv",
-                   choices=["challenge-csv"])
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=_cmd_parse)
 

@@ -213,11 +213,11 @@ def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
 
 @dataclass
 class IsoForestModel:
-    n_trees: int
     subsample: int
-    seed: int
     trees: list[FlatTree] = field(default_factory=list)
-    _norm: float = 1.0  # c(subsample)
+
+    def __post_init__(self):
+        self._norm = float(average_path_length(self.subsample))  # c(psi)
 
     def mean_path_length(self, X) -> np.ndarray:
         if not self.trees:
@@ -229,20 +229,14 @@ class IsoForestModel:
         return acc / len(self.trees)
 
     def to_payload(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "subsample": self.subsample,
-            "seed": self.seed,
-            "trees": [t.to_payload() for t in self.trees],
-        }
+        return {"subsample": self.subsample,
+                "trees": [t.to_payload() for t in self.trees]}
 
     @classmethod
     def from_payload(cls, payload: dict, width: int) -> "IsoForestModel":
         """The model to_payload wrote; see FlatTree.from_payload."""
-        model = cls(payload["n_trees"], payload["subsample"], payload["seed"],
-                    [FlatTree.from_payload(t, width) for t in payload["trees"]])
-        model._norm = float(average_path_length(model.subsample))
-        return model
+        return cls(payload["subsample"],
+                   [FlatTree.from_payload(t, width) for t in payload["trees"]])
 
 
 def fit_isolation_forest(
@@ -259,8 +253,7 @@ def fit_isolation_forest(
     if subsample < 2 or subsample > n:
         raise BadSubsample(f"subsample {subsample} invalid for {n} rows")
     height_limit = math.ceil(math.log2(subsample))
-    model = IsoForestModel(n_trees, subsample, seed)
-    model._norm = float(average_path_length(subsample))
+    model = IsoForestModel(subsample)
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=subsample, replace=False)

@@ -6,10 +6,11 @@ predict thresholds it. Models that mix units (knn, lof, rc, dae) fit a
 standardizer on their training rows; tree models consume raw features.
 
 Each detector is a dataclass whose init fields are its constructor
-keywords. make_detector, params() and the model file all read that one
-declaration: a model file holds the params, the seed, the fitted width and
-the fitted state, and load_detector rebuilds the detector through
-make_detector before it restores the state.
+keywords. make_detector, params(), the fit and the model file all read that
+one declaration, and one _check_params per detector refuses bad values, at
+construction and again at fit. A model file holds the params, the seed, the
+fitted width and the fitted state, and load_detector rebuilds the detector
+through make_detector before it restores the state.
 
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
 factories; register_detector() lets tests add stubs.
@@ -51,9 +52,7 @@ from .model_io import (
 )
 from .neighbors import LocalOutlierFactor, NeighborIndex
 from .trees import (
-    BoostConfig,
     FlatTree,
-    ForestConfig,
     GbtModel,
     RandomForest,
     TreeNode,
@@ -105,11 +104,18 @@ class Detector:
     seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
+        self._check_params()
         self.fitted = False
         self.n_features = 0
         self.standardizer: Standardizer | None = None
 
+    def _check_params(self) -> None:
+        """ConfigError for a param value the detector refuses; run when the
+        detector is made and again by fit, so a field set later is checked
+        too."""
+
     def fit(self, train: FeatureMatrix, val: FeatureMatrix | None = None):
+        self._check_params()
         if train.n_rows == 0:
             raise EmptyData(f"{self.name}: empty training matrix")
         self.n_features = train.n_cols
@@ -237,15 +243,15 @@ class RandomForestDetector(Detector):
     cutoff: float = 0.5
     model: RandomForest | None = _fitted()
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.config = ForestConfig(self.n_trees, self.max_depth,
-                                   self.features_per_split,
-                                   self.bootstrap_fraction, self.seed)
+    def _check_params(self):
+        if self.n_trees < 1:
+            raise ConfigError("n_trees must be >= 1")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ConfigError("features_per_split must be >= 1 or None")
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.model = fit_random_forest(train.values, y, self.config)
+        self.model = fit_random_forest(train.values, y, self)
 
     def _score(self, X):
         return self.model.predict_proba(X)
@@ -257,7 +263,7 @@ class RandomForestDetector(Detector):
         return {"model": self.model.to_payload()}
 
     def _restore(self, state):
-        self.model = RandomForest.from_payload(state["model"], self.config)
+        self.model = RandomForest.from_payload(state["model"], self.n_features)
 
 
 @dataclass(eq=False)
@@ -277,16 +283,19 @@ class GbtDetector(Detector):
     cutoff: float = 0.5
     model: GbtModel | None = _fitted()
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.config = BoostConfig(self.rounds, self.learning_rate,
-                                  self.max_depth, self.lam, self.gamma_split,
-                                  self.min_child_weight, self.subsample,
-                                  self.colsample, self.base_score, self.seed)
+    def _check_params(self):
+        if self.rounds < 1:
+            raise ConfigError("rounds must be >= 1")
+        if not 0 < self.learning_rate <= 1:
+            raise ConfigError("learning_rate must lie in (0, 1]")
+        if self.lam < 0 or self.gamma_split < 0:
+            raise ConfigError("lam and gamma_split must be >= 0")
+        if not 0 < self.base_score < 1:
+            raise ConfigError("base_score must lie in (0, 1)")
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.model = fit_gbt(train.values, y, self.config)
+        self.model = fit_gbt(train.values, y, self)
 
     def _score(self, X):
         return self.model.predict_proba(X)
@@ -302,7 +311,8 @@ class GbtDetector(Detector):
         return {"model": self.model.to_payload()}
 
     def _restore(self, state):
-        self.model = GbtModel.from_payload(state["model"], self.config)
+        self.model = GbtModel.from_payload(state["model"], self.n_features,
+                                           self.learning_rate)
 
 
 @dataclass(eq=False)
@@ -431,18 +441,21 @@ class DaeDetector(Detector):
     def __post_init__(self):
         super().__post_init__()
         self.hidden = tuple(self.hidden)
-        self.train_config = ae.TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, optimizer=self.optimizer,
-            seed=self.seed,
-        )
+
+    def _check_params(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.learning_rate < 0:
+            raise ConfigError("learning rate must be >= 0")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
     def _fit(self, train, val=None):
         self.net = ae.make_autoencoder(
             train.n_cols, self.hidden, self.bottleneck, seed=self.seed
         )
         # train rejects anomaly-labeled rows
-        self.net, self.loss_trace = ae.train(self.net, train, self.train_config)
+        self.net, self.loss_trace = ae.train(self.net, train, self)
         val_usable = (
             val is not None and val.labels is not None
             and np.any(np.asarray(val.labels) == 1)

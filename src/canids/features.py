@@ -166,17 +166,13 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, m: FeatureMatrix) -> FeatureMatrix:
-        if m.n_cols != self.mean.size:
-            raise WrongWidth(
-                f"matrix has {m.n_cols} columns, standardizer {self.mean.size}"
-            )
-        return FeatureMatrix(
-            (m.values - self.mean) / self.std, m.labels, m.column_ids, m.row_index
-        )
+        return FeatureMatrix(self.transform(m.values), m.labels, m.column_ids,
+                             m.row_index)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         if values.shape[-1] != self.mean.size:
-            raise WrongWidth("value width differs from standardizer width")
+            raise WrongWidth(f"{values.shape[-1]} columns, "
+                             f"standardizer {self.mean.size}")
         return (values - self.mean) / self.std
 
 

@@ -32,13 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autoencoder import sigmoid
-from .errors import (ConfigError, EmptyData, IoError, NonBinaryLabels,
-                     UnfitModel, WrongWidth)
+from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel, WrongWidth
 from .model_io import decode_array, decode_float, encode_array, encode_float
+
+if TYPE_CHECKING:
+    from .detectors import GbtDetector, RandomForestDetector
 
 
 @dataclass
@@ -88,43 +91,6 @@ class TreeNode:
             left=cls.from_dict(obj["left"], width),
             right=cls.from_dict(obj["right"], width),
         )
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 100
-    max_depth: int = 12
-    features_per_split: int | None = None  # None: round(sqrt(n_features))
-    bootstrap_fraction: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ConfigError("features_per_split must be >= 1 or None")
-
-
-@dataclass(frozen=True)
-class BoostConfig:
-    rounds: int = 200
-    learning_rate: float = 0.3
-    max_depth: int = 6
-    lam: float = 1.0          # leaf L2 penalty
-    gamma_split: float = 0.0  # minimum gain to accept a split
-    min_child_weight: float = 1.0
-    subsample: float = 1.0
-    colsample: float = 1.0
-    base_score: float = 0.5   # prior anomaly probability
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if not 0 < self.learning_rate <= 1:
-            raise ConfigError("learning_rate must lie in (0, 1]")
-        if self.lam < 0 or self.gamma_split < 0:
-            raise ConfigError("lam and gamma_split must be >= 0")
 
 
 def _as_array(X) -> np.ndarray:
@@ -187,21 +153,22 @@ class _Newton:
     0.5*(GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)) - gamma_split and
     each side needs a hessian sum of at least min_child_weight."""
 
-    def __init__(self, cfg: BoostConfig):
-        self.cfg = cfg
-        self.min_weight = cfg.min_child_weight
+    def __init__(self, det: GbtDetector):
+        self.lam = det.lam
+        self.gamma_split = det.gamma_split
+        self.min_weight = det.min_child_weight
 
     def leaf(self, G, H):
-        return -G / (H + self.cfg.lam) if H + self.cfg.lam > 0 else 0.0
+        return -G / (H + self.lam) if H + self.lam > 0 else 0.0
 
     def is_final(self, G, H, rows):
         return rows < 2
 
     def gains(self, G, H, GL, HL, GR, HR):
-        lam = self.cfg.lam
+        lam = self.lam
         parent = _gh_score(np.float64(G), np.float64(H), lam)
         return (0.5 * (_gh_score(GL, HL, lam) + _gh_score(GR, HR, lam) - parent)
-                - self.cfg.gamma_split)
+                - self.gamma_split)
 
 
 class _Presorted:
@@ -443,7 +410,6 @@ def tree_max_depth(node: TreeNode) -> int:
 
 @dataclass
 class RandomForest:
-    config: ForestConfig
     trees: list[TreeNode] = field(default_factory=list)
     n_features: int = 0
 
@@ -457,35 +423,36 @@ class RandomForest:
         return acc / len(self.trees)
 
     def to_payload(self) -> dict:
-        return {"n_features": self.n_features,
-                "trees": [t.to_dict() for t in self.trees]}
+        return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
-    def from_payload(cls, payload: dict, config: ForestConfig) -> "RandomForest":
-        width = payload["n_features"]
-        return cls(config, [TreeNode.from_dict(t, width)
-                            for t in payload["trees"]], width)
+    def from_payload(cls, payload: dict, width: int) -> "RandomForest":
+        """The forest to_payload wrote, fitted on width columns; see
+        TreeNode.from_dict."""
+        return cls([TreeNode.from_dict(t, width) for t in payload["trees"]],
+                   width)
 
 
-def fit_random_forest(X, y, cfg: ForestConfig) -> RandomForest:
-    """Bagged CARTs: each tree sees a bootstrap resample and samples
-    features_per_split candidate features at every node."""
+def fit_random_forest(X, y, det: RandomForestDetector) -> RandomForest:
+    """Bagged CARTs grown with det's n_trees, max_depth, features_per_split,
+    bootstrap_fraction and seed: each tree sees a bootstrap resample and
+    samples features_per_split candidate features at every node."""
     X = _as_array(X)
     y = np.asarray(y)
     if X.size == 0:
         raise EmptyData("cannot fit a forest on zero rows")
     n = X.shape[0]
-    k = cfg.features_per_split
+    k = det.features_per_split
     if k is None:
         k = max(1, round(math.sqrt(X.shape[1])))
-    sample_size = max(1, round(cfg.bootstrap_fraction * n))
-    model = RandomForest(cfg, n_features=X.shape[1])
-    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+    sample_size = max(1, round(det.bootstrap_fraction * n))
+    model = RandomForest(n_features=X.shape[1])
+    for stream in np.random.SeedSequence(det.seed).spawn(det.n_trees):
         rng = np.random.default_rng(stream)
         rows = rng.integers(0, n, size=sample_size)
         tree = fit_cart(
             X[rows], y[rows],
-            max_depth=cfg.max_depth,
+            max_depth=det.max_depth,
             min_samples_leaf=1,
             rng=rng,
             features_per_split=min(k, X.shape[1]),
@@ -502,7 +469,7 @@ def _log_loss(margin: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class GbtModel:
-    config: BoostConfig
+    learning_rate: float
     trees: list[TreeNode] = field(default_factory=list)
     n_features: int = 0
     base_margin: float = 0.0
@@ -512,7 +479,7 @@ class GbtModel:
         arr = _checked_width(X, self.n_features)
         m = np.full(arr.shape[0], self.base_margin)
         for tree in self.trees:
-            m += self.config.learning_rate * FlatTree.from_node(tree).route(arr)
+            m += self.learning_rate * FlatTree.from_node(tree).route(arr)
         return m
 
     def predict_proba(self, X) -> np.ndarray:
@@ -520,17 +487,18 @@ class GbtModel:
 
     def to_payload(self) -> dict:
         return {
-            "n_features": self.n_features,
             "base_margin": encode_float(self.base_margin),
             "loss_trace": [encode_float(v) for v in self.loss_trace],
             "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, config: BoostConfig) -> "GbtModel":
-        width = payload["n_features"]
+    def from_payload(cls, payload: dict, width: int,
+                     learning_rate: float) -> "GbtModel":
+        """The model to_payload wrote, fitted on width columns; see
+        TreeNode.from_dict."""
         return cls(
-            config,
+            learning_rate,
             [TreeNode.from_dict(t, width) for t in payload["trees"]],
             width,
             decode_float(payload["base_margin"]),
@@ -538,8 +506,9 @@ class GbtModel:
         )
 
 
-def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
-    """Additive logistic-loss boosting with second-order split gains.
+def fit_gbt(X, y, det: GbtDetector) -> GbtModel:
+    """Additive logistic-loss boosting with second-order split gains, grown
+    with det's params (rounds, learning_rate, max_depth, lam, ..., seed).
 
     Per round: gradients g = p - y and hessians h = p(1-p) at the current
     margins; one tree grown on (g, h); leaf weights -G/(H+lam) added to the
@@ -552,45 +521,44 @@ def fit_gbt(X, y, cfg: BoostConfig) -> GbtModel:
         raise EmptyData("cannot fit gbt on zero rows")
     if not np.all((y == 0) | (y == 1)):
         raise NonBinaryLabels("gbt labels must be 0/1")
-    if not 0 < cfg.base_score < 1:
-        raise ConfigError("base_score must lie in (0, 1)")
 
     n, n_features = X.shape
     data = _Presorted(X)
-    crit = _Newton(cfg)
-    base_margin = math.log(cfg.base_score / (1.0 - cfg.base_score))
+    crit = _Newton(det)
+    base_margin = math.log(det.base_score / (1.0 - det.base_score))
     margin = np.full(n, base_margin)
-    model = GbtModel(cfg, n_features=n_features, base_margin=base_margin)
+    model = GbtModel(det.learning_rate, n_features=n_features,
+                     base_margin=base_margin)
     model.loss_trace.append(_log_loss(margin, y))
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.rounds)
+    streams = np.random.SeedSequence(det.seed).spawn(det.rounds)
     all_feats = np.arange(n_features)
-    full_block = None if cfg.colsample < 1.0 else data.block(all_feats)
+    full_block = None if det.colsample < 1.0 else data.block(all_feats)
     leaves = np.empty(n)  # each row's leaf value in the round's tree
 
-    for r in range(cfg.rounds):
+    for r in range(det.rounds):
         rng = np.random.default_rng(streams[r])
         p = sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        if cfg.subsample < 1.0:
-            m = max(1, round(cfg.subsample * n))
+        if det.subsample < 1.0:
+            m = max(1, round(det.subsample * n))
             rows = np.sort(rng.choice(n, size=m, replace=False))
         else:
             rows = np.arange(n)
-        if cfg.colsample < 1.0:
-            k = max(1, round(cfg.colsample * n_features))
+        if det.colsample < 1.0:
+            k = max(1, round(det.colsample * n_features))
             candidates = np.sort(rng.choice(all_feats, size=k, replace=False))
         else:
             candidates = all_feats
         block = data.block(candidates) if full_block is None else full_block
-        tree = data.grow(crit, g, h, rows, candidates, cfg.max_depth, block,
+        tree = data.grow(crit, g, h, rows, candidates, det.max_depth, block,
                          leaves=leaves)
         model.trees.append(tree)
         if rows.size < n:  # rows the tree was not grown on
             out = np.ones(n, dtype=bool)
             out[rows] = False
             leaves[out] = FlatTree.from_node(tree).route(X[out])
-        margin += cfg.learning_rate * leaves
+        margin += det.learning_rate * leaves
         model.loss_trace.append(_log_loss(margin, y))
     return model
 

@@ -18,6 +18,7 @@ from canids.autoencoder import _grads, make_autoencoder
 from canids.detectors import (
     SEMI_SUPERVISED_MODELS,
     SUPERVISED_MODELS,
+    GbtDetector,
     derive_seed,
     make_detector,
 )
@@ -30,7 +31,7 @@ from canids.harness import (
     run_comparison,
 )
 from canids.metrics import ConfusionCounts, ScoredLabels, roc_auc
-from canids.trees import BoostConfig, fit_cart, fit_gbt
+from canids.trees import fit_cart, fit_gbt
 
 from test_metrics import brute_force_auc
 from test_trees import exhaustive_best_split
@@ -187,7 +188,7 @@ def test_criterion_4_cart_split_oracle():
 def test_criterion_5_gbt_closed_forms_and_training():
     started = time.perf_counter()
     # balanced labels, single leaf: sum of gradients is zero -> weight 0
-    cfg = BoostConfig(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
+    cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
     model = fit_gbt(np.zeros((12, 1)), np.array([0, 1] * 6), cfg)
     assert model.trees[0].value == 0.0
@@ -199,7 +200,7 @@ def test_criterion_5_gbt_closed_forms_and_training():
     X = np.concatenate([rng.normal((-2, -2), 0.6, size=(100, 2)),
                         rng.normal((2, 2), 0.6, size=(100, 2))])
     y = np.array([0] * 100 + [1] * 100)
-    model = fit_gbt(X, y, BoostConfig(rounds=200, max_depth=3,
+    model = fit_gbt(X, y, GbtDetector(rounds=200, max_depth=3,
                                       learning_rate=0.3, lam=1.0, seed=0))
     trace = np.array(model.loss_trace)
     assert np.all(np.diff(trace) <= 1e-12), "training loss increased"

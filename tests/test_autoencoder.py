@@ -7,7 +7,6 @@ from canids.autoencoder import (
     AutoencoderNet,
     DenseLayer,
     ThresholdConfig,
-    TrainConfig,
     _grads,
     compute_threshold,
     fine_tune_threshold,
@@ -166,7 +165,7 @@ def test_train_zero_learning_rate_keeps_parameters():
     X = rng.normal(size=(16, 4))
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=0)
     before = copy.deepcopy(net.layers)
-    cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.0,
+    cfg = DaeDetector(epochs=1, batch_size=4, learning_rate=0.0,
                       optimizer="sgd", seed=0)
     initial = float(np.mean(reconstruction_losses(net, X)))
     _, trace = train(net, X, cfg)
@@ -180,7 +179,7 @@ def test_train_reduces_loss_on_tiny_net():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 4))
     net = make_autoencoder(4, hidden=(), bottleneck=2, seed=3)
-    cfg = TrainConfig(epochs=200, batch_size=20, learning_rate=5e-3, seed=1)
+    cfg = DaeDetector(epochs=200, batch_size=20, learning_rate=5e-3, seed=1)
     _, trace = train(net, X, cfg)
     assert trace[-1] < trace[0]
 
@@ -207,7 +206,7 @@ def test_identity_initialization_is_fixed_point():
     )
     rng = np.random.default_rng(4)
     X = rng.normal(size=(12, 4))
-    cfg = TrainConfig(epochs=5, batch_size=4, learning_rate=0.5,
+    cfg = DaeDetector(epochs=5, batch_size=4, learning_rate=0.5,
                       optimizer="sgd", seed=0)
     _, trace = train(net, X, cfg)
     assert all(t == 0.0 for t in trace)
@@ -220,7 +219,7 @@ def test_training_bit_reproducible():
 
     def run():
         net = make_autoencoder(6, hidden=(4,), bottleneck=2, seed=9)
-        _, trace = train(net, X, TrainConfig(epochs=5, batch_size=8, seed=9))
+        _, trace = train(net, X, DaeDetector(epochs=5, batch_size=8, seed=9))
         return net, trace
 
     a_net, a_trace = run()
@@ -235,14 +234,14 @@ def test_train_rejects_anomalous_rows():
                       column_ids=(0, 1, 2))
     net = make_autoencoder(3, hidden=(), bottleneck=2, seed=0)
     with pytest.raises(ValueError):
-        train(net, m, TrainConfig(epochs=1, seed=0))
+        train(net, m, DaeDetector(epochs=1, seed=0))
 
 
 def test_train_divergence_detected():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(30, 4)) * 10
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=1)
-    cfg = TrainConfig(epochs=50, batch_size=4, learning_rate=1e12,
+    cfg = DaeDetector(epochs=50, batch_size=4, learning_rate=1e12,
                       optimizer="sgd", seed=0)
     with pytest.raises(DivergedTraining):
         train(net, X, cfg)
@@ -301,7 +300,7 @@ def test_fine_tune_perfect_separation_reaches_f1_one():
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=2)
     net, _ = train(net, FeatureMatrix(val.values[val.labels == 0],
                                       None, val.column_ids),
-                   TrainConfig(epochs=60, batch_size=16, seed=2))
+                   DaeDetector(epochs=60, batch_size=16, seed=2))
     losses = reconstruction_losses(net, val.values)
     assert losses[val.labels == 1].min() > losses[val.labels == 0].max()
     _, best_f1 = fine_tune_threshold(net, val)

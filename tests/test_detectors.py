@@ -1,4 +1,5 @@
 import json
+import re
 from functools import cache
 
 import numpy as np
@@ -191,6 +192,62 @@ def test_params_round_trip(name, tmp_path):
     assert det.score(test).tobytes() == restored.score(test).tobytes()
 
 
+# --- params read and checked on the detector ---------------------------------
+
+@pytest.mark.parametrize("name, key, fitted_count", [
+    ("rf", "n_trees", lambda det: len(det.model.trees)),
+    ("gbt", "rounds", lambda det: len(det.model.trees)),
+    ("dae", "epochs", lambda det: len(det.loss_trace)),
+], ids=["rf", "gbt", "dae"])
+def test_param_set_after_construction_is_fitted_and_saved(name, key,
+                                                          fitted_count,
+                                                          tmp_path):
+    test = small_dataset(seed=20, n=100)
+    det = make_detector(name, FAST_PARAMS[name], seed=2)
+    setattr(det, key, 3)
+    det.fit(fit_view(det, small_dataset(seed=19)))
+    assert fitted_count(det) == det.params()[key] == 3
+    path = tmp_path / f"{name}.json"
+    save_detector(path, det)
+    restored = load_detector(path)
+    assert restored.params()[key] == 3
+    if name != "dae":  # a dae model file holds no loss trace
+        assert fitted_count(restored) == 3
+    assert restored.score(test).tobytes() == det.score(test).tobytes()
+
+
+REFUSED_PARAMS = [
+    ("rf", "n_trees", 0, "n_trees must be >= 1"),
+    ("rf", "features_per_split", 0, "features_per_split must be >= 1 or None"),
+    ("gbt", "rounds", 0, "rounds must be >= 1"),
+    ("gbt", "learning_rate", 0, "learning_rate must lie in (0, 1]"),
+    ("gbt", "learning_rate", 2, "learning_rate must lie in (0, 1]"),
+    ("gbt", "lam", -1, "lam and gamma_split must be >= 0"),
+    ("gbt", "gamma_split", -1, "lam and gamma_split must be >= 0"),
+    ("gbt", "base_score", 0, "base_score must lie in (0, 1)"),
+    ("gbt", "base_score", 1, "base_score must lie in (0, 1)"),
+    ("dae", "epochs", 0, "epochs and batch_size must be >= 1"),
+    ("dae", "batch_size", 0, "epochs and batch_size must be >= 1"),
+    ("dae", "learning_rate", -1, "learning rate must be >= 0"),
+    ("dae", "optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+]
+
+
+@pytest.mark.parametrize("name, key, value, message", REFUSED_PARAMS)
+def test_refused_param_is_a_config_error_at_make(name, key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make_detector(name, {key: value})
+
+
+@pytest.mark.parametrize("name, key, value, message", REFUSED_PARAMS)
+def test_refused_param_set_after_construction_fails_fit(name, key, value,
+                                                        message):
+    det = make_detector(name, FAST_PARAMS[name])
+    setattr(det, key, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        det.fit(fit_view(det, small_dataset(seed=21)))
+
+
 def saved_model(tmp_path, name):
     det = make_detector(name, FAST_PARAMS[name]).fit(small_dataset(seed=16))
     path = tmp_path / f"{name}.json"
@@ -264,6 +321,34 @@ def test_model_file_bad_width_is_an_io_error(width, tmp_path):
     doc["payload"]["n_features"] = width
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=f"model file {path}: n_features"):
+        load_detector(path)
+
+
+# keys that model files of this version held before and that loading ignores
+STALE_KEYS = {"rf": {"n_features": 9}, "gbt": {"n_features": 9},
+              "iforest": {"n_trees": 7, "seed": 1}}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_KEYS))
+def test_model_file_stale_model_keys_are_ignored(name, tmp_path):
+    path, doc = saved_model(tmp_path, name)
+    assert not STALE_KEYS[name].keys() & doc["payload"]["state"]["model"].keys()
+    test = small_dataset(seed=22, n=100)
+    want = load_detector(path).score(test)
+    doc["payload"]["state"]["model"].update(STALE_KEYS[name])
+    path.write_text(json.dumps(doc))
+    assert load_detector(path).score(test).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["rf", "gbt"])
+def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
+    path, doc = saved_model(tmp_path, name)
+    root = doc["payload"]["state"]["model"]["trees"][0]
+    assert "feature" in root
+    root["feature"] = doc["payload"]["n_features"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"model file {re.escape(str(path))}: "
+                                      "tree split on feature 5, fitted width 5"):
         load_detector(path)
 
 

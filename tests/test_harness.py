@@ -4,7 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canids.detectors import Detector, make_detector, register_detector
+from canids.detectors import (
+    ALL_MODELS,
+    Detector,
+    make_detector,
+    register_detector,
+)
 from canids.errors import (
     ConfigError,
     EmptyGrid,
@@ -14,6 +19,7 @@ from canids.errors import (
 )
 from canids.features import FeatureMatrix
 from canids.harness import (
+    DEFAULT_PARAMS,
     DataSpec,
     EvalReport,
     EvalRow,
@@ -157,6 +163,39 @@ def test_grid_search_propagates_a_bug_in_a_grid_point():
     train, val = _search_data()
     with pytest.raises(TypeError, match="not a model error"):
         grid_search("buggy", [{}], train, val)
+
+
+# --- comparison params ------------------------------------------------------------
+
+# every model's params in the comparison run
+COMPARE_PARAMS = {
+    "dt": {"max_depth": 12, "min_samples_leaf": 1, "cutoff": 0.5},
+    "knn": {"k": 5},
+    "rf": {"n_trees": 50, "max_depth": 12, "features_per_split": None,
+           "bootstrap_fraction": 1.0, "cutoff": 0.5},
+    "gbt": {"rounds": 100, "learning_rate": 0.3, "max_depth": 6, "lam": 1.0,
+            "gamma_split": 0.0, "min_child_weight": 1.0, "subsample": 1.0,
+            "colsample": 1.0, "base_score": 0.5, "cutoff": 0.5},
+    "rc": {"support_fraction": 0.75, "cutoff_level": 0.99},
+    "lof": {"k": 20, "threshold": 1.5, "max_fit_samples": 16384},
+    "iforest": {"n_trees": 100, "subsample": 256, "threshold": 0.6},
+    "dae": {"hidden": [48, 24], "bottleneck": 12, "epochs": 30,
+            "batch_size": 256, "learning_rate": 0.001, "optimizer": "adam",
+            "threshold_p": None, "threshold_gamma": None},
+}
+
+
+def test_default_params_hold_only_departures_from_detector_defaults():
+    assert list(DEFAULT_PARAMS) == list(ALL_MODELS)
+    for name, params in DEFAULT_PARAMS.items():
+        defaults = make_detector(name).params()
+        for key, value in params.items():
+            assert value != defaults[key], (name, key)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_comparison_params(name):
+    assert make_detector(name, DEFAULT_PARAMS[name]).params() == COMPARE_PARAMS[name]
 
 
 # --- comparison with stub detectors ----------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from canids.autoencoder import sigmoid
-from canids.detectors import DecisionTreeDetector, RandomForestDetector
+from canids.detectors import (DecisionTreeDetector, GbtDetector,
+                              RandomForestDetector)
 from canids.errors import (
     EmptyData,
     IoError,
@@ -19,9 +20,7 @@ from canids.errors import (
 from canids.features import FeatureMatrix
 from canids.model_io import encode_array
 from canids.trees import (
-    BoostConfig,
     FlatTree,
-    ForestConfig,
     GbtModel,
     RandomForest,
     TreeNode,
@@ -93,7 +92,7 @@ def test_split_between_adjacent_floats_separates_them(lo):
     tree = fit_cart(X, y, max_depth=1)
     assert (tree.feature, tree.threshold) == (0, lo)
     assert FlatTree.from_node(tree).route(X).tolist() == [0.0, 1.0]
-    gbt = fit_gbt(X, y, BoostConfig(rounds=1, max_depth=1, lam=0.0,
+    gbt = fit_gbt(X, y, GbtDetector(rounds=1, max_depth=1, lam=0.0,
                                     min_child_weight=0.0))
     low, high = gbt.predict_proba(X)
     assert low < 0.5 < high
@@ -227,8 +226,8 @@ def test_cart_monotone_transform_invariance():
 def test_forest_single_tree_degenerate_config():
     X = np.array([[1.0], [2.0], [8.0], [9.0]])
     y = np.array([0, 0, 1, 1])
-    cfg = ForestConfig(n_trees=1, max_depth=3, features_per_split=1,
-                       bootstrap_fraction=1.0, seed=0)
+    cfg = RandomForestDetector(n_trees=1, max_depth=3, features_per_split=1,
+                               bootstrap_fraction=1.0, seed=0)
     model = fit_random_forest(X, y, cfg)
     assert len(model.trees) == 1
     proba = model.predict_proba(X)
@@ -238,7 +237,7 @@ def test_forest_single_tree_degenerate_config():
 @pytest.mark.parametrize("k", [0, -1])
 def test_forest_config_rejects_nonpositive_features_per_split(k):
     with pytest.raises(ValueError, match="features_per_split"):
-        ForestConfig(features_per_split=k)
+        RandomForestDetector(features_per_split=k)
 
 
 def test_forest_separable_training_accuracy():
@@ -255,7 +254,7 @@ def test_forest_deterministic_under_seed():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 5))
     y = (X[:, 1] > 0).astype(int)
-    cfg = ForestConfig(n_trees=10, max_depth=4, seed=11)
+    cfg = RandomForestDetector(n_trees=10, max_depth=4, seed=11)
     a = fit_random_forest(X, y, cfg)
     b = fit_random_forest(X, y, cfg)
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
@@ -265,9 +264,10 @@ def test_forest_serialization_round_trip():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
-    model = fit_random_forest(X, y, ForestConfig(n_trees=5, max_depth=4, seed=1))
+    model = fit_random_forest(X, y, RandomForestDetector(n_trees=5, max_depth=4,
+                                                         seed=1))
     payload = json.loads(json.dumps(model.to_payload()))
-    restored = RandomForest.from_payload(payload, model.config)
+    restored = RandomForest.from_payload(payload, model.n_features)
     assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
 
 
@@ -345,7 +345,7 @@ def test_tree_dict_feature_outside_width_is_refused():
 def test_gbt_balanced_single_leaf_weight_zero():
     X = np.zeros((10, 1))
     y = np.array([0, 1] * 5)
-    cfg = BoostConfig(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
+    cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
     model = fit_gbt(X, y, cfg)
     assert model.trees[0].is_leaf
@@ -357,7 +357,7 @@ def test_gbt_all_positive_leaf_weight_two():
     # g = 0.5 - 1 = -0.5 per row, h = 0.25: w = 0.5n / 0.25n = 2 exactly
     X = np.zeros((8, 1))
     y = np.ones(8, dtype=int)
-    cfg = BoostConfig(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
+    cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
     model = fit_gbt(X, y, cfg)
     assert model.trees[0].is_leaf
@@ -375,7 +375,7 @@ def _blobs(n=200, seed=0):
 
 def test_gbt_blobs_accuracy_and_loss_monotonicity():
     X, y = _blobs()
-    cfg = BoostConfig(rounds=50, max_depth=3, learning_rate=0.3, lam=1.0,
+    cfg = GbtDetector(rounds=50, max_depth=3, learning_rate=0.3, lam=1.0,
                       seed=0)
     model = fit_gbt(X, y, cfg)
     acc = ((model.predict_proba(X) >= 0.5) == y).mean()
@@ -386,7 +386,7 @@ def test_gbt_blobs_accuracy_and_loss_monotonicity():
 
 def test_gbt_deterministic_with_subsampling():
     X, y = _blobs(seed=3)
-    cfg = BoostConfig(rounds=10, max_depth=3, subsample=0.7, colsample=0.6,
+    cfg = GbtDetector(rounds=10, max_depth=3, subsample=0.7, colsample=0.6,
                       seed=9)
     a = fit_gbt(X, y, cfg)
     b = fit_gbt(X, y, cfg)
@@ -396,9 +396,10 @@ def test_gbt_deterministic_with_subsampling():
 
 def test_gbt_serialization_bit_exact():
     X, y = _blobs(seed=5)
-    model = fit_gbt(X, y, BoostConfig(rounds=8, max_depth=3, seed=2))
+    model = fit_gbt(X, y, GbtDetector(rounds=8, max_depth=3, seed=2))
     payload = json.loads(json.dumps(model.to_payload()))
-    restored = GbtModel.from_payload(payload, model.config)
+    restored = GbtModel.from_payload(payload, model.n_features,
+                                     model.learning_rate)
     assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
     assert restored.loss_trace == model.loss_trace
 
@@ -408,24 +409,24 @@ def test_gbt_binary_feature_fast_path_consistency():
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, size=(120, 6)).astype(float)
     y = (bits[:, 2] * 2 + bits[:, 4] > 1.5).astype(int)
-    model = fit_gbt(bits, y, BoostConfig(rounds=20, max_depth=3, seed=1))
+    model = fit_gbt(bits, y, GbtDetector(rounds=20, max_depth=3, seed=1))
     assert ((model.predict_proba(bits) >= 0.5) == y).mean() >= 0.99
     # the same data with thresholds shifted off 0.5 (scaled 0/2 columns)
-    model2 = fit_gbt(bits * 2, y, BoostConfig(rounds=20, max_depth=3, seed=1))
+    model2 = fit_gbt(bits * 2, y, GbtDetector(rounds=20, max_depth=3, seed=1))
     assert np.array_equal(model.predict_proba(bits) >= 0.5,
                           model2.predict_proba(bits * 2) >= 0.5)
 
 
 def test_gbt_rejects_bad_labels():
     with pytest.raises(NonBinaryLabels):
-        fit_gbt(np.ones((4, 1)), np.array([0, 1, 2, 1]), BoostConfig(rounds=1))
+        fit_gbt(np.ones((4, 1)), np.array([0, 1, 2, 1]), GbtDetector(rounds=1))
     with pytest.raises(EmptyData):
-        fit_gbt(np.empty((0, 1)), np.array([]), BoostConfig(rounds=1))
+        fit_gbt(np.empty((0, 1)), np.array([]), GbtDetector(rounds=1))
 
 
 def test_gbt_width_check_on_predict():
     X, y = _blobs(seed=6)
-    model = fit_gbt(X, y, BoostConfig(rounds=2, max_depth=2, seed=0))
+    model = fit_gbt(X, y, GbtDetector(rounds=2, max_depth=2, seed=0))
     with pytest.raises(WrongWidth):
         model.predict_proba(np.ones((3, 5)))
 
@@ -437,7 +438,7 @@ def test_importance_single_feature_is_one():
     X = np.zeros((100, 3))
     X[:, 1] = rng.normal(size=100)
     y = (X[:, 1] > 0).astype(int)
-    model = fit_gbt(X, y, BoostConfig(rounds=5, max_depth=2, seed=0))
+    model = fit_gbt(X, y, GbtDetector(rounds=5, max_depth=2, seed=0))
     imp = feature_importance(model)
     assert imp[1] == pytest.approx(1.0)
     assert imp[0] == imp[2] == 0.0
@@ -446,18 +447,19 @@ def test_importance_single_feature_is_one():
 def test_importance_no_splits_all_zero():
     X = np.zeros((10, 2))
     y = np.array([0, 1] * 5)
-    model = fit_gbt(X, y, BoostConfig(rounds=3, max_depth=2, seed=0))
+    model = fit_gbt(X, y, GbtDetector(rounds=3, max_depth=2, seed=0))
     assert feature_importance(model).tolist() == [0.0, 0.0]
 
 
 def test_importance_requires_fitted_model():
     with pytest.raises(UnfitModel):
-        feature_importance(GbtModel(BoostConfig(rounds=1), trees=[]))
+        feature_importance(GbtModel(GbtDetector(rounds=1).learning_rate,
+                                    trees=[]))
 
 
 def test_importance_sums_to_one():
     X, y = _blobs(seed=7)
-    model = fit_gbt(X, y, BoostConfig(rounds=10, max_depth=3, seed=0))
+    model = fit_gbt(X, y, GbtDetector(rounds=10, max_depth=3, seed=0))
     imp = feature_importance(model)
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0)
@@ -731,7 +733,7 @@ def test_cart_matches_gather_and_sort_reference(data, depth, leaf, k, seed):
 def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
                                                   fraction, seed):
     X, y = data
-    cfg = ForestConfig(n_trees, depth, k, fraction, seed)
+    cfg = RandomForestDetector(n_trees, depth, k, fraction, seed=seed)
     assert _dicts(fit_random_forest(X, y, cfg).trees) == _dicts(
         ref_fit_random_forest(X, y, cfg))
 
@@ -746,8 +748,8 @@ def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
 def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
                                                weight, subsample, colsample, seed):
     X, y = data
-    cfg = BoostConfig(rounds, 0.3, depth, lam, gamma, weight, subsample,
-                      colsample, 0.5, seed)
+    cfg = GbtDetector(rounds, 0.3, depth, lam, gamma, weight, subsample,
+                      colsample, 0.5, seed=seed)
     assert _dicts(fit_gbt(X, y, cfg).trees) == _dicts(ref_fit_gbt(X, y, cfg))
 
 
@@ -756,6 +758,6 @@ def test_gbt_loss_trace_ends_at_the_model_margins(subsample):
     # the fit adds the leaf values the grower recorded and routes only the
     # rows a round did not sample; margins() routes every row of every tree
     X, y = _frames_like()
-    model = fit_gbt(X, y, BoostConfig(rounds=12, max_depth=4,
+    model = fit_gbt(X, y, GbtDetector(rounds=12, max_depth=4,
                                       subsample=subsample, seed=4))
     assert model.loss_trace[-1] == _log_loss(model.margins(X), y)

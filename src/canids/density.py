@@ -181,8 +181,9 @@ def average_path_length(m: int | np.ndarray) -> np.ndarray:
 
 
 def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
-                    rng: np.random.Generator) -> FlatTree:
-    """One isolation tree on X[rows], thresholds stored as nextafter(t, -inf)."""
+                    rng: np.random.Generator, c: np.ndarray) -> FlatTree:
+    """One isolation tree on X[rows], thresholds stored as nextafter(t, -inf);
+    c[m] is average_path_length(m) for every m up to rows.size."""
     nodes: list[list] = []  # FlatTree.of_rows rows
 
     def build(idx: np.ndarray, depth: int) -> int:
@@ -204,10 +205,13 @@ def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
                 nodes[i][2] = build(idx[go_left], depth + 1)
                 nodes[i][3] = build(idx[~go_left], depth + 1)
                 return i
-        nodes[i][4] = depth + float(average_path_length(idx.size))
+        nodes[i][4] = depth + float(c[idx.size])
         return i
 
-    build(rows, 0)
+    try:
+        build(rows, 0)
+    finally:
+        del build  # build refers to itself; free the tree's data now
     return FlatTree.of_rows(nodes)
 
 
@@ -248,16 +252,15 @@ def fit_isolation_forest(
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyData("isolation forest needs a non-empty 2-D matrix")
     n = X.shape[0]
-    if n_trees < 1:
-        raise ConfigError("n_trees must be >= 1")
     if subsample < 2 or subsample > n:
         raise BadSubsample(f"subsample {subsample} invalid for {n} rows")
     height_limit = math.ceil(math.log2(subsample))
+    c = average_path_length(np.arange(subsample + 1))
     model = IsoForestModel(subsample)
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
         rows = rng.choice(n, size=subsample, replace=False)
-        model.trees.append(_isolation_tree(X, rows, height_limit, rng))
+        model.trees.append(_isolation_tree(X, rows, height_limit, rng, c))
     return model
 
 

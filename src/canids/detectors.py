@@ -86,6 +86,11 @@ def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
                          f"n_features is {n_features}")
 
 
+def _check_tree_count(trees: list, param: str, value: int) -> None:
+    if len(trees) != value:
+        raise IoError(f"{len(trees)} trees, {param} is {value}")
+
+
 def _fitted(default=None):
     """A fitted attribute: not a constructor keyword, set by fit or load."""
     return field(default=default, init=False)
@@ -264,6 +269,7 @@ class RandomForestDetector(Detector):
 
     def _restore(self, state):
         self.model = RandomForest.from_payload(state["model"], self.n_features)
+        _check_tree_count(self.model.trees, "n_trees", self.n_trees)
 
 
 @dataclass(eq=False)
@@ -313,6 +319,7 @@ class GbtDetector(Detector):
     def _restore(self, state):
         self.model = GbtModel.from_payload(state["model"], self.n_features,
                                            self.learning_rate)
+        _check_tree_count(self.model.trees, "rounds", self.rounds)
 
 
 @dataclass(eq=False)
@@ -360,6 +367,10 @@ class LofDetector(Detector):
     max_fit_samples: int | None = 16384
     lof: LocalOutlierFactor | None = _fitted()
 
+    def _check_params(self):
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+
     def _fit(self, train, val=None):
         Z = train.values
         if self.max_fit_samples is not None and len(Z) > self.max_fit_samples:
@@ -399,6 +410,12 @@ class IsoForestDetector(Detector):
     threshold: float = 0.6
     model: IsoForestModel | None = _fitted()
 
+    def _check_params(self):
+        if self.n_trees < 1:
+            raise ConfigError("n_trees must be >= 1")
+        if self.subsample < 2:
+            raise ConfigError("subsample must be >= 2")
+
     def _fit(self, train, val=None):
         psi = min(self.subsample, train.n_rows)
         self.model = fit_isolation_forest(train.values, self.n_trees, psi,
@@ -416,6 +433,7 @@ class IsoForestDetector(Detector):
     def _restore(self, state):
         self.model = IsoForestModel.from_payload(state["model"],
                                                  self.n_features)
+        _check_tree_count(self.model.trees, "n_trees", self.n_trees)
 
 
 # without labeled validation the threshold is this percentile of train losses
@@ -554,7 +572,8 @@ def load_detector(path) -> Detector:
     """The detector a model file holds; IoError naming the file if it names
     an unknown kind or param, lacks a key its kind needs, holds a part that
     is not an object where one belongs, or holds state that does not
-    rebuild its model."""
+    rebuild its model or holds another number of trees than its params
+    say."""
     kind, payload = load_model(path)
     if kind not in _REGISTRY:
         raise IoError(f"model file {path}: unknown model kind {kind!r}")

@@ -222,8 +222,6 @@ class LocalOutlierFactor:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise KTooLarge("k must be >= 1")
         self.k = k
         self.index: NeighborIndex | None = None
         self.ref_kdist: np.ndarray | None = None

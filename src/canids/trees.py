@@ -11,16 +11,24 @@ decrease, boosting sums (gradient, hessian) and scores the second-order
 gain.
 
 Each fit prepares its columns once, as in the presorted column blocks of
-exact greedy XGBoost but without histograms. Columns whose training values
-are all 0/1 (the 64 payload bits) have the single candidate threshold 0.5;
-they are copied into one C-contiguous block, a node takes its rows from
-it, and one matrix-vector product per statistic sums them. Every other
-column is argsorted once (stable); a node keeps its rows in that order and
-its children inherit it by stable partition. A node's rows are always
+exact greedy XGBoost but without histograms; a random forest prepares them
+once for all its trees. Columns whose training values are all 0/1 (the 64
+payload bits) have the single candidate threshold 0.5; they are copied
+into one C-contiguous block, a node takes its rows from it, and one
+matrix-vector product per statistic sums them. Every other column is
+argsorted once (stable); a node keeps its rows in that order and its
+children inherit it by stable partition. A node's rows are always
 ascending, so that order equals a per-node stable argsort and BLAS gets the
 same float64 rows in the same layout as a per-node gather: every sum is
 taken over the same numbers in the same order, and the trees are bit for
 bit those of a search that gathers and sorts at each node.
+
+A forest tree grows on the distinct rows of its bootstrap sample, each
+weighted by the number of times it was drawn: CART sums (label * weight,
+weight) where a tree on the resampled copy X[rows] sums (label, 1). The
+Gini sums are integers below 2**53, exact in any order, so the trees are
+bit for bit those grown on X[rows], also where a column is 0/1 only within
+the sample: both searches give it the one threshold 0.5.
 
 Fitted trees are TreeNode objects; every model, the isolation forest in
 density included, routes rows through FlatTree, their array form, with the
@@ -131,8 +139,10 @@ def _split_value(lo: float, hi: float) -> float:
 
 
 class _Gini:
-    """CART: S1 counts positives, S2 counts rows (b is None); leaves hold
-    the positive fraction and each side needs min_samples_leaf rows."""
+    """CART: S1 sums the rows' labels times their weights and S2 the
+    weights, which are 1 (b is None) or bootstrap multiplicities; leaves
+    hold the positive fraction and each side needs a weight of
+    min_samples_leaf."""
 
     def __init__(self, min_samples_leaf: int):
         self.min_weight = min_samples_leaf
@@ -141,7 +151,7 @@ class _Gini:
         return S1 / S2
 
     def is_final(self, S1, S2, rows):
-        return S1 == 0 or S1 == S2 or rows < 2 * self.min_weight
+        return S1 == 0 or S1 == S2 or S2 < 2 * self.min_weight
 
     def gains(self, S1, S2, L1, L2, R1, R2):
         parent = 1.0 - (S1 / S2) ** 2 - ((S2 - S1) / S2) ** 2
@@ -172,8 +182,9 @@ class _Newton:
 
 
 class _Presorted:
-    """One fit's split-search data: which columns are 0/1, and a contiguous
-    copy and a stable argsort of every other column."""
+    """One fit's split-search data, shared by every tree of a forest: which
+    columns are 0/1, and a contiguous copy and a stable argsort of every
+    other column. A tree may grow on any ascending subset of the rows."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
@@ -229,7 +240,12 @@ class _Presorted:
             return out
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            return node(rows, orders, 0)
+            try:
+                return node(rows, orders, 0)
+            finally:
+                # node refers to itself; without this the cycle would keep
+                # the tree's search data until a garbage collection
+                del node
 
     def _best_split(self, crit, a, b, idx, orders, feats, block, S1, S2):
         """Best (feature, threshold, gain) at a node, or None.
@@ -306,9 +322,13 @@ def fit_cart(
     grow_args = (_Gini(min_samples_leaf), y.astype(np.float64), None,
                  np.arange(len(y)), all_feats, max_depth)
     if sampled:
-        return data.grow(*grow_args, sample=lambda: np.sort(
-            rng.choice(all_feats, size=k, replace=False)))
+        return data.grow(*grow_args, sample=_sampler(rng, all_feats, k))
     return data.grow(*grow_args, block=data.block(all_feats))
+
+
+def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
+    """Per-node feature sampling: each call draws k of feats, sorted."""
+    return lambda: np.sort(rng.choice(feats, size=k, replace=False))
 
 
 @dataclass
@@ -331,16 +351,15 @@ class FlatTree:
     def from_node(cls, root: TreeNode) -> "FlatTree":
         """root's nodes in pre-order, left subtree first."""
         rows = []
-
-        def visit(node: TreeNode) -> int:
-            i = len(rows)
+        stack = [(root, -1, 0)]  # node, its parent's row, the column to set
+        while stack:
+            node, parent, col = stack.pop()
+            if parent >= 0:
+                rows[parent][col] = len(rows)
             rows.append([node.feature, node.threshold, -1, -1, node.value])
             if not node.is_leaf:
-                rows[i][2] = visit(node.left)
-                rows[i][3] = visit(node.right)
-            return i
-
-        visit(root)
+                i = len(rows) - 1
+                stack += [(node.right, i, 3), (node.left, i, 2)]
         return cls.of_rows(rows)
 
     @classmethod
@@ -436,28 +455,37 @@ class RandomForest:
 def fit_random_forest(X, y, det: RandomForestDetector) -> RandomForest:
     """Bagged CARTs grown with det's n_trees, max_depth, features_per_split,
     bootstrap_fraction and seed: each tree sees a bootstrap resample and
-    samples features_per_split candidate features at every node."""
+    samples features_per_split candidate features at every node.
+
+    All trees share one _Presorted of X. A tree grows on the distinct rows
+    it drew, weighted by how often it drew them, and equals the CART that
+    fit_cart grows on the resample X[rows], y[rows]."""
     X = _as_array(X)
     y = np.asarray(y)
-    if X.size == 0:
+    if X.size == 0 or len(y) == 0:
         raise EmptyData("cannot fit a forest on zero rows")
-    n = X.shape[0]
+    if not np.all((y == 0) | (y == 1)):
+        raise NonBinaryLabels("CART labels must be 0/1")
+    n, width = X.shape
     k = det.features_per_split
     if k is None:
-        k = max(1, round(math.sqrt(X.shape[1])))
+        k = max(1, round(math.sqrt(width)))
+    k = min(k, width)
     sample_size = max(1, round(det.bootstrap_fraction * n))
-    model = RandomForest(n_features=X.shape[1])
+    data = _Presorted(X)
+    crit = _Gini(1)
+    y = y.astype(np.float64)
+    all_feats = np.arange(width)
+    block = data.block(all_feats) if k == width else None
+    model = RandomForest(n_features=width)
     for stream in np.random.SeedSequence(det.seed).spawn(det.n_trees):
         rng = np.random.default_rng(stream)
-        rows = rng.integers(0, n, size=sample_size)
-        tree = fit_cart(
-            X[rows], y[rows],
-            max_depth=det.max_depth,
-            min_samples_leaf=1,
-            rng=rng,
-            features_per_split=min(k, X.shape[1]),
-        )
-        model.trees.append(tree)
+        w = np.bincount(rng.integers(0, n, size=sample_size), minlength=n)
+        rows = np.flatnonzero(w)
+        w = w.astype(np.float64)
+        sample = None if block is not None else _sampler(rng, all_feats, k)
+        model.trees.append(data.grow(crit, y * w, w, rows, all_feats,
+                                     det.max_depth, block, sample))
     return model
 
 
@@ -569,15 +597,11 @@ def feature_importance(model: GbtModel | RandomForest) -> np.ndarray:
     if not getattr(model, "trees", None):
         raise UnfitModel("feature_importance needs a fitted model")
     total = np.zeros(model.n_features)
-
-    def visit(node: TreeNode):
-        if node.is_leaf:
-            return
-        total[node.feature] += node.gain
-        visit(node.left)
-        visit(node.right)
-
-    for tree in model.trees:
-        visit(tree)
+    stack = model.trees[::-1]  # pre-order, tree by tree, left subtree first
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            total[node.feature] += node.gain
+            stack += [node.right, node.left]
     s = total.sum()
     return total / s if s > 0 else total

@@ -134,6 +134,27 @@ def test_average_path_length_monotone():
     assert np.all(np.diff(values) > 0)
 
 
+@pytest.mark.parametrize("psi", [2, 3, 64, 256, 4096])
+def test_average_path_length_table_equals_per_m_calls(psi):
+    # the isolation forest reads leaf path lengths from one such table
+    table = average_path_length(np.arange(psi + 1))
+    for m in range(psi + 1):
+        assert table[m].tobytes() == average_path_length(m).tobytes()
+
+
+def test_iso_default_subsample_matches_reference_bytes():
+    # psi = 256: the leaf path lengths come from the table, the reference
+    # calls average_path_length once per leaf
+    X = np.random.default_rng(8).normal(size=(1000, 4))
+    model = fit_isolation_forest(X, n_trees=5, subsample=256, seed=2)
+    want = ref_isolation_trees(X, 5, 256, 2)
+    for got, ref in zip(model.trees, want):
+        assert got.value.tobytes() == ref.adjust.tobytes()
+    want_scores = np.exp2(-ref_mean_path_length(want, X)
+                          / float(average_path_length(256)))
+    assert iso_score(model, X).tobytes() == want_scores.tobytes()
+
+
 def test_iso_score_closed_form_relation():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 3))

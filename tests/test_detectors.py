@@ -230,6 +230,9 @@ REFUSED_PARAMS = [
     ("dae", "batch_size", 0, "epochs and batch_size must be >= 1"),
     ("dae", "learning_rate", -1, "learning rate must be >= 0"),
     ("dae", "optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+    ("iforest", "n_trees", 0, "n_trees must be >= 1"),
+    ("iforest", "subsample", 1, "subsample must be >= 2"),
+    ("lof", "k", 0, "k must be >= 1"),
 ]
 
 
@@ -349,6 +352,19 @@ def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=f"model file {re.escape(str(path))}: "
                                       "tree split on feature 5, fitted width 5"):
+        load_detector(path)
+
+
+@pytest.mark.parametrize("name, key", [("rf", "n_trees"), ("gbt", "rounds"),
+                                       ("iforest", "n_trees")])
+def test_model_file_tree_count_must_match_params(name, key, tmp_path):
+    path, doc = saved_model(tmp_path, name)
+    stored = len(doc["payload"]["state"]["model"]["trees"])
+    assert doc["payload"]["params"][key] == stored
+    doc["payload"]["params"][key] = 2 * stored
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"model file {re.escape(str(path))}: "
+                                      f"{stored} trees, {key} is {2 * stored}$"):
         load_detector(path)
 
 

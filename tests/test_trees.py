@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from canids.autoencoder import sigmoid
+from canids.density import fit_isolation_forest
 from canids.detectors import (DecisionTreeDetector, GbtDetector,
                               RandomForestDetector)
 from canids.errors import (
@@ -710,6 +713,16 @@ def _frames_like(n=4000, seed=0):
     return X, y
 
 
+def _rare_three(n=60, seed=5):
+    """Two 0/1 columns and one valued {0, 1, 3} with a single 3, which many
+    bootstrap samples miss: they see that column as 0/1."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, 3)) < 0.5).astype(np.float64)
+    X[7, 1] = 3.0
+    y = ((X[:, 1] > 0) ^ (rng.random(n) < 0.2)).astype(np.int64)
+    return X, y
+
+
 def _dicts(trees):
     return [t.to_dict() for t in trees]
 
@@ -730,6 +743,9 @@ def test_cart_matches_gather_and_sort_reference(data, depth, leaf, k, seed):
        st.one_of(st.none(), st.integers(1, 7)), st.sampled_from([0.5, 1.0]),
        st.integers(0, 2 ** 32 - 1))
 @example(_frames_like(), 2, 8, None, 1.0, 3)
+@example(_frames_like(), 2, 8, None, 0.5, 5)
+@example(_rare_three(), 4, 6, 3, 1.0, 0)
+@example(_rare_three(), 4, 6, 1, 1.0, 0)
 def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
                                                   fraction, seed):
     X, y = data
@@ -761,3 +777,55 @@ def test_gbt_loss_trace_ends_at_the_model_margins(subsample):
     model = fit_gbt(X, y, GbtDetector(rounds=12, max_depth=4,
                                       subsample=subsample, seed=4))
     assert model.loss_trace[-1] == _log_loss(model.margins(X), y)
+
+
+# --- memory ----------------------------------------------------------------------
+
+FITS = {
+    "fit_cart": lambda X, y, tree: fit_cart(X, y, 6),
+    "fit_cart sampled": lambda X, y, tree: fit_cart(
+        X, y, 6, 1, np.random.default_rng(0), 8),
+    "fit_random_forest": lambda X, y, tree: fit_random_forest(
+        X, y, RandomForestDetector(n_trees=3, max_depth=6)),
+    "fit_gbt": lambda X, y, tree: fit_gbt(
+        X, y, GbtDetector(rounds=3, max_depth=4, subsample=0.5)),
+    "fit_isolation_forest": lambda X, y, tree: fit_isolation_forest(X, 3, 64),
+    "FlatTree.from_node": lambda X, y, tree: FlatTree.from_node(tree),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_leaves_no_reference_cycle(name):
+    # a cycle would hold a tree's search data until the collector ran
+    X, y = _frames_like(n=500)
+    tree = fit_cart(X, y, 6)
+    FITS[name](X, y, tree)  # warm up: first calls may import and cache
+    gc.collect()
+    gc.disable()
+    try:
+        FITS[name](X, y, tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _forest_fit_memory(X, y, n_trees):
+    """tracemalloc's peak during an rf fit, and what is still allocated
+    after it (the forest)."""
+    tracemalloc.start()
+    try:
+        model = fit_random_forest(X, y, RandomForestDetector(n_trees=n_trees))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.trees) == n_trees
+    return peak, held
+
+
+def test_forest_fit_memory_does_not_grow_with_tree_count():
+    # one presort for the forest, and one tree's search data at a time
+    X, y = _frames_like()
+    peak10, held10 = _forest_fit_memory(X, y, 10)
+    peak40, held40 = _forest_fit_memory(X, y, 40)
+    assert peak10 < X.nbytes
+    assert peak40 - held40 < 1.1 * (peak10 - held10)

@@ -151,7 +151,6 @@ def make_autoencoder(
     hidden: tuple[int, ...] = (48, 24),
     bottleneck: int = 12,
     hidden_activation: str = "relu",
-    output_activation: str = "identity",
     seed: int = 0,
 ) -> AutoencoderNet:
     """Symmetric net input->hidden...->bottleneck->...hidden->input.
@@ -177,7 +176,7 @@ def make_autoencoder(
         last = i == len(dec_widths) - 2
         decoder.append(
             init_layer(dec_widths[i], dec_widths[i + 1],
-                       output_activation if last else hidden_activation)
+                       "identity" if last else hidden_activation)
         )
     return AutoencoderNet(encoder, decoder)
 

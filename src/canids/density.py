@@ -86,8 +86,6 @@ def fit_robust_covariance(
     support_fraction: float = 0.75,
     cutoff_level: float = 0.99,
     seed: int = 0,
-    n_starts: int = _MCD_STARTS,
-    max_csteps: int = _MCD_MAX_CSTEPS,
 ) -> GaussianModel:
     """Concentrated covariance estimate.
 
@@ -115,12 +113,12 @@ def fit_robust_covariance(
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         starts = [np.sort(rng.choice(n, size=m, replace=False))
-                  for _ in range(n_starts)]
+                  for _ in range(_MCD_STARTS)]
 
     for subset in starts:
         trace: list[float] = []
         prev: np.ndarray | None = None
-        for _ in range(max_csteps):
+        for _ in range(_MCD_MAX_CSTEPS):
             mean, cov = _moments(X[subset])
             cov_r = _ridge(cov)
             sign, logdet = np.linalg.slogdet(cov_r)

@@ -331,6 +331,12 @@ class RcDetector(Detector):
     cutoff_level: float = 0.99
     model: GaussianModel | None = _fitted()
 
+    def _check_params(self):
+        if not 0.5 < self.support_fraction <= 1.0:
+            raise ConfigError("support_fraction must lie in (0.5, 1]")
+        if not 0 < self.cutoff_level < 1:
+            raise ConfigError("cutoff_level must lie in (0, 1)")
+
     def _fit(self, train, val=None):
         self.model = fit_robust_covariance(
             train.values, self.support_fraction, self.cutoff_level,

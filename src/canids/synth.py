@@ -2,9 +2,9 @@
 
 Stands in for proprietary vehicle captures so every test runs self-contained.
 All generation is a pure function of (profile, horizon, seed): the same call
-always yields byte-identical batches. Generators draw frames one at a time,
-so the random streams stay fixed, and build one RecordBatch from the field
-tuples; merging batches is one lexsort of their columns.
+always yields byte-identical batches. Each generator draws its random
+stream in one call, in frame-major order, and builds its RecordBatch from
+numpy columns; merging batches is one lexsort of their columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canlog import Label, RecordBatch
+from .canlog import _LABEL_CODE, MAX_ARBITRATION_ID, MAX_DLC, Label, RecordBatch
 from .errors import ConfigError, EmptyProfile, MalformedLine, WindowOutOfRange
 
 MAX_STANDARD_ID = 0x7FF  # fuzzing draws 11-bit identifiers
@@ -44,33 +44,35 @@ class PayloadModel:
     def __post_init__(self):
         if self.kind not in ("constant", "counter", "random"):
             raise ConfigError(f"unknown payload model {self.kind!r}")
+        if len(self.base) > MAX_DLC:
+            raise ConfigError(f"payload base longer than {MAX_DLC} bytes")
+        if not all(0 <= v <= 255 for v in self.base + sum(self.bounds, ())):
+            raise ConfigError("payload byte or bound outside 0-255")
+        if any(lo > hi for lo, hi in self.bounds):
+            raise ConfigError("random bound lo exceeds hi")
+        if not 1 <= self.cycle <= 256:
+            raise ConfigError("counter cycle must lie in 1-256")
+        if len(set(self.positions) & set(range(len(self.base)))) != len(
+                self.positions):
+            raise ConfigError("payload positions must be distinct base bytes")
         if self.kind == "counter" and len(self.positions) != 1:
             raise ConfigError("counter model needs exactly one position")
         if self.kind == "random" and len(self.positions) != len(self.bounds):
             raise ConfigError("random model needs one (lo, hi) per position")
 
-    def emit(self, frame_index: int, rng: np.random.Generator) -> tuple[int, ...]:
-        payload = list(self.base)
+    def payloads(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The (n, dlc) uint8 bytes of the next n frames. Random bytes come
+        from one draw in frame-major order, the values and generator state
+        of one scalar draw per frame and position."""
+        out = np.tile(np.array(self.base, np.uint8), (n, 1))
         if self.kind == "counter":
             pos = self.positions[0]
-            payload[pos] = (payload[pos] + frame_index) % self.cycle
+            out[:, pos] = (self.base[pos] + np.arange(n)) % self.cycle
         elif self.kind == "random":
-            for pos, (lo, hi) in zip(self.positions, self.bounds):
-                payload[pos] = int(rng.integers(lo, hi + 1))
-        return tuple(payload)
-
-    def emitted_values(self, pos: int) -> set[int]:
-        """Every byte value this model can ever produce at position pos."""
-        if self.kind == "constant":
-            return {self.base[pos]}
-        if self.kind == "counter":
-            if pos == self.positions[0]:
-                return {(self.base[pos] + k) % self.cycle for k in range(self.cycle)}
-            return {self.base[pos]}
-        if pos in self.positions:
-            lo, hi = self.bounds[self.positions.index(pos)]
-            return set(range(lo, hi + 1))
-        return {self.base[pos]}
+            lo, hi = np.array(self.bounds, np.int64).reshape(-1, 2).T
+            out[:, list(self.positions)] = rng.integers(
+                lo, hi + 1, size=(n, lo.size))
+        return out
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ class IdSpec:
     intra_gap: float = 0.0
 
     def __post_init__(self):
+        if not 0 <= self.arbitration_id < MAX_ARBITRATION_ID:
+            raise ConfigError("arbitration id outside the 29-bit range")
         if self.period <= 0:
             raise ConfigError("period must be positive")
         if not (0 <= self.jitter < 0.5):
@@ -160,6 +164,12 @@ class AttackSpec:
             raise ConfigError("flooding rate multiplier must exceed 1")
         if self.kind in ("flooding", "spoofing") and self.target_id is None:
             raise ConfigError(f"{self.kind} needs a target id")
+        if (self.target_id is not None
+                and not 0 <= self.target_id < MAX_ARBITRATION_ID):
+            raise ConfigError("target id outside the 29-bit range")
+        if self.rate <= 0:
+            raise ConfigError("attack rate must be positive")
+        PayloadModel("constant", self.payload)  # the DoS bytes fit a frame
 
 
 def _frames_before(span: float, step: float) -> int:
@@ -168,6 +178,19 @@ def _frames_before(span: float, step: float) -> int:
     while count > 0 and (count - 1) * step >= span:
         count -= 1
     return count
+
+
+def _frames(times: np.ndarray, ids, payloads: np.ndarray,
+            label: Label) -> RecordBatch:
+    """A batch of frames at times with arbitration ids and payload bytes,
+    each given per frame or once for all (an int, a (1, dlc) array), and
+    one label."""
+    n, dlc = len(times), payloads.shape[1]
+    image = np.zeros((n, MAX_DLC), np.uint8)
+    image[:, MAX_DLC - dlc:] = payloads
+    return RecordBatch(np.asarray(times, np.float64), np.full(n, ids, np.int64),
+                       np.full(n, dlc, np.uint8), image,
+                       np.full(n, _LABEL_CODE[label], np.int8))
 
 
 def _merged(parts: list[RecordBatch], source_name: str) -> RecordBatch:
@@ -189,75 +212,54 @@ def generate_normal(
     """
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
-    rows: list[tuple] = []
+    parts = []
     # One child stream per ID keeps each ID's draw sequence independent of
     # profile ordering elsewhere in the run.
     streams = np.random.SeedSequence(seed).spawn(len(profile.ids))
     for spec, stream in zip(profile.ids, streams):
         rng = np.random.default_rng(stream)
         count = _frames_before(horizon, spec.period)
-        base_times = np.arange(count) * spec.period
+        times = np.arange(count) * spec.period
         if spec.jitter > 0:
-            offsets = rng.uniform(-1.0, 1.0, size=count) * spec.jitter * spec.period
-            times = np.maximum(base_times + offsets, 0.0)
-        else:
-            times = base_times
-        frame = 0
-        for k in range(count):
-            for j in range(spec.burst_len):
-                t = float(times[k]) + j * spec.intra_gap
-                if t >= horizon:
-                    break
-                rows.append((t, spec.arbitration_id, spec.dlc,
-                             spec.payload.emit(frame, rng), Label.NORMAL))
-                frame += 1
-    return _merged([RecordBatch.of(rows)], "synth")
+            times = np.maximum(times + rng.uniform(-1.0, 1.0, size=count)
+                               * spec.jitter * spec.period, 0.0)
+        # times rise within a burst, so a burst ends at its first frame at
+        # or past the horizon
+        times = (times[:, None] + np.arange(spec.burst_len) * spec.intra_gap).ravel()
+        times = times[times < horizon]
+        parts.append(_frames(times, spec.arbitration_id,
+                             spec.payload.payloads(times.size, rng), Label.NORMAL))
+    return _merged(parts, "synth")
 
 
-def _check_window(spec: AttackSpec, horizon: float) -> None:
-    start, end = spec.window
-    if start < 0 or end > horizon + 1e-9:
-        raise WindowOutOfRange(
-            f"window [{start}, {end}) outside horizon {horizon}"
-        )
+# Each attack returns its frames' times, arbitration ids and payload bytes.
 
-
-def _flooding_frames(
-    batch: RecordBatch, spec: AttackSpec, profile: TrafficProfile | None,
-    rng: np.random.Generator
-) -> list[tuple]:
+def _flooding_frames(batch, spec, profile, rng):
     target = np.flatnonzero(batch.arbitration_id == spec.target_id)
     start, end = spec.window
-    if not target.size:
+    if target.size:
+        periods = np.diff(batch.timestamp[target])
+        nominal = float(np.median(periods)) if len(periods) else 0.01
+        if nominal <= 0:
+            raise ConfigError(f"flooding target {spec.target_id:#x} has a "
+                              "median period of 0")
+        step = nominal / spec.multiplier
+    else:
         # DoS burst with a fresh (typically high-priority) identifier
         step = 1.0 / (spec.rate * spec.multiplier)
-        count = _frames_before(end - start, step)
-        return [(start + k * step, spec.target_id, len(spec.payload),
-                 spec.payload, Label.ANOMALY) for k in range(count)]
-    periods = np.diff(batch.timestamp[target])
-    nominal = float(np.median(periods)) if len(periods) else 0.01
-    step = nominal / spec.multiplier
     count = _frames_before(end - start, step)
-    model = None
-    if profile is not None and spec.target_id in profile.id_set():
-        model = profile.spec_for(spec.target_id)
-    first = batch.take(target[:1]).records[0]
-    frames = []
-    for k in range(count):
-        if model is not None:
-            # stealthy replay: payloads follow the target's nominal model,
-            # leaving timing as the only per-frame signal
-            dlc, payload = model.dlc, model.payload.emit(k, rng)
-        else:
-            dlc, payload = first.dlc, first.data_bytes
-        frames.append((start + k * step, spec.target_id, dlc, payload,
-                       Label.ANOMALY))
-    return frames
+    if not target.size:
+        payloads = np.array([spec.payload], np.uint8)
+    elif profile is not None and spec.target_id in profile.id_set():
+        # stealthy replay: payloads follow the target's nominal model,
+        # leaving timing as the only per-frame signal
+        payloads = profile.spec_for(spec.target_id).payload.payloads(count, rng)
+    else:
+        payloads = batch.payload[target[:1], MAX_DLC - batch.dlc[target[0]]:]
+    return start + np.arange(count) * step, spec.target_id, payloads
 
 
-def _fuzzing_frames(
-    batch: RecordBatch, spec: AttackSpec, rng: np.random.Generator
-) -> list[tuple]:
+def _fuzzing_frames(batch, spec, profile, rng):
     candidates = np.setdiff1d(np.arange(MAX_STANDARD_ID + 1),
                               batch.arbitration_id)
     if candidates.size == 0:
@@ -266,40 +268,34 @@ def _fuzzing_frames(
                       replace=False)
     start, end = spec.window
     count = _frames_before(end - start, 1.0 / spec.rate)
-    frames = []
-    for k in range(count):
-        arbitration_id = int(rng.choice(pool))
-        payload = tuple(rng.integers(0, 256, size=8).tolist())
-        frames.append((start + k / spec.rate, arbitration_id, 8, payload,
-                       Label.ANOMALY))
-    return frames
+    # per frame: a pool index, then eight payload bytes
+    draws = rng.integers(0, [pool.size] + [256] * MAX_DLC,
+                         size=(count, 1 + MAX_DLC))
+    return start + np.arange(count) / spec.rate, pool[draws[:, 0]], draws[:, 1:]
 
 
-def _spoofing_frames(
-    batch: RecordBatch, spec: AttackSpec, profile: TrafficProfile | None,
-    rng: np.random.Generator
-) -> list[tuple]:
-    if profile is None:
-        raise ConfigError("spoofing needs the traffic profile for payload bounds")
-    if spec.target_id not in profile.id_set():
-        raise ConfigError(f"spoofing target {spec.target_id:#x} is not in the "
-                          "profile")
+def _spoofing_frames(batch, spec, profile, rng):
+    if profile is None or spec.target_id not in profile.id_set():
+        raise ConfigError(f"spoofing target {spec.target_id:#x} needs its "
+                          "spec in the traffic profile")
     id_spec = profile.spec_for(spec.target_id)
-    if id_spec.payload.kind != "constant":
-        raise ConfigError("spoofing targets must use a constant payload model")
+    if id_spec.payload.kind != "constant" or id_spec.dlc == 0:
+        raise ConfigError("spoofing targets must use a constant payload "
+                          "model of at least one byte")
     start, end = spec.window
     count = int(math.floor((end - start) * spec.rate))
     times = np.sort(rng.uniform(start, end, size=count))
-    frames = []
-    for t in times.tolist():
-        pos = int(rng.integers(0, id_spec.dlc))
-        never = [v for v in range(256)
-                 if v not in id_spec.payload.emitted_values(pos)]
-        payload = list(id_spec.payload.base)
-        payload[pos] = int(never[int(rng.integers(0, len(never)))])
-        frames.append((t, spec.target_id, id_spec.dlc, tuple(payload),
-                       Label.ANOMALY))
-    return frames
+    # per frame: a byte position, then the index of its new value among
+    # the 255 values that differ from the base byte
+    pos, v = rng.integers(0, [id_spec.dlc, 255], size=(count, 2)).T
+    base = np.array(id_spec.payload.base, np.uint8)
+    payloads = np.tile(base, (count, 1))
+    payloads[np.arange(count), pos] = v + (v >= base[pos])
+    return times, spec.target_id, payloads
+
+
+_ATTACKS = {"flooding": _flooding_frames, "fuzzing": _fuzzing_frames,
+            "spoofing": _spoofing_frames}
 
 
 def inject_attack(
@@ -318,15 +314,14 @@ def inject_attack(
         return batch
     if horizon is None:
         horizon = float(batch.timestamp[-1]) if len(batch) else 0.0
-    _check_window(spec, horizon)
+    start, end = spec.window
+    if start < 0 or end > horizon + 1e-9:
+        raise WindowOutOfRange(f"window [{start}, {end}) outside horizon "
+                               f"{horizon}")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    if spec.kind == "flooding":
-        injected = _flooding_frames(batch, spec, profile, rng)
-    elif spec.kind == "fuzzing":
-        injected = _fuzzing_frames(batch, spec, rng)
-    else:
-        injected = _spoofing_frames(batch, spec, profile, rng)
-    return _merged([batch, RecordBatch.of(injected)], batch.source_name)
+    injected = _frames(*_ATTACKS[spec.kind](batch, spec, profile, rng),
+                       Label.ANOMALY)
+    return _merged([batch, injected], batch.source_name)
 
 
 # --- desk-scale benchmark --------------------------------------------------

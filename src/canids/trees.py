@@ -140,9 +140,8 @@ def _split_value(lo: float, hi: float) -> float:
 
 class _Gini:
     """CART: S1 sums the rows' labels times their weights and S2 the
-    weights, which are 1 (b is None) or bootstrap multiplicities; leaves
-    hold the positive fraction and each side needs a weight of
-    min_samples_leaf."""
+    weights, which are 1 or bootstrap multiplicities; leaves hold the
+    positive fraction and each side needs a weight of min_samples_leaf."""
 
     def __init__(self, min_samples_leaf: int):
         self.min_weight = min_samples_leaf
@@ -201,13 +200,12 @@ class _Presorted:
 
     def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None,
              leaves=None):
-        """One tree on the ascending row indices rows, summing (a, b), or
-        (a, row count) when b is None. Every node searches feats, or the
-        sorted subset sample() draws from feats. The 0/1 candidates' rows
-        come from block, which holds exactly the 0/1 columns of feats, or
-        from X per node when block is None. If leaves is given, leaves[i]
-        is set to the value of the leaf that row i of rows reaches, the
-        value FlatTree.route gives it."""
+        """One tree on the ascending row indices rows, summing (a, b).
+        Every node searches feats, or the sorted subset sample() draws from
+        feats. The 0/1 candidates' rows come from block, which holds exactly
+        the 0/1 columns of feats, or from X per node when block is None.
+        If leaves is given, leaves[i] is set to the value of the leaf that
+        row i of rows reaches, the value FlatTree.route gives it."""
         X, mask = self.X, self.mask
         member = np.zeros(X.shape[0], dtype=bool)
         member[rows] = True
@@ -215,7 +213,7 @@ class _Presorted:
 
         def node(idx, orders, depth):
             S1 = float(a[idx].sum())
-            S2 = float(idx.size) if b is None else float(b[idx].sum())
+            S2 = float(b[idx].sum())
             leaf = TreeNode(value=crit.leaf(S1, S2))
             split = None
             if depth < max_depth and not crit.is_final(S1, S2, idx.size):
@@ -269,7 +267,7 @@ class _Presorted:
                  if block is not None else self.X[np.ix_(idx, bits)])
             n1 = np.ones(m) @ B
             A1 = a[idx] @ B
-            W1 = n1 if b is None else b[idx] @ B
+            W1 = b[idx] @ B
             gains = masked_gains(m - n1, S1 - A1, S2 - W1, n1, A1, W1)
             j = int(np.argmax(gains))
             found.append((gains[j], -int(bits[j]), 0.5))
@@ -282,7 +280,7 @@ class _Presorted:
                 continue
             nL = boundary + 1.0
             L1 = np.cumsum(a[s])[boundary]
-            L2 = nL if b is None else np.cumsum(b[s])[boundary]
+            L2 = np.cumsum(b[s])[boundary]
             gains = masked_gains(nL, L1, L2, m - nL, S1 - L1, S2 - L2)
             j = int(np.argmax(gains))  # first max: lowest threshold wins ties
             found.append((gains[j], -f, _split_value(sv[boundary[j]],
@@ -319,8 +317,8 @@ def fit_cart(
         raise ValueError("features_per_split needs an rng to sample features")
     data = _Presorted(X)
     all_feats = np.arange(X.shape[1])
-    grow_args = (_Gini(min_samples_leaf), y.astype(np.float64), None,
-                 np.arange(len(y)), all_feats, max_depth)
+    grow_args = (_Gini(min_samples_leaf), y.astype(np.float64),
+                 np.ones(len(y)), np.arange(len(y)), all_feats, max_depth)
     if sampled:
         return data.grow(*grow_args, sample=_sampler(rng, all_feats, k))
     return data.grow(*grow_args, block=data.block(all_feats))

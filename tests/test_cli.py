@@ -424,3 +424,16 @@ def test_eval_model_file_invalid_param_value_exit_2(feature_csvs, tmp_path,
                    "--test", str(feature_csvs["test"])) == 2
     assert (f"data error: model file {model_path}: n_trees must be >= 1"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("payload", ["random:0000@1:7F-10",
+                                     "counter:0000@1%300"])
+def test_synth_unrepresentable_profile_exit_2(tmp_path, capsys, payload):
+    profile = tmp_path / "profile.txt"
+    profile.write_text(f"id=0x100 period=0.01 dlc=2 payload={payload}\n")
+    code = run_cli("synth", "--profile", str(profile), "--horizon", "1",
+                   "--out", str(tmp_path / "traffic.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "canids: data error: " in err and "Traceback" not in err
+    assert not (tmp_path / "traffic.csv").exists()

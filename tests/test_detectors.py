@@ -233,6 +233,11 @@ REFUSED_PARAMS = [
     ("iforest", "n_trees", 0, "n_trees must be >= 1"),
     ("iforest", "subsample", 1, "subsample must be >= 2"),
     ("lof", "k", 0, "k must be >= 1"),
+    ("rc", "support_fraction", 0.5, "support_fraction must lie in (0.5, 1]"),
+    ("rc", "support_fraction", 1.5, "support_fraction must lie in (0.5, 1]"),
+    ("rc", "cutoff_level", 0, "cutoff_level must lie in (0, 1)"),
+    ("rc", "cutoff_level", 1, "cutoff_level must lie in (0, 1)"),
+    ("rc", "cutoff_level", 7, "cutoff_level must lie in (0, 1)"),
 ]
 
 

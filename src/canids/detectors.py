@@ -222,7 +222,7 @@ class KnnDetector(Detector):
 
     def _state(self):
         return {"refs": encode_array(self.index.refs),
-                "labels": [int(v) for v in self.labels]}
+                "labels": self.labels.astype(np.int64).tolist()}
 
     def _restore(self, state):
         self.index = NeighborIndex(decode_array(state["refs"]))
@@ -231,7 +231,8 @@ class KnnDetector(Detector):
         if not isinstance(labels, list) or len(labels) != self.index.n:
             raise IoError(f"labels must be a list of {self.index.n} entries, "
                           "one per reference row")
-        if any(type(v) is not int or v not in (0, 1) for v in labels):
+        # JSON true and 1.0 equal 1 but are not integer labels
+        if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
             raise IoError("labels must be the integers 0 and 1")
         self.labels = np.array(labels, dtype=np.int8)
 

@@ -237,14 +237,30 @@ class _Segment(NamedTuple):
         return packed + 256 * np.arange(packed.shape[1])
 
 
-def _column_text(col: np.ndarray, text, sep: str) -> tuple[np.ndarray, list]:
-    """The sorted distinct bit patterns of col and text(v) + sep for each:
-    text runs once per pattern, so -0.0 and 0.0 stay apart."""
-    keys = np.sort(col.view(f"u{col.itemsize}"))
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    return keys, [text(v) + sep for v in keys.view(col.dtype).tolist()]
+def _distinct_patterns(bits: np.ndarray) -> list[np.ndarray]:
+    """The sorted distinct patterns of each column of bits, an unsigned
+    (rows, columns) view. A column whose every pattern is its minimum or
+    its maximum, as the 64 payload bits of an extracted matrix are, is
+    found by comparisons over row blocks; only the other columns are
+    copied and sorted."""
+    lo, hi = bits.min(axis=0), bits.max(axis=0)
+    two = np.ones(bits.shape[1], dtype=bool)
+    for a in range(0, len(bits), _BLOCK_ROWS):
+        blk = bits[a:a + _BLOCK_ROWS]
+        two &= ((blk == lo) | (blk == hi)).all(axis=0)
+    keys = []
+    for j in range(bits.shape[1]):
+        col = np.sort(bits[:, j]) if not two[j] else np.array([lo[j], hi[j]])
+        first = np.ones(col.size, dtype=bool)
+        first[1:] = col[1:] != col[:-1]
+        keys.append(col[first])
+    return keys
+
+
+def _column_text(keys: np.ndarray, dtype, text, sep: str) -> list:
+    """text(v) + sep for each bit pattern of keys read as dtype: text runs
+    once per pattern, so -0.0 and 0.0 stay apart."""
+    return [text(v) + sep for v in keys.view(dtype).tolist()]
 
 
 def _text_table(strings: list) -> np.ndarray:
@@ -256,12 +272,15 @@ def _segments(values: np.ndarray, labels: np.ndarray | None) -> list[_Segment]:
     """The segments that render each row of values (and labels)."""
     n_val = values.shape[1]
     cols = [values[:, j] for j in range(n_val)]
+    keys = _distinct_patterns(values.view(np.uint64))
     texts = [repr] * n_val
     if labels is not None:
         cols.append(labels)
+        keys += _distinct_patterns(labels.view(f"u{labels.itemsize}")[:, None])
         texts.append(lambda v: str(int(v)))
     seps = [","] * (len(cols) - 1) + ["\n"]
-    keys, strings = zip(*map(_column_text, cols, texts, seps))
+    strings = [_column_text(key, col.dtype, text, sep)
+               for key, col, text, sep in zip(keys, cols, texts, seps)]
     # the text width of a value column with at most two texts of one
     # width, which may join a packed run; 0 for any other column
     width = [len(t[0]) if j < n_val and len(t) <= 2 and len(t[0]) == len(t[-1])

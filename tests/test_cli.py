@@ -310,6 +310,14 @@ def knn_labels_300(doc):
     _set_knn_labels(doc, 300)
 
 
+def knn_labels_one_true(doc):
+    doc["payload"]["state"]["labels"][0] = True
+
+
+def knn_labels_one_float(doc):
+    doc["payload"]["state"]["labels"][-1] = 1.0
+
+
 def _narrow_refs(doc):
     state = doc["payload"]["state"]
     state["refs"] = encode_array(decode_array(state["refs"])[:, :-1])
@@ -364,7 +372,8 @@ def dae_bogus_activation(doc):
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
     knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
-    knn_labels_300, knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
+    knn_labels_300, knn_labels_one_true, knn_labels_one_float,
+    knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
     knn_refs_choice_short, knn_state_list,
 ], ids=lambda f: f.__name__)

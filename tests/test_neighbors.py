@@ -212,6 +212,66 @@ def test_duplicate_heavy_query_matches_fixed_order_ranking(k, exclude_self):
     assert_fixed_order_neighbours(refs, queries, k, exclude_self)
 
 
+# --- prefix groups ----------------------------------------------------------------
+
+# last values: ties, -0.0 and 0.0, and floats that need not tie
+LAST_VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                        st.floats(-4.0, 4.0))
+
+
+@st.composite
+def prefix_grouped_rows(draw):
+    """(refs, queries): CAN-like references of width 1, 2 or 3, drawn as a
+    few prefix patterns (all columns but the last), each with 1 to 12
+    last values, plus repeated rows; queries are new rows over those
+    patterns or over new prefixes."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    prefix = st.lists(TIE_VALUES, min_size=d - 1, max_size=d - 1)
+    patterns = draw(st.lists(prefix, min_size=1, max_size=4))
+    rows = [pattern + [last] for pattern in patterns
+            for last in draw(st.lists(LAST_VALUES, min_size=1, max_size=12))]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1),
+                                            min_size=1, max_size=10))]
+    refs = np.array(draw(st.permutations(rows)))
+    query = st.builds(lambda p, last: p + [last],
+                      st.one_of(st.sampled_from(patterns), prefix), LAST_VALUES)
+    return refs, np.array(draw(st.lists(query, min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=prefix_grouped_rows(), data=st.data())
+def test_prefix_groups_match_fixed_order_ranking(case, data):
+    """Groups of one row, groups smaller than k and groups larger: the
+    distances and ids of new rows, and of the references themselves with
+    their own ids left out, are the bytes of the fixed-order ranking."""
+    refs, queries = case
+    k = data.draw(st.integers(1, len(refs)))
+    assert_fixed_order_neighbours(refs, queries, k)
+    assert_fixed_order_neighbours(refs, refs, min(k, len(refs) - 1),
+                                  exclude_self=True)
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_exact_distances_per_row_stay_near_k(k, exclude_self):
+    """On tied CAN-like rows the bounds leave few candidates: the search
+    computes at most 4 k exact distances per query row on average."""
+    rng = np.random.default_rng(13)
+    refs = tied_features(rng, 2000)
+    queries = refs if exclude_self else tied_features(rng, 200)
+    evals = []
+    exact_sq = NeighborIndex._exact_sq
+
+    def spy(self, *args):
+        sq = exact_sq(self, *args)
+        evals.append(len(sq))
+        return sq
+
+    with mock.patch.object(NeighborIndex, "_exact_sq", spy):
+        NeighborIndex(refs).query(queries, k, exclude_self)
+    assert sum(evals) <= 4 * k * len(queries)
+
+
 def test_query_tie_break_low_row_id():
     refs = np.array([[1.0], [1.0], [1.0], [2.0]])
     index = NeighborIndex(refs)

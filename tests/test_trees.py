@@ -89,7 +89,8 @@ def exhaustive_best_split(X, y, min_samples_leaf=1):
 def test_split_between_adjacent_floats_separates_them(lo):
     """lo and the next float up: their midpoint rounds up to the upper
     value (or overflows), and the split must still send lo left."""
-    hi = np.nextafter(lo, np.inf)
+    with np.errstate(over="ignore"):  # the float max steps up to inf
+        hi = np.nextafter(lo, np.inf)
     assert (lo + hi) / 2.0 >= hi
     X, y = np.array([[lo], [hi]]), np.array([0, 1])
     tree = fit_cart(X, y, max_depth=1)

@@ -195,11 +195,14 @@ def _grads(net: AutoencoderNet, X: np.ndarray):
     batch, width = X.shape
     loss = float(np.mean((recon - X) ** 2))
     delta = 2.0 * (recon - X) / (batch * width)  # dL/d(output activation)
+    layers = net.layers
     grads = []
-    for layer, (a_prev, z, a) in zip(reversed(net.layers), reversed(cache)):
-        dz = delta * _activation_grad(layer.activation, z, a)
+    for i in reversed(range(len(layers))):
+        a_prev, z, a = cache[i]
+        dz = delta * _activation_grad(layers[i].activation, z, a)
         grads.append((dz.T @ a_prev, dz.sum(axis=0)))
-        delta = dz @ layer.weights
+        if i:  # the input layer's delta, dL/dX, is never used
+            delta = dz @ layers[i].weights
     grads.reverse()
     return loss, grads
 

@@ -3,10 +3,12 @@ import copy
 import numpy as np
 import pytest
 
+from canids import autoencoder
 from canids.autoencoder import (
     AutoencoderNet,
     DenseLayer,
     ThresholdConfig,
+    _activation_grad,
     _grads,
     compute_threshold,
     fine_tune_threshold,
@@ -197,6 +199,42 @@ def test_backprop_matches_finite_differences():
             assert np.all(np.abs(gW - nW) / denomW < 1e-4)
             denomb = np.maximum(np.abs(gb) + np.abs(nb), 1e-8)
             assert np.all(np.abs(gb - nb) / denomb < 1e-4)
+
+
+def reference_grads(net, X):
+    """Backprop that also forms the input layer's unused delta product."""
+    cache, recon = net._forward_cached(X)
+    batch, width = X.shape
+    loss = float(np.mean((recon - X) ** 2))
+    delta = 2.0 * (recon - X) / (batch * width)
+    grads = []
+    for layer, (a_prev, z, a) in zip(reversed(net.layers), reversed(cache)):
+        dz = delta * _activation_grad(layer.activation, z, a)
+        grads.append((dz.T @ a_prev, dz.sum(axis=0)))
+        delta = dz @ layer.weights
+    grads.reverse()
+    return loss, grads
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+def test_train_matches_reference_backprop_bytes(monkeypatch, optimizer,
+                                                activation):
+    X = np.random.default_rng(11).normal(size=(300, 67))
+    det = DaeDetector(epochs=2, batch_size=64, learning_rate=1e-2,
+                      optimizer=optimizer, seed=4)
+
+    def run():
+        net = make_autoencoder(67, hidden_activation=activation, seed=4)
+        return train(net, X, det)
+
+    net, trace = run()
+    monkeypatch.setattr(autoencoder, "_grads", reference_grads)
+    ref_net, ref_trace = run()
+    assert trace == ref_trace
+    for layer, ref in zip(net.layers, ref_net.layers):
+        assert layer.weights.tobytes() == ref.weights.tobytes()
+        assert layer.bias.tobytes() == ref.bias.tobytes()
 
 
 def test_identity_initialization_is_fixed_point():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import canids
 from canids.density import (
     GaussianModel,
     average_path_length,
@@ -100,10 +104,32 @@ def test_rc_detector_uses_chi2_cutoff():
     X = rng.normal(size=(500, 3))
     det = RcDetector(support_fraction=1.0, cutoff_level=0.99)
     det.fit(FeatureMatrix(X, column_ids=(0, 1, 2)))
-    assert det.model.cutoff == pytest.approx(stats.chi2.ppf(0.99, 3))
+    assert det.model.cutoff == stats.chi2.ppf(0.99, 3)
     preds = det.predict(X)
     # roughly the nominal false-positive rate on clean data
     assert preds.mean() < 0.05
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("dim", [1, 3, 67])
+def test_rc_cutoff_is_the_chi2_quantile_bit_for_bit(dim, level):
+    X = np.random.default_rng(dim).normal(size=(2 * dim + 10, dim))
+    det = RcDetector(support_fraction=1.0, cutoff_level=level)
+    det.fit(FeatureMatrix(X, column_ids=tuple(range(dim))))
+    assert det.model.cutoff == stats.chi2.ppf(level, dim)
+
+
+def test_importing_canids_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this test module itself loads scipy.stats
+    src = os.path.dirname(os.path.dirname(canids.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, canids.cli, canids.harness, canids.detectors; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_too_few_samples():

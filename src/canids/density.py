@@ -15,7 +15,7 @@ x < t for its random threshold t; it stores nextafter(t, -inf) instead,
 because FlatTree.route tests <= and x < t holds exactly when
 x <= nextafter(t, -inf) does, for every float x (infinities and NaN
 included) and every t but -inf, which the draw never gives. Leaf values
-are the path length: depth plus c(rows at the leaf).
+are the path length: depth plus c(rows at the leaf). Gains are all 0.0.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     TooFewSamples,
     UnfitModel,
 )
-from .trees import FlatTree
+from .trees import FlatTree, mean_route
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -190,7 +190,7 @@ def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
 
     def build(idx: np.ndarray, depth: int) -> int:
         i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0])
+        nodes.append([-1, 0.0, -1, -1, 0.0, 0.0])
         if idx.size > 1 and depth < height_limit:
             sub = X[idx]
             lo = sub.min(axis=0)
@@ -228,21 +228,11 @@ class IsoForestModel:
     def mean_path_length(self, X) -> np.ndarray:
         if not self.trees:
             raise UnfitModel("isolation forest not fitted")
-        arr = np.atleast_2d(_as_array(X))
-        acc = np.zeros(arr.shape[0])
-        for tree in self.trees:
-            acc += tree.route(arr)
-        return acc / len(self.trees)
+        return mean_route(self.trees, np.atleast_2d(_as_array(X)))
 
     def to_payload(self) -> dict:
         return {"subsample": self.subsample,
                 "trees": [t.to_payload() for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, payload: dict, width: int) -> "IsoForestModel":
-        """The model to_payload wrote; see FlatTree.from_payload."""
-        return cls(payload["subsample"],
-                   [FlatTree.from_payload(t, width) for t in payload["trees"]])
 
 
 def fit_isolation_forest(

@@ -53,13 +53,12 @@ from .model_io import (
 from .neighbors import LocalOutlierFactor, NeighborIndex
 from .trees import (
     FlatTree,
-    GbtModel,
-    RandomForest,
-    TreeNode,
     feature_importance,
     fit_cart,
     fit_gbt,
     fit_random_forest,
+    gbt_margins,
+    mean_route,
 )
 
 SUPERVISED_MODELS = ("dt", "knn", "rf", "gbt")
@@ -86,9 +85,21 @@ def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
                          f"n_features is {n_features}")
 
 
-def _check_tree_count(trees: list, param: str, value: int) -> None:
-    if len(trees) != value:
-        raise IoError(f"{len(trees)} trees, {param} is {value}")
+def _trees_state(trees: list[FlatTree]) -> dict:
+    return {"trees": [t.to_payload() for t in trees]}
+
+
+def _load_trees(state: dict, width: int, param: str, count: int
+                ) -> list[FlatTree]:
+    """The trees state["trees"] holds, fitted on width columns; IoError
+    unless it is a list of count tree objects, count being what param
+    says."""
+    trees = state["trees"]
+    if not isinstance(trees, list):
+        raise IoError("trees is not a list")
+    if len(trees) != count:
+        raise IoError(f"{len(trees)} trees, {param} is {count}")
+    return [FlatTree.from_payload(_object(t, "tree"), width) for t in trees]
 
 
 def _fitted(default=None):
@@ -178,24 +189,24 @@ class DecisionTreeDetector(Detector):
     max_depth: int = 12
     min_samples_leaf: int = 1
     cutoff: float = 0.5
-    tree: TreeNode | None = _fitted()
+    trees: list[FlatTree] = _fitted()  # the one tree
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.tree = fit_cart(train.values, y, self.max_depth,
-                             self.min_samples_leaf)
+        self.trees = [fit_cart(train.values, y, self.max_depth,
+                               self.min_samples_leaf)]
 
     def _score(self, X):
-        return FlatTree.from_node(self.tree).route(X)
+        return self.trees[0].route(X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
     def _state(self):
-        return {"tree": self.tree.to_dict()}
+        return _trees_state(self.trees)
 
     def _restore(self, state):
-        self.tree = TreeNode.from_dict(state["tree"], self.n_features)
+        self.trees = _load_trees(state, self.n_features, "dt's tree count", 1)
 
 
 @dataclass(eq=False)
@@ -247,7 +258,7 @@ class RandomForestDetector(Detector):
     features_per_split: int | None = None
     bootstrap_fraction: float = 1.0
     cutoff: float = 0.5
-    model: RandomForest | None = _fitted()
+    trees: list[FlatTree] = _fitted()
 
     def _check_params(self):
         if self.n_trees < 1:
@@ -257,20 +268,20 @@ class RandomForestDetector(Detector):
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.model = fit_random_forest(train.values, y, self)
+        self.trees = fit_random_forest(train.values, y, self)
 
     def _score(self, X):
-        return self.model.predict_proba(X)
+        return mean_route(self.trees, X)
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
     def _state(self):
-        return {"model": self.model.to_payload()}
+        return _trees_state(self.trees)
 
     def _restore(self, state):
-        self.model = RandomForest.from_payload(state["model"], self.n_features)
-        _check_tree_count(self.model.trees, "n_trees", self.n_trees)
+        self.trees = _load_trees(state, self.n_features, "n_trees",
+                                 self.n_trees)
 
 
 @dataclass(eq=False)
@@ -288,7 +299,8 @@ class GbtDetector(Detector):
     colsample: float = 1.0
     base_score: float = 0.5
     cutoff: float = 0.5
-    model: GbtModel | None = _fitted()
+    trees: list[FlatTree] = _fitted()
+    loss_trace: list[float] = field(default_factory=list, init=False)
 
     def _check_params(self):
         if self.rounds < 1:
@@ -302,25 +314,32 @@ class GbtDetector(Detector):
 
     def _fit(self, train, val=None):
         y = _require_labels(train, self.name)
-        self.model = fit_gbt(train.values, y, self)
+        self.trees, self.loss_trace = fit_gbt(train.values, y, self)
 
     def _score(self, X):
-        return self.model.predict_proba(X)
+        return ae.sigmoid(gbt_margins(self, X))
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
 
     def importance(self) -> np.ndarray:
         self._check_fitted()
-        return feature_importance(self.model)
+        return feature_importance(self.trees, self.n_features)
 
     def _state(self):
-        return {"model": self.model.to_payload()}
+        return {**_trees_state(self.trees),
+                "loss_trace": [encode_float(v) for v in self.loss_trace]}
 
     def _restore(self, state):
-        self.model = GbtModel.from_payload(state["model"], self.n_features,
-                                           self.learning_rate)
-        _check_tree_count(self.model.trees, "rounds", self.rounds)
+        self.trees = _load_trees(state, self.n_features, "rounds", self.rounds)
+        trace = state["loss_trace"]
+        if not isinstance(trace, list) or len(trace) != self.rounds + 1:
+            raise IoError(f"loss_trace must list rounds + 1 = "
+                          f"{self.rounds + 1} values")
+        try:
+            self.loss_trace = [decode_float(v) for v in trace]
+        except (TypeError, ValueError) as exc:
+            raise IoError(f"loss_trace value is not a hex float: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -438,9 +457,12 @@ class IsoForestDetector(Detector):
         return {"model": self.model.to_payload()}
 
     def _restore(self, state):
-        self.model = IsoForestModel.from_payload(state["model"],
-                                                 self.n_features)
-        _check_tree_count(self.model.trees, "n_trees", self.n_trees)
+        model = _object(state["model"], "model")
+        psi = model["subsample"]
+        if type(psi) is not int or psi < 2:
+            raise IoError(f"subsample {psi!r} is not a size of at least 2")
+        self.model = IsoForestModel(
+            psi, _load_trees(model, self.n_features, "n_trees", self.n_trees))
 
 
 # without labeled validation the threshold is this percentile of train losses

@@ -1,12 +1,12 @@
 """Versioned JSON model files with bit-exact float round-tripping.
 
 All fitted models serialize through the same envelope:
-    {"format": "canids-model", "version": 5, "kind": "<model name>",
+    {"format": "canids-model", "version": 6, "kind": "<model name>",
      "payload": {...}}
-Every fitted array is stored as {"shape": [...], "data": "<base64>"}. The
-array is viewed as shape[0] rows by prod(shape[1:]) columns (a 1-D array is
-one column). A column of at least 3 rows whose entries take at most two
-float64 bit patterns is packed: the object gains "packed" (the ascending
+Every fitted float array is stored as {"shape": [...], "data": "<base64>"}.
+The array is viewed as shape[0] rows by prod(shape[1:]) columns (a 1-D
+array is one column). A column of at least 3 rows whose entries take at most
+two float64 bit patterns is packed: the object gains "packed" (the ascending
 indices of the packed columns), "patterns" (the base64 of each packed
 column's first pattern and the other one, as little-endian float64 pairs)
 and "choice" (the base64 of np.packbits of each packed column's rows, 1
@@ -14,8 +14,10 @@ where a row holds the second pattern, ceil(rows / 8) bytes per column).
 data is the base64 of the other columns' little-endian float64 bytes in C
 order; with no packed column the object holds only shape and data.
 Scalars are stored as C99 hex strings (float.hex()). Both round-trip doubles
-exactly, -0.0 and NaN payloads included. Files of any other version are
-refused.
+exactly, -0.0 and NaN payloads included. Integer arrays, such as a tree's
+feature and child indices, are plain JSON integer lists. Every tree, of any
+model, is a trees.FlatTree payload: flat lists, never nested nodes. Files
+of any other version are refused, and so is JSON nested too deep to parse.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import IoError
 
 FORMAT_NAME = "canids-model"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _LE_F8 = np.dtype("<f8")
 _LE_U8 = np.dtype("<u8")
@@ -145,6 +147,8 @@ def load_model(path: str | Path) -> tuple[str, dict]:
         raise IoError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(f"model file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise IoError(f"model file {path} nests JSON too deeply") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise IoError(f"{path} is not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:

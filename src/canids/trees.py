@@ -39,87 +39,31 @@ Gini sums are integers below 2**53, exact in any order, so the trees are
 bit for bit those grown on X[rows], also where a column is 0/1 only within
 the sample: both searches give it the one threshold 0.5.
 
-Fitted trees are TreeNode objects; every model, the isolation forest in
-density included, routes rows through FlatTree, their array form, with the
-one test x <= threshold. Model files hold CART and boosted trees as nested
-TreeNode dicts and isolation trees as FlatTree payloads.
+Every tree is a FlatTree: parallel arrays in pre-order, left subtree
+first, which the growers write as they go. Every model, the isolation
+forest in density included, routes rows through it with the one test
+x <= threshold, and model files hold it as a FlatTree payload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autoencoder import sigmoid
-from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel, WrongWidth
-from .model_io import decode_array, decode_float, encode_array, encode_float
+from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel
+from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
     from .detectors import GbtDetector, RandomForestDetector
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature == -1).
-
-    value holds the positive-class fraction for CART trees and the raw
-    leaf weight for boosted trees. Routing goes left when x[feature] is
-    <= threshold.
-    """
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": encode_float(self.value)}
-        return {
-            "feature": self.feature,
-            "threshold": encode_float(self.threshold),
-            "gain": encode_float(self.gain),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict, width: int) -> "TreeNode":
-        """The tree to_dict wrote; IoError if a split feature lies outside
-        [0, width)."""
-        if "feature" not in obj:
-            return cls(value=decode_float(obj["value"]))
-        f = obj["feature"]
-        if not (isinstance(f, int) and 0 <= f < width):
-            raise IoError(f"tree split on feature {f!r}, fitted width {width}")
-        return cls(
-            feature=f,
-            threshold=decode_float(obj["threshold"]),
-            gain=decode_float(obj["gain"]),
-            left=cls.from_dict(obj["left"], width),
-            right=cls.from_dict(obj["right"], width),
-        )
-
-
 def _as_array(X) -> np.ndarray:
     values = getattr(X, "values", X)
     return np.asarray(values, dtype=np.float64)
-
-
-def _checked_width(X, width: int) -> np.ndarray:
-    arr = np.atleast_2d(_as_array(X))
-    if arr.shape[1] != width:
-        raise WrongWidth(f"{arr.shape[1]} columns, model expects {width}")
-    return arr
 
 
 # --- split search ----------------------------------------------------------
@@ -208,7 +152,7 @@ class _Presorted:
                                     dtype=np.uint8)
 
     def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None,
-             leaves=None):
+             leaves=None) -> FlatTree:
         """One tree on the ascending row indices rows, summing (a, b).
         Every node searches feats, or the sorted subset sample() draws from
         feats. The 0/1 candidates' rows come from block, which holds exactly
@@ -219,40 +163,44 @@ class _Presorted:
         member = np.zeros(X.shape[0], dtype=bool)
         member[rows] = True
         orders = {f: o[member[o]] for f, o in self.orders.items() if f in feats}
+        nodes: list[list] = []  # FlatTree.of_rows rows, in pre-order
 
-        def node(idx, orders, depth):
+        def node(idx, orders, depth) -> int:
+            i = len(nodes)
             S1 = float(a[idx].sum())
             S2 = float(b[idx].sum())
-            leaf = TreeNode(value=crit.leaf(S1, S2))
             split = None
             if depth < max_depth and not crit.is_final(S1, S2, idx.size):
                 cand = feats if sample is None else sample()
                 split = self._best_split(crit, a, b, idx, orders, cand, block,
                                          S1, S2)
             if split is None:
+                value = crit.leaf(S1, S2)
+                nodes.append([-1, 0.0, -1, -1, value, 0.0])
                 if leaves is not None:
-                    leaves[idx] = leaf.value
-                return leaf
+                    leaves[idx] = value
+                return i
             f, thr, gain = split
+            nodes.append([f, float(thr), -1, -1, 0.0, float(gain)])
             go_left = X[idx, f] <= thr
             mask[idx] = go_left
             left, right = {}, {}
             for g, s in orders.items():
                 keep = mask[s]
                 left[g], right[g] = s[keep], s[~keep]
-            out = TreeNode(feature=f, threshold=float(thr), gain=float(gain),
-                           value=leaf.value)
-            out.left = node(idx[go_left], left, depth + 1)
-            out.right = node(idx[~go_left], right, depth + 1)
-            return out
+            orders.clear()  # its halves replace it down the recursion
+            nodes[i][2] = node(idx[go_left], left, depth + 1)
+            nodes[i][3] = node(idx[~go_left], right, depth + 1)
+            return i
 
         with np.errstate(divide="ignore", invalid="ignore"):
             try:
-                return node(rows, orders, 0)
+                node(rows, orders, 0)
             finally:
                 # node refers to itself; without this the cycle would keep
                 # the tree's search data until a garbage collection
                 del node
+        return FlatTree.of_rows(nodes)
 
     def _best_split(self, crit, a, b, idx, orders, feats, block, S1, S2):
         """Best (feature, threshold, gain) at a node, or None.
@@ -310,7 +258,7 @@ def fit_cart(
     min_samples_leaf: int = 1,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
-) -> TreeNode:
+) -> FlatTree:
     """Greedy CART by Gini impurity reduction; leaves store the
     positive-class fraction. rng/features_per_split enable the per-node
     feature sampling used by the random forest; sampling needs the rng."""
@@ -340,12 +288,16 @@ def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
 
 @dataclass
 class FlatTree:
-    """Array form of a tree, the one form every model routes through.
+    """A tree as parallel arrays, the one form every model grows, routes
+    and stores.
 
     Node i is a leaf when feature[i] == -1; otherwise x goes to left[i]
     when x[feature[i]] <= threshold[i], else to right[i]. Children come
     after their parent. value holds the leaf outputs: CART fractions,
-    boosting weights or isolation path lengths.
+    boosting weights or isolation path lengths; gain holds each split's
+    gain. An entry a node does not use is -1 (a leaf's children) or 0.0
+    (a split's value, a leaf's threshold and gain, and every gain of an
+    isolation tree).
     """
 
     feature: np.ndarray    # int64
@@ -353,30 +305,17 @@ class FlatTree:
     left: np.ndarray       # int64
     right: np.ndarray      # int64
     value: np.ndarray      # float64
-
-    @classmethod
-    def from_node(cls, root: TreeNode) -> "FlatTree":
-        """root's nodes in pre-order, left subtree first."""
-        rows = []
-        stack = [(root, -1, 0)]  # node, its parent's row, the column to set
-        while stack:
-            node, parent, col = stack.pop()
-            if parent >= 0:
-                rows[parent][col] = len(rows)
-            rows.append([node.feature, node.threshold, -1, -1, node.value])
-            if not node.is_leaf:
-                i = len(rows) - 1
-                stack += [(node.right, i, 3), (node.left, i, 2)]
-        return cls.of_rows(rows)
+    gain: np.ndarray       # float64
 
     @classmethod
     def of_rows(cls, rows: list) -> "FlatTree":
         """The tree whose node i is rows[i] = [feature, threshold, left,
-        right, value]."""
-        feature, threshold, left, right, value = zip(*rows)
+        right, value, gain]."""
+        feature, threshold, left, right, value, gain = zip(*rows)
         return cls(np.array(feature, dtype=np.int64), np.array(threshold),
                    np.array(left, dtype=np.int64),
-                   np.array(right, dtype=np.int64), np.array(value))
+                   np.array(right, dtype=np.int64), np.array(value),
+                   np.array(gain))
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """The leaf value each row of X reaches."""
@@ -397,7 +336,8 @@ class FlatTree:
                 "threshold": encode_array(self.threshold),
                 "left": self.left.tolist(),
                 "right": self.right.tolist(),
-                "value": encode_array(self.value)}
+                "value": encode_array(self.value),
+                "gain": encode_array(self.gain)}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "FlatTree":
@@ -409,8 +349,8 @@ class FlatTree:
         except ValueError as exc:  # nested lists of uneven lengths
             raise IoError(f"tree index list is malformed: {exc}") from exc
         tree = cls(feature, decode_array(obj["threshold"]), left, right,
-                   decode_array(obj["value"]))
-        arrays = (feature, tree.threshold, left, right, tree.value)
+                   decode_array(obj["value"]), decode_array(obj["gain"]))
+        arrays = (feature, tree.threshold, left, right, tree.value, tree.gain)
         n = feature.size
         if (n == 0 or any(a.shape != (n,) for a in arrays)
                 or any(a.dtype != np.int64 for a in (feature, left, right))):
@@ -426,40 +366,17 @@ class FlatTree:
         return tree
 
 
-def tree_max_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_max_depth(node.left), tree_max_depth(node.right))
+def mean_route(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
+    """The mean over trees of the leaf value each row of X reaches."""
+    acc = np.zeros(X.shape[0])
+    for tree in trees:
+        acc += tree.route(X)
+    return acc / len(trees)
 
 
 # --- random forest -----------------------------------------------------------
 
-@dataclass
-class RandomForest:
-    trees: list[TreeNode] = field(default_factory=list)
-    n_features: int = 0
-
-    def predict_proba(self, X) -> np.ndarray:
-        if not self.trees:
-            raise UnfitModel("forest has no trees")
-        arr = _checked_width(X, self.n_features)
-        acc = np.zeros(arr.shape[0])
-        for tree in self.trees:
-            acc += FlatTree.from_node(tree).route(arr)
-        return acc / len(self.trees)
-
-    def to_payload(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, payload: dict, width: int) -> "RandomForest":
-        """The forest to_payload wrote, fitted on width columns; see
-        TreeNode.from_dict."""
-        return cls([TreeNode.from_dict(t, width) for t in payload["trees"]],
-                   width)
-
-
-def fit_random_forest(X, y, det: RandomForestDetector) -> RandomForest:
+def fit_random_forest(X, y, det: RandomForestDetector) -> list[FlatTree]:
     """Bagged CARTs grown with det's n_trees, max_depth, features_per_split,
     bootstrap_fraction and seed: each tree sees a bootstrap resample and
     samples features_per_split candidate features at every node.
@@ -484,16 +401,16 @@ def fit_random_forest(X, y, det: RandomForestDetector) -> RandomForest:
     y = y.astype(np.float64)
     all_feats = np.arange(width)
     block = data.block(all_feats) if k == width else None
-    model = RandomForest(n_features=width)
+    trees = []
     for stream in np.random.SeedSequence(det.seed).spawn(det.n_trees):
         rng = np.random.default_rng(stream)
         w = np.bincount(rng.integers(0, n, size=sample_size), minlength=n)
         rows = np.flatnonzero(w)
         w = w.astype(np.float64)
         sample = None if block is not None else _sampler(rng, all_feats, k)
-        model.trees.append(data.grow(crit, y * w, w, rows, all_feats,
-                                     det.max_depth, block, sample))
-    return model
+        trees.append(data.grow(crit, y * w, w, rows, all_feats, det.max_depth,
+                               block, sample))
+    return trees
 
 
 # --- gradient boosting ---------------------------------------------------------
@@ -502,48 +419,24 @@ def _log_loss(margin: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, margin) - y * margin))
 
 
-@dataclass
-class GbtModel:
-    learning_rate: float
-    trees: list[TreeNode] = field(default_factory=list)
-    n_features: int = 0
-    base_margin: float = 0.0
-    loss_trace: list[float] = field(default_factory=list)
-
-    def margins(self, X) -> np.ndarray:
-        arr = _checked_width(X, self.n_features)
-        m = np.full(arr.shape[0], self.base_margin)
-        for tree in self.trees:
-            m += self.learning_rate * FlatTree.from_node(tree).route(arr)
-        return m
-
-    def predict_proba(self, X) -> np.ndarray:
-        return sigmoid(self.margins(X))
-
-    def to_payload(self) -> dict:
-        return {
-            "base_margin": encode_float(self.base_margin),
-            "loss_trace": [encode_float(v) for v in self.loss_trace],
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, width: int,
-                     learning_rate: float) -> "GbtModel":
-        """The model to_payload wrote, fitted on width columns; see
-        TreeNode.from_dict."""
-        return cls(
-            learning_rate,
-            [TreeNode.from_dict(t, width) for t in payload["trees"]],
-            width,
-            decode_float(payload["base_margin"]),
-            [decode_float(v) for v in payload["loss_trace"]],
-        )
+def _base_margin(base_score: float) -> float:
+    return math.log(base_score / (1.0 - base_score))
 
 
-def fit_gbt(X, y, det: GbtDetector) -> GbtModel:
+def gbt_margins(det: GbtDetector, X: np.ndarray) -> np.ndarray:
+    """The margin of each row of X: the base margin of det.base_score plus
+    det.learning_rate times the leaf value it reaches in each of det.trees,
+    added tree by tree."""
+    m = np.full(X.shape[0], _base_margin(det.base_score))
+    for tree in det.trees:
+        m += det.learning_rate * tree.route(X)
+    return m
+
+
+def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     """Additive logistic-loss boosting with second-order split gains, grown
     with det's params (rounds, learning_rate, max_depth, lam, ..., seed).
+    Returns the trees and the loss trace.
 
     Per round: gradients g = p - y and hessians h = p(1-p) at the current
     margins; one tree grown on (g, h); leaf weights -G/(H+lam) added to the
@@ -560,11 +453,9 @@ def fit_gbt(X, y, det: GbtDetector) -> GbtModel:
     n, n_features = X.shape
     data = _Presorted(X)
     crit = _Newton(det)
-    base_margin = math.log(det.base_score / (1.0 - det.base_score))
-    margin = np.full(n, base_margin)
-    model = GbtModel(det.learning_rate, n_features=n_features,
-                     base_margin=base_margin)
-    model.loss_trace.append(_log_loss(margin, y))
+    margin = np.full(n, _base_margin(det.base_score))
+    trees = []
+    loss_trace = [_log_loss(margin, y)]
     streams = np.random.SeedSequence(det.seed).spawn(det.rounds)
     all_feats = np.arange(n_features)
     full_block = None if det.colsample < 1.0 else data.block(all_feats)
@@ -588,27 +479,26 @@ def fit_gbt(X, y, det: GbtDetector) -> GbtModel:
         block = data.block(candidates) if full_block is None else full_block
         tree = data.grow(crit, g, h, rows, candidates, det.max_depth, block,
                          leaves=leaves)
-        model.trees.append(tree)
+        trees.append(tree)
         if rows.size < n:  # rows the tree was not grown on
             out = np.ones(n, dtype=bool)
             out[rows] = False
-            leaves[out] = FlatTree.from_node(tree).route(X[out])
+            leaves[out] = tree.route(X[out])
         margin += det.learning_rate * leaves
-        model.loss_trace.append(_log_loss(margin, y))
-    return model
+        loss_trace.append(_log_loss(margin, y))
+    return trees, loss_trace
 
 
-def feature_importance(model: GbtModel | RandomForest) -> np.ndarray:
-    """Total split gain per feature across all trees, normalized to sum 1.
-    A model that never split returns all zeros."""
-    if not getattr(model, "trees", None):
+def feature_importance(trees: list[FlatTree], width: int) -> np.ndarray:
+    """Total split gain per feature across trees, normalized to sum 1,
+    added tree by tree in pre-order. Trees that never split give all
+    zeros."""
+    if not trees:
         raise UnfitModel("feature_importance needs a fitted model")
-    total = np.zeros(model.n_features)
-    stack = model.trees[::-1]  # pre-order, tree by tree, left subtree first
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            total[node.feature] += node.gain
-            stack += [node.right, node.left]
+    feature = np.concatenate([t.feature for t in trees])
+    split = feature >= 0
+    gain = np.concatenate([t.gain for t in trees])[split]
+    # bincount adds each bin's weights in index order
+    total = np.bincount(feature[split], weights=gain, minlength=width)
     s = total.sum()
     return total / s if s > 0 else total

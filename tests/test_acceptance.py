@@ -22,6 +22,7 @@ from canids.detectors import (
     derive_seed,
     make_detector,
 )
+from canids.features import FeatureMatrix
 from canids.harness import (
     DataSpec,
     ExperimentConfig,
@@ -173,14 +174,15 @@ def test_criterion_4_cart_split_oracle():
             y[0] = 1 - y[0]
         tree = fit_cart(X, y, max_depth=1)
         best_gain, argmax = exhaustive_best_split(X, y)
+        root = (tree.feature[0], tree.threshold[0])
         if best_gain <= 0:
-            assert tree.is_leaf
+            assert tree.feature.tolist() == [-1]
             continue
-        assert not tree.is_leaf, f"trial {trial}: missed the best split"
-        assert (tree.feature, tree.threshold) in argmax
-        assert abs(tree.gain - float(best_gain)) < 1e-12
+        assert tree.feature[0] >= 0, f"trial {trial}: missed the best split"
+        assert root in argmax
+        assert abs(tree.gain[0] - float(best_gain)) < 1e-12
         if len(argmax) == 1:
-            assert (tree.feature, tree.threshold) == next(iter(argmax))
+            assert root == next(iter(argmax))
     _report(4, "CART exhaustive split oracle", time.perf_counter() - started,
             10.0)
 
@@ -190,21 +192,21 @@ def test_criterion_5_gbt_closed_forms_and_training():
     # balanced labels, single leaf: sum of gradients is zero -> weight 0
     cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
-    model = fit_gbt(np.zeros((12, 1)), np.array([0, 1] * 6), cfg)
-    assert model.trees[0].value == 0.0
+    trees, _ = fit_gbt(np.zeros((12, 1)), np.array([0, 1] * 6), cfg)
+    assert trees[0].value[0] == 0.0
     # all-positive labels: w = -(-0.5n)/(0.25n) = 2.0 exactly
-    model = fit_gbt(np.zeros((9, 1)), np.ones(9, dtype=int), cfg)
-    assert model.trees[0].value == 2.0
+    trees, _ = fit_gbt(np.zeros((9, 1)), np.ones(9, dtype=int), cfg)
+    assert trees[0].value[0] == 2.0
 
     rng = np.random.default_rng(3)
     X = np.concatenate([rng.normal((-2, -2), 0.6, size=(100, 2)),
                         rng.normal((2, 2), 0.6, size=(100, 2))])
     y = np.array([0] * 100 + [1] * 100)
-    model = fit_gbt(X, y, GbtDetector(rounds=200, max_depth=3,
-                                      learning_rate=0.3, lam=1.0, seed=0))
+    model = GbtDetector(rounds=200, max_depth=3, learning_rate=0.3, lam=1.0,
+                        seed=0).fit(FeatureMatrix(X, y, (0, 1)))
     trace = np.array(model.loss_trace)
     assert np.all(np.diff(trace) <= 1e-12), "training loss increased"
-    accuracy = ((model.predict_proba(X) >= 0.5) == y).mean()
+    accuracy = ((model.score(X) >= 0.5) == y).mean()
     assert accuracy >= 0.99
     _report(5, "GBT closed forms and training", time.perf_counter() - started,
             30.0, f"final training accuracy {accuracy:.4f}")

@@ -252,6 +252,8 @@ def model_files(feature_csvs, tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
     files = {}
     for kind, params in [("dt", "max_depth=4"),
+                         ("rf", "n_trees=3,max_depth=4"),
+                         ("gbt", "rounds=3,max_depth=3"),
                          ("iforest", "n_trees=5,subsample=32"),
                          ("knn", "k=3"), ("lof", "k=5"), ("dae", "epochs=1")]:
         files[kind] = root / f"{kind}.json"
@@ -280,10 +282,29 @@ def iforest_child_out_of_range(doc):
     tree["right"][0] = len(tree["feature"]) + 5
 
 
+def iforest_subsample_string(doc):
+    doc["payload"]["state"]["model"]["subsample"] = "x"
+
+
 def dt_feature_99(doc):
-    root = doc["payload"]["state"]["tree"]
-    assert "feature" in root
-    root["feature"] = 99
+    tree = doc["payload"]["state"]["trees"][0]
+    assert tree["feature"][0] >= 0
+    tree["feature"][0] = 99
+
+
+def dt_two_trees(doc):
+    trees = doc["payload"]["state"]["trees"]
+    trees.append(trees[0])
+
+
+def rf_child_out_of_range(doc):
+    tree = doc["payload"]["state"]["trees"][-1]
+    tree["left"][0] = len(tree["feature"])
+
+
+def gbt_gain_short(doc):
+    tree = doc["payload"]["state"]["trees"][0]
+    tree["gain"] = encode_array(decode_array(tree["gain"])[:-1])
 
 
 def _set_knn_labels(doc, labels):
@@ -371,6 +392,8 @@ def dae_bogus_activation(doc):
 
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
+    dt_two_trees, rf_child_out_of_range, gbt_gain_short,
+    iforest_subsample_string,
     knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
     knn_labels_300, knn_labels_one_true, knn_labels_one_float,
     knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
@@ -394,6 +417,18 @@ def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert f"data error: model file {path}: " in proc.stderr
+
+
+def test_eval_deeply_nested_model_file_exit_2(feature_csvs, tmp_path, capsys):
+    # deeper than the JSON parser recurses
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"format": "canids-model", "version": 6, "kind": "dt", '
+                    '"payload": ' + "[" * depth + "]" * depth + "}")
+    assert run_cli("eval", "--model-file", str(path),
+                   "--test", str(feature_csvs["test"])) == 2
+    err = capsys.readouterr().err
+    assert f"data error: model file {path}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("model,params", [

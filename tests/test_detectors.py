@@ -195,8 +195,8 @@ def test_params_round_trip(name, tmp_path):
 # --- params read and checked on the detector ---------------------------------
 
 @pytest.mark.parametrize("name, key, fitted_count", [
-    ("rf", "n_trees", lambda det: len(det.model.trees)),
-    ("gbt", "rounds", lambda det: len(det.model.trees)),
+    ("rf", "n_trees", lambda det: len(det.trees)),
+    ("gbt", "rounds", lambda det: len(det.trees)),
     ("dae", "epochs", lambda det: len(det.loss_trace)),
 ], ids=["rf", "gbt", "dae"])
 def test_param_set_after_construction_is_fitted_and_saved(name, key,
@@ -213,6 +213,18 @@ def test_param_set_after_construction_is_fitted_and_saved(name, key,
     assert restored.params()[key] == 3
     if name != "dae":  # a dae model file holds no loss trace
         assert fitted_count(restored) == 3
+    assert restored.score(test).tobytes() == det.score(test).tobytes()
+
+
+def test_gbt_params_set_after_fit_agree_across_save_and_load(tmp_path):
+    # the margins read learning_rate and base_score from the detector, in
+    # memory and after loading alike
+    test = small_dataset(seed=23, n=100)
+    det = make_detector("gbt", {"rounds": 5, "max_depth": 3}, seed=4)
+    det.fit(small_dataset(seed=24))
+    det.learning_rate, det.base_score = 0.1, 0.2
+    save_detector(tmp_path / "gbt.json", det)
+    restored = load_detector(tmp_path / "gbt.json")
     assert restored.score(test).tobytes() == det.score(test).tobytes()
 
 
@@ -291,8 +303,12 @@ def test_version_4_model_file_is_refused(tmp_path):
     refuse_version(4, tmp_path)
 
 
+def test_version_5_model_file_is_refused(tmp_path):
+    refuse_version(5, tmp_path)
+
+
 @pytest.mark.parametrize("drop", ["kind", "payload", "params", "seed",
-                                  "n_features", "state", "tree"])
+                                  "n_features", "state", "trees"])
 def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
     path, doc = saved_dt(tmp_path)
     for obj in (doc, doc["payload"], doc["payload"]["state"]):
@@ -332,18 +348,24 @@ def test_model_file_bad_width_is_an_io_error(width, tmp_path):
         load_detector(path)
 
 
-# keys that model files of this version held before and that loading ignores
+# keys that model files held before and that loading ignores
 STALE_KEYS = {"rf": {"n_features": 9}, "gbt": {"n_features": 9},
               "iforest": {"n_trees": 7, "seed": 1}}
+
+
+def tree_holder(name, doc):
+    """The object of a model file that holds the trees list."""
+    state = doc["payload"]["state"]
+    return state["model"] if name == "iforest" else state
 
 
 @pytest.mark.parametrize("name", sorted(STALE_KEYS))
 def test_model_file_stale_model_keys_are_ignored(name, tmp_path):
     path, doc = saved_model(tmp_path, name)
-    assert not STALE_KEYS[name].keys() & doc["payload"]["state"]["model"].keys()
+    assert not STALE_KEYS[name].keys() & tree_holder(name, doc).keys()
     test = small_dataset(seed=22, n=100)
     want = load_detector(path).score(test)
-    doc["payload"]["state"]["model"].update(STALE_KEYS[name])
+    tree_holder(name, doc).update(STALE_KEYS[name])
     path.write_text(json.dumps(doc))
     assert load_detector(path).score(test).tobytes() == want.tobytes()
 
@@ -351,12 +373,12 @@ def test_model_file_stale_model_keys_are_ignored(name, tmp_path):
 @pytest.mark.parametrize("name", ["rf", "gbt"])
 def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
     path, doc = saved_model(tmp_path, name)
-    root = doc["payload"]["state"]["model"]["trees"][0]
-    assert "feature" in root
-    root["feature"] = doc["payload"]["n_features"]
+    tree = tree_holder(name, doc)["trees"][0]
+    assert tree["feature"][0] >= 0
+    tree["feature"][0] = doc["payload"]["n_features"]
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=f"model file {re.escape(str(path))}: "
-                                      "tree split on feature 5, fitted width 5"):
+                                      r"tree split on a feature outside \[0, 5\)"):
         load_detector(path)
 
 
@@ -364,7 +386,7 @@ def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
                                        ("iforest", "n_trees")])
 def test_model_file_tree_count_must_match_params(name, key, tmp_path):
     path, doc = saved_model(tmp_path, name)
-    stored = len(doc["payload"]["state"]["model"]["trees"])
+    stored = len(tree_holder(name, doc)["trees"])
     assert doc["payload"]["params"][key] == stored
     doc["payload"]["params"][key] = 2 * stored
     path.write_text(json.dumps(doc))

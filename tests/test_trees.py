@@ -12,28 +12,33 @@ from hypothesis.extra.numpy import arrays
 from canids.autoencoder import sigmoid
 from canids.density import fit_isolation_forest
 from canids.detectors import (DecisionTreeDetector, GbtDetector,
-                              RandomForestDetector)
-from canids.errors import (
-    EmptyData,
-    IoError,
-    NonBinaryLabels,
-    UnfitModel,
-    WrongWidth,
-)
+                              RandomForestDetector, load_detector,
+                              save_detector)
+from canids.errors import EmptyData, IoError, NonBinaryLabels, UnfitModel
 from canids.features import FeatureMatrix
 from canids.model_io import encode_array
 from canids.trees import (
     FlatTree,
-    GbtModel,
-    RandomForest,
-    TreeNode,
     feature_importance,
     fit_cart,
     fit_gbt,
     fit_random_forest,
-    tree_max_depth,
+    gbt_margins,
+    mean_route,
 )
 from canids.trees import _log_loss
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "gain")
+
+
+def fit_on(det, X, y):
+    """det fitted on the rows of X labelled y."""
+    return det.fit(FeatureMatrix(X, y, tuple(range(X.shape[1]))))
+
+
+def is_leaf(tree):
+    """Whether tree is one leaf."""
+    return tree.feature.tolist() == [-1]
 
 
 # --- exact-rational CART oracle ------------------------------------------------
@@ -94,43 +99,43 @@ def test_split_between_adjacent_floats_separates_them(lo):
     assert (lo + hi) / 2.0 >= hi
     X, y = np.array([[lo], [hi]]), np.array([0, 1])
     tree = fit_cart(X, y, max_depth=1)
-    assert (tree.feature, tree.threshold) == (0, lo)
-    assert FlatTree.from_node(tree).route(X).tolist() == [0.0, 1.0]
-    gbt = fit_gbt(X, y, GbtDetector(rounds=1, max_depth=1, lam=0.0,
-                                    min_child_weight=0.0))
-    low, high = gbt.predict_proba(X)
+    assert (tree.feature[0], tree.threshold[0]) == (0, lo)
+    assert tree.route(X).tolist() == [0.0, 1.0]
+    gbt = fit_on(GbtDetector(rounds=1, max_depth=1, lam=0.0,
+                             min_child_weight=0.0), X, y)
+    low, high = gbt.score(X)
     assert low < 0.5 < high
 
 
 def test_pure_node_is_leaf():
     tree = fit_cart(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
-    assert tree.is_leaf and tree.value == 1.0
+    assert is_leaf(tree) and tree.value[0] == 1.0
 
 
 def test_root_split_on_separable_1d():
     X = np.array([[1.0], [2.0], [8.0], [9.0]])
     y = np.array([0, 0, 1, 1])
     tree = fit_cart(X, y, max_depth=3)
-    assert tree.feature == 0
-    assert tree.threshold == 5.0
-    assert tree.left.is_leaf and tree.left.value == 0.0
-    assert tree.right.is_leaf and tree.right.value == 1.0
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == 5.0
+    assert (tree.left[0], tree.right[0]) == (1, 2)
+    assert tree.value[1] == 0.0 and tree.value[2] == 1.0
     # root gini before split is 0.5 and the split is exhaustively optimal
     gain, argmax = exhaustive_best_split(X, y)
     assert float(gain) == pytest.approx(0.5)
-    assert (tree.feature, tree.threshold) in argmax
+    assert tree.gain[0] == pytest.approx(0.5)
+    assert (tree.feature[0], tree.threshold[0]) in argmax
 
 
 def fit_dt(X, y, **params):
-    return DecisionTreeDetector(**params).fit(
-        FeatureMatrix(X, y, tuple(range(X.shape[1]))))
+    return fit_on(DecisionTreeDetector(**params), X, y)
 
 
 def test_predict_single_leaf():
     # depth 0: the root is a leaf holding the positive fraction 4/5
     det = fit_dt(np.arange(5.0).reshape(-1, 1), np.array([1, 1, 0, 1, 1]),
                  max_depth=0)
-    assert det.tree.is_leaf
+    assert is_leaf(det.trees[0])
     for x in ([0.0], [123.0]):
         assert det.score(np.array(x)).tolist() == [0.8]
 
@@ -145,7 +150,7 @@ def test_predict_traces_split():
 
 def test_predict_cutoff_tie_goes_to_anomaly():
     det = fit_dt(np.zeros((2, 1)), np.array([0, 1]), max_depth=0, cutoff=0.5)
-    assert det.tree.value == 0.5
+    assert det.trees[0].value.tolist() == [0.5]
     assert det.predict(np.array([0.0])).tolist() == [1]
 
 
@@ -161,14 +166,15 @@ def test_cart_matches_exhaustive_oracle():
             y[0] = 1 - y[0]
         tree = fit_cart(X, y, max_depth=1)
         best_gain, argmax = exhaustive_best_split(X, y)
+        root = (tree.feature[0], tree.threshold[0])
         if best_gain <= 0:
-            assert tree.is_leaf, f"trial {trial}: split where none has gain"
+            assert is_leaf(tree), f"trial {trial}: split where none has gain"
             continue
-        assert not tree.is_leaf, f"trial {trial}: missed a positive-gain split"
-        assert (tree.feature, tree.threshold) in argmax
-        assert tree.gain == pytest.approx(float(best_gain), abs=1e-12)
+        assert not is_leaf(tree), f"trial {trial}: missed a positive-gain split"
+        assert root in argmax
+        assert tree.gain[0] == pytest.approx(float(best_gain), abs=1e-12)
         if len(argmax) == 1:
-            assert (tree.feature, tree.threshold) == next(iter(argmax))
+            assert root == next(iter(argmax))
 
 
 def test_cart_tie_breaks_to_lowest_feature():
@@ -176,23 +182,27 @@ def test_cart_tie_breaks_to_lowest_feature():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0, 0, 1, 1])
     tree = fit_cart(X, y, max_depth=1)
-    assert tree.feature == 0
+    assert tree.feature[0] == 0
+
+
+def max_depth(tree):
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):  # parents before children
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
 
 
 def test_cart_respects_min_samples_leaf():
     X = np.array([[1.0], [2.0], [8.0], [9.0], [10.0]])
     y = np.array([0, 0, 1, 1, 1])
     tree = fit_cart(X, y, max_depth=4, min_samples_leaf=2)
-
-    def check(node):
-        if node.is_leaf:
-            return
-        check(node.left)
-        check(node.right)
-
-    check(tree)
+    # route every row to its leaf's index: each leaf holds two rows or more
+    nodes = np.arange(tree.feature.size, dtype=np.float64)
+    leaf_of = FlatTree(tree.feature, tree.threshold, tree.left, tree.right,
+                       nodes, tree.gain).route(X).astype(np.int64)
+    assert np.bincount(leaf_of)[np.unique(leaf_of)].min() >= 2
     # depth limit also respected
-    assert tree_max_depth(fit_cart(X, y, max_depth=1)) <= 1
+    assert max_depth(fit_cart(X, y, max_depth=1)) <= 1
 
 
 def test_cart_feature_sampling_needs_rng():
@@ -201,7 +211,7 @@ def test_cart_feature_sampling_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         fit_cart(X, y, features_per_split=2)
     # no sampling happens when every feature is a candidate
-    assert fit_cart(X, y, features_per_split=3).feature == 0
+    assert fit_cart(X, y, features_per_split=3).feature[0] == 0
 
 
 def test_cart_rejects_bad_input():
@@ -232,9 +242,9 @@ def test_forest_single_tree_degenerate_config():
     y = np.array([0, 0, 1, 1])
     cfg = RandomForestDetector(n_trees=1, max_depth=3, features_per_split=1,
                                bootstrap_fraction=1.0, seed=0)
-    model = fit_random_forest(X, y, cfg)
-    assert len(model.trees) == 1
-    proba = model.predict_proba(X)
+    trees = fit_random_forest(X, y, cfg)
+    assert len(trees) == 1
+    proba = mean_route(trees, X)
     assert np.all((proba >= 0) & (proba <= 1))
 
 
@@ -261,18 +271,18 @@ def test_forest_deterministic_under_seed():
     cfg = RandomForestDetector(n_trees=10, max_depth=4, seed=11)
     a = fit_random_forest(X, y, cfg)
     b = fit_random_forest(X, y, cfg)
-    assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+    assert np.array_equal(mean_route(a, X), mean_route(b, X))
 
 
 def test_forest_serialization_round_trip():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
-    model = fit_random_forest(X, y, RandomForestDetector(n_trees=5, max_depth=4,
+    trees = fit_random_forest(X, y, RandomForestDetector(n_trees=5, max_depth=4,
                                                          seed=1))
-    payload = json.loads(json.dumps(model.to_payload()))
-    restored = RandomForest.from_payload(payload, model.n_features)
-    assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
+    restored = [FlatTree.from_payload(json.loads(json.dumps(t.to_payload())), 3)
+                for t in trees]
+    assert np.array_equal(mean_route(trees, X), mean_route(restored, X))
 
 
 # --- array trees -------------------------------------------------------------------
@@ -284,15 +294,15 @@ def _cart_data(seed=12):
 
 
 def _flat_payload():
-    tree = FlatTree.from_node(fit_cart(*_cart_data()))
+    tree = fit_cart(*_cart_data())
     return json.loads(json.dumps(tree.to_payload()))
 
 
 def test_flat_tree_payload_round_trip():
     X, y = _cart_data()
-    tree = FlatTree.from_node(fit_cart(X, y))
+    tree = fit_cart(X, y)
     back = FlatTree.from_payload(_flat_payload(), 3)
-    for name in ("feature", "threshold", "left", "right", "value"):
+    for name in TREE_ARRAYS:
         a, b = getattr(tree, name), getattr(back, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert back.route(X).tobytes() == tree.route(X).tobytes()
@@ -320,6 +330,12 @@ def _empty(p):
     (_set("right", 0, 10 ** 6), "after its parent"),
     (lambda p: p["left"].pop(), "one non-empty length"),
     (lambda p: p.update(value=encode_array(np.zeros((1, 1)))), "length"),
+    (lambda p: p.update(gain=encode_array(np.zeros(len(p["feature"]) - 1))),
+     "length"),
+    (lambda p: p.update(gain=encode_array(np.zeros(len(p["feature"]) + 1))),
+     "length"),
+    (lambda p: p.update(gain=encode_array(np.zeros((len(p["feature"]), 1)))),
+     "length"),
     (_empty, "non-empty"),
     (_set("feature", 0, 3), r"outside \[0, 3\)"),
     (_set("feature", 0, -2), r"outside \[0, 3\)"),
@@ -327,21 +343,13 @@ def _empty(p):
     (_set("feature", 0, "0"), "integer"),
     (_set("left", 0, [1, 2]), "malformed"),
 ], ids=["cycle-at-root", "child-before-parent", "child-past-end", "ragged",
-        "value-2d", "empty", "feature-3", "feature-minus-2", "float-index",
+        "value-2d", "gain-short", "gain-long", "gain-2d", "empty", "feature-3", "feature-minus-2", "float-index",
         "string-feature", "nested-index"])
 def test_flat_tree_payload_is_checked(corrupt, match):
     payload = _flat_payload()
     corrupt(payload)
     with pytest.raises(IoError, match=match):
         FlatTree.from_payload(payload, 3)
-
-
-def test_tree_dict_feature_outside_width_is_refused():
-    obj = fit_cart(*_cart_data()).to_dict()
-    assert TreeNode.from_dict(obj, 3).to_dict() == obj
-    for width in (0, 1, 2):
-        with pytest.raises(IoError, match=f"fitted width {width}"):
-            TreeNode.from_dict(obj, width)
 
 
 # --- gradient boosting ---------------------------------------------------------------
@@ -351,10 +359,10 @@ def test_gbt_balanced_single_leaf_weight_zero():
     y = np.array([0, 1] * 5)
     cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
-    model = fit_gbt(X, y, cfg)
-    assert model.trees[0].is_leaf
-    assert model.trees[0].value == 0.0
-    assert np.allclose(model.predict_proba(X), 0.5)
+    det = fit_on(cfg, X, y)
+    assert is_leaf(det.trees[0])
+    assert det.trees[0].value[0] == 0.0
+    assert np.allclose(det.score(X), 0.5)
 
 
 def test_gbt_all_positive_leaf_weight_two():
@@ -363,9 +371,9 @@ def test_gbt_all_positive_leaf_weight_two():
     y = np.ones(8, dtype=int)
     cfg = GbtDetector(rounds=1, max_depth=0, lam=0.0, learning_rate=1.0,
                       base_score=0.5)
-    model = fit_gbt(X, y, cfg)
-    assert model.trees[0].is_leaf
-    assert model.trees[0].value == 2.0
+    trees, _ = fit_gbt(X, y, cfg)
+    assert is_leaf(trees[0])
+    assert trees[0].value[0] == 2.0
 
 
 def _blobs(n=200, seed=0):
@@ -381,31 +389,29 @@ def test_gbt_blobs_accuracy_and_loss_monotonicity():
     X, y = _blobs()
     cfg = GbtDetector(rounds=50, max_depth=3, learning_rate=0.3, lam=1.0,
                       seed=0)
-    model = fit_gbt(X, y, cfg)
-    acc = ((model.predict_proba(X) >= 0.5) == y).mean()
+    det = fit_on(cfg, X, y)
+    acc = ((det.score(X) >= 0.5) == y).mean()
     assert acc >= 0.99
-    trace = np.array(model.loss_trace)
+    trace = np.array(det.loss_trace)
     assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_gbt_deterministic_with_subsampling():
     X, y = _blobs(seed=3)
-    cfg = GbtDetector(rounds=10, max_depth=3, subsample=0.7, colsample=0.6,
-                      seed=9)
-    a = fit_gbt(X, y, cfg)
-    b = fit_gbt(X, y, cfg)
+    params = dict(rounds=10, max_depth=3, subsample=0.7, colsample=0.6, seed=9)
+    a = fit_on(GbtDetector(**params), X, y)
+    b = fit_on(GbtDetector(**params), X, y)
     assert a.loss_trace == b.loss_trace
-    assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+    assert np.array_equal(a.score(X), b.score(X))
 
 
-def test_gbt_serialization_bit_exact():
+def test_gbt_serialization_bit_exact(tmp_path):
     X, y = _blobs(seed=5)
-    model = fit_gbt(X, y, GbtDetector(rounds=8, max_depth=3, seed=2))
-    payload = json.loads(json.dumps(model.to_payload()))
-    restored = GbtModel.from_payload(payload, model.n_features,
-                                     model.learning_rate)
-    assert np.array_equal(model.predict_proba(X), restored.predict_proba(X))
-    assert restored.loss_trace == model.loss_trace
+    det = fit_on(GbtDetector(rounds=8, max_depth=3, seed=2), X, y)
+    save_detector(tmp_path / "gbt.json", det)
+    restored = load_detector(tmp_path / "gbt.json")
+    assert np.array_equal(det.score(X), restored.score(X))
+    assert restored.loss_trace == det.loss_trace
 
 
 def test_gbt_binary_feature_fast_path_consistency():
@@ -413,12 +419,12 @@ def test_gbt_binary_feature_fast_path_consistency():
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, size=(120, 6)).astype(float)
     y = (bits[:, 2] * 2 + bits[:, 4] > 1.5).astype(int)
-    model = fit_gbt(bits, y, GbtDetector(rounds=20, max_depth=3, seed=1))
-    assert ((model.predict_proba(bits) >= 0.5) == y).mean() >= 0.99
+    model = fit_on(GbtDetector(rounds=20, max_depth=3, seed=1), bits, y)
+    assert ((model.score(bits) >= 0.5) == y).mean() >= 0.99
     # the same data with thresholds shifted off 0.5 (scaled 0/2 columns)
-    model2 = fit_gbt(bits * 2, y, GbtDetector(rounds=20, max_depth=3, seed=1))
-    assert np.array_equal(model.predict_proba(bits) >= 0.5,
-                          model2.predict_proba(bits * 2) >= 0.5)
+    model2 = fit_on(GbtDetector(rounds=20, max_depth=3, seed=1), bits * 2, y)
+    assert np.array_equal(model.score(bits) >= 0.5,
+                          model2.score(bits * 2) >= 0.5)
 
 
 def test_gbt_rejects_bad_labels():
@@ -428,13 +434,6 @@ def test_gbt_rejects_bad_labels():
         fit_gbt(np.empty((0, 1)), np.array([]), GbtDetector(rounds=1))
 
 
-def test_gbt_width_check_on_predict():
-    X, y = _blobs(seed=6)
-    model = fit_gbt(X, y, GbtDetector(rounds=2, max_depth=2, seed=0))
-    with pytest.raises(WrongWidth):
-        model.predict_proba(np.ones((3, 5)))
-
-
 # --- feature importance ---------------------------------------------------------
 
 def test_importance_single_feature_is_one():
@@ -442,8 +441,7 @@ def test_importance_single_feature_is_one():
     X = np.zeros((100, 3))
     X[:, 1] = rng.normal(size=100)
     y = (X[:, 1] > 0).astype(int)
-    model = fit_gbt(X, y, GbtDetector(rounds=5, max_depth=2, seed=0))
-    imp = feature_importance(model)
+    imp = fit_on(GbtDetector(rounds=5, max_depth=2, seed=0), X, y).importance()
     assert imp[1] == pytest.approx(1.0)
     assert imp[0] == imp[2] == 0.0
 
@@ -451,20 +449,18 @@ def test_importance_single_feature_is_one():
 def test_importance_no_splits_all_zero():
     X = np.zeros((10, 2))
     y = np.array([0, 1] * 5)
-    model = fit_gbt(X, y, GbtDetector(rounds=3, max_depth=2, seed=0))
-    assert feature_importance(model).tolist() == [0.0, 0.0]
+    trees, _ = fit_gbt(X, y, GbtDetector(rounds=3, max_depth=2, seed=0))
+    assert feature_importance(trees, 2).tolist() == [0.0, 0.0]
 
 
 def test_importance_requires_fitted_model():
     with pytest.raises(UnfitModel):
-        feature_importance(GbtModel(GbtDetector(rounds=1).learning_rate,
-                                    trees=[]))
+        feature_importance([], 2)
 
 
 def test_importance_sums_to_one():
     X, y = _blobs(seed=7)
-    model = fit_gbt(X, y, GbtDetector(rounds=10, max_depth=3, seed=0))
-    imp = feature_importance(model)
+    imp = fit_on(GbtDetector(rounds=10, max_depth=3, seed=0), X, y).importance()
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0)
 
@@ -587,11 +583,13 @@ def _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg):
     return best
 
 
-def _ref_route(node, x):
-    """Leaf value reached by one row, walking the linked nodes."""
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
+def _ref_route(tree, x):
+    """Leaf value reached by one row, walking the nodes one at a time."""
+    i = 0
+    while tree.feature[i] >= 0:
+        go_left = x[tree.feature[i]] <= tree.threshold[i]
+        i = tree.left[i] if go_left else tree.right[i]
+    return tree.value[i]
 
 
 def _ref_is_binary(X):
@@ -603,14 +601,16 @@ def ref_fit_cart(X, y, max_depth=12, min_samples_leaf=1, rng=None,
     X = np.asarray(X, dtype=np.float64)
     is_binary = _ref_is_binary(X)
     all_feats = np.arange(X.shape[1])
+    nodes = []  # FlatTree.of_rows rows, in pre-order
 
     def grow(idx, depth):
+        i = len(nodes)
         pos = float(y[idx].sum())
-        leaf = TreeNode(value=pos / idx.size)
+        nodes.append([-1, 0.0, -1, -1, pos / idx.size, 0.0])  # a leaf
         if pos == 0 or pos == idx.size or depth >= max_depth:
-            return leaf
+            return i
         if idx.size < 2 * min_samples_leaf:
-            return leaf
+            return i
         if features_per_split is not None and features_per_split < X.shape[1]:
             cand = np.sort(rng.choice(all_feats, size=features_per_split,
                                       replace=False))
@@ -618,15 +618,16 @@ def ref_fit_cart(X, y, max_depth=12, min_samples_leaf=1, rng=None,
             cand = all_feats
         split = _ref_best_split_gini(X, y, idx, cand, is_binary, min_samples_leaf)
         if split is None:
-            return leaf
+            return i
         f, thr, gain = split
         go_left = X[idx, f] <= thr
-        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
-        return node
+        nodes[i] = [int(f), float(thr), -1, -1, 0.0, float(gain)]
+        nodes[i][2] = grow(idx[go_left], depth + 1)
+        nodes[i][3] = grow(idx[~go_left], depth + 1)
+        return i
 
-    return grow(np.arange(len(y)), 0)
+    grow(np.arange(len(y)), 0)
+    return FlatTree.of_rows(nodes)
 
 
 def ref_fit_random_forest(X, y, cfg):
@@ -646,21 +647,23 @@ def ref_fit_gbt(X, y, cfg):
     n, d = X.shape
     is_binary = _ref_is_binary(X)
 
-    def grow(g, h, idx, candidates, depth):
+    def grow(nodes, g, h, idx, candidates, depth):
+        i = len(nodes)
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        leaf = TreeNode(value=-G / (H + cfg.lam) if H + cfg.lam > 0 else 0.0)
+        value = -G / (H + cfg.lam) if H + cfg.lam > 0 else 0.0
+        nodes.append([-1, 0.0, -1, -1, value, 0.0])  # a leaf
         if depth >= cfg.max_depth or idx.size < 2:
-            return leaf
+            return i
         split = _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg)
         if split is None:
-            return leaf
+            return i
         f, thr, gain = split
         go_left = X[idx, f] <= thr
-        node = TreeNode(feature=int(f), threshold=float(thr), gain=float(gain))
-        node.left = grow(g, h, idx[go_left], candidates, depth + 1)
-        node.right = grow(g, h, idx[~go_left], candidates, depth + 1)
-        return node
+        nodes[i] = [int(f), float(thr), -1, -1, 0.0, float(gain)]
+        nodes[i][2] = grow(nodes, g, h, idx[go_left], candidates, depth + 1)
+        nodes[i][3] = grow(nodes, g, h, idx[~go_left], candidates, depth + 1)
+        return i
 
     margin = np.full(n, np.log(cfg.base_score / (1.0 - cfg.base_score)))
     trees = []
@@ -674,7 +677,9 @@ def ref_fit_gbt(X, y, cfg):
         cand = (np.sort(rng.choice(np.arange(d), size=max(1, round(cfg.colsample * d)),
                                    replace=False))
                 if cfg.colsample < 1.0 else np.arange(d))
-        trees.append(grow(g, h, rows, cand, 0))
+        nodes = []
+        grow(nodes, g, h, rows, cand, 0)
+        trees.append(FlatTree.of_rows(nodes))
         margin += cfg.learning_rate * np.array([_ref_route(trees[-1], x)
                                                 for x in X])
     return trees
@@ -724,8 +729,13 @@ def _rare_three(n=60, seed=5):
     return X, y
 
 
-def _dicts(trees):
-    return [t.to_dict() for t in trees]
+def assert_same_trees(got, want):
+    """got and want hold the same trees: all six arrays, byte for byte."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TREE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 @settings(max_examples=150, deadline=None)
@@ -736,7 +746,7 @@ def test_cart_matches_gather_and_sort_reference(data, depth, leaf, k, seed):
     X, y = data
     got = fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
     want = ref_fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
-    assert got.to_dict() == want.to_dict()
+    assert_same_trees([got], [want])
 
 
 @settings(max_examples=100, deadline=None)
@@ -751,8 +761,8 @@ def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
                                                   fraction, seed):
     X, y = data
     cfg = RandomForestDetector(n_trees, depth, k, fraction, seed=seed)
-    assert _dicts(fit_random_forest(X, y, cfg).trees) == _dicts(
-        ref_fit_random_forest(X, y, cfg))
+    assert_same_trees(fit_random_forest(X, y, cfg),
+                      ref_fit_random_forest(X, y, cfg))
 
 
 @settings(max_examples=150, deadline=None)
@@ -767,7 +777,7 @@ def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
     X, y = data
     cfg = GbtDetector(rounds, 0.3, depth, lam, gamma, weight, subsample,
                       colsample, 0.5, seed=seed)
-    assert _dicts(fit_gbt(X, y, cfg).trees) == _dicts(ref_fit_gbt(X, y, cfg))
+    assert_same_trees(fit_gbt(X, y, cfg)[0], ref_fit_gbt(X, y, cfg))
 
 
 @pytest.mark.parametrize("subsample", [1.0, 0.5])
@@ -775,23 +785,22 @@ def test_gbt_loss_trace_ends_at_the_model_margins(subsample):
     # the fit adds the leaf values the grower recorded and routes only the
     # rows a round did not sample; margins() routes every row of every tree
     X, y = _frames_like()
-    model = fit_gbt(X, y, GbtDetector(rounds=12, max_depth=4,
-                                      subsample=subsample, seed=4))
-    assert model.loss_trace[-1] == _log_loss(model.margins(X), y)
+    det = fit_on(GbtDetector(rounds=12, max_depth=4, subsample=subsample,
+                             seed=4), X, y)
+    assert det.loss_trace[-1] == _log_loss(gbt_margins(det, X), y)
 
 
 # --- memory ----------------------------------------------------------------------
 
 FITS = {
-    "fit_cart": lambda X, y, tree: fit_cart(X, y, 6),
-    "fit_cart sampled": lambda X, y, tree: fit_cart(
+    "fit_cart": lambda X, y: fit_cart(X, y, 6),
+    "fit_cart sampled": lambda X, y: fit_cart(
         X, y, 6, 1, np.random.default_rng(0), 8),
-    "fit_random_forest": lambda X, y, tree: fit_random_forest(
+    "fit_random_forest": lambda X, y: fit_random_forest(
         X, y, RandomForestDetector(n_trees=3, max_depth=6)),
-    "fit_gbt": lambda X, y, tree: fit_gbt(
+    "fit_gbt": lambda X, y: fit_gbt(
         X, y, GbtDetector(rounds=3, max_depth=4, subsample=0.5)),
-    "fit_isolation_forest": lambda X, y, tree: fit_isolation_forest(X, 3, 64),
-    "FlatTree.from_node": lambda X, y, tree: FlatTree.from_node(tree),
+    "fit_isolation_forest": lambda X, y: fit_isolation_forest(X, 3, 64),
 }
 
 
@@ -799,12 +808,11 @@ FITS = {
 def test_fit_leaves_no_reference_cycle(name):
     # a cycle would hold a tree's search data until the collector ran
     X, y = _frames_like(n=500)
-    tree = fit_cart(X, y, 6)
-    FITS[name](X, y, tree)  # warm up: first calls may import and cache
+    FITS[name](X, y)  # warm up: first calls may import and cache
     gc.collect()
     gc.disable()
     try:
-        FITS[name](X, y, tree)
+        FITS[name](X, y)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -815,11 +823,11 @@ def _forest_fit_memory(X, y, n_trees):
     after it (the forest)."""
     tracemalloc.start()
     try:
-        model = fit_random_forest(X, y, RandomForestDetector(n_trees=n_trees))
+        trees = fit_random_forest(X, y, RandomForestDetector(n_trees=n_trees))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.trees) == n_trees
+    assert len(trees) == n_trees
     return peak, held
 
 

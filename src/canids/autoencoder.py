@@ -6,6 +6,9 @@ backpropagation; the anomaly threshold is a scaled percentile of normal
 reconstruction losses, optionally fine-tuned on a small labeled
 validation set. Everything runs on numpy; training with a fixed seed is
 bit-reproducible.
+
+Training and scoring take the float64 2-D arrays that the detectors have
+checked; they do not convert or check them again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import (
     ConfigError,
     DegenerateValidation,
     DivergedTraining,
-    EmptyData,
     EmptyLosses,
     NonFiniteActivation,
     WrongWidth,
@@ -112,17 +114,14 @@ class AutoencoderNet:
     def input_width(self) -> int:
         return self.encoder[0].weights.shape[1]
 
-    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(latent, reconstruction) for one row or a batch, each row
-        computed alone (DenseLayer.apply_columns); training uses BLAS."""
-        arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        a = np.atleast_2d(arr)
-        if a.shape[1] != self.input_width:
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(latent, reconstruction) of the rows of X, each row computed
+        alone (DenseLayer.apply_columns); training uses BLAS."""
+        if X.shape[1] != self.input_width:
             raise WrongWidth(
-                f"input width {a.shape[1]}, net expects {self.input_width}"
+                f"input width {X.shape[1]}, net expects {self.input_width}"
             )
-        a = np.ascontiguousarray(a.T)
+        a = np.ascontiguousarray(X.T)
         for layer in self.encoder:
             a = layer.apply_columns(a)
         latent = np.ascontiguousarray(a.T)
@@ -131,8 +130,6 @@ class AutoencoderNet:
         a = np.ascontiguousarray(a.T)
         if not np.all(np.isfinite(a)):
             raise NonFiniteActivation("forward pass produced non-finite values")
-        if single:
-            return latent[0], a[0]
         return latent, a
 
     def _forward_cached(self, X: np.ndarray):
@@ -181,11 +178,10 @@ def make_autoencoder(
     return AutoencoderNet(encoder, decoder)
 
 
-def reconstruction_losses(net: AutoencoderNet, X) -> np.ndarray:
-    """Per-row reconstruction loss for a matrix of samples."""
-    arr = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
-    _, recon = net.forward(arr)
-    return np.mean((arr - recon) ** 2, axis=1)
+def reconstruction_losses(net: AutoencoderNet, X: np.ndarray) -> np.ndarray:
+    """Per-row reconstruction loss of the rows of X."""
+    _, recon = net.forward(X)
+    return np.mean((X - recon) ** 2, axis=1)
 
 
 def _grads(net: AutoencoderNet, X: np.ndarray):
@@ -241,23 +237,15 @@ class _Adam:
 
 
 def train(
-    net: AutoencoderNet, X_normal, det: DaeDetector
+    net: AutoencoderNet, X: np.ndarray, det: DaeDetector
 ) -> tuple[AutoencoderNet, list[float]]:
-    """Mini-batch gradient descent on mean reconstruction loss, with det's
-    epochs, batch_size, learning_rate, optimizer ("adam" or "sgd") and seed.
+    """Mini-batch gradient descent on mean reconstruction loss over the
+    rows of X, which are normal traffic, with det's epochs, batch_size,
+    learning_rate, optimizer ("adam" or "sgd") and seed.
 
-    X_normal must contain normal rows only; a labeled FeatureMatrix with
-    any anomaly row is rejected. Returns (net, per-epoch loss trace) where
-    each trace entry is the mean pre-update loss across that epoch's
-    batches.
+    Returns (net, per-epoch loss trace) where each trace entry is the mean
+    pre-update loss across that epoch's batches.
     """
-    labels = getattr(X_normal, "labels", None)
-    if labels is not None and np.any(np.asarray(labels) == 1):
-        raise ValueError("autoencoder training data must be normal only")
-    X = np.atleast_2d(np.asarray(getattr(X_normal, "values", X_normal),
-                                 dtype=np.float64))
-    if X.shape[0] == 0:
-        raise EmptyData("cannot train on zero rows")
     rng = np.random.default_rng(np.random.SeedSequence(det.seed))
     optimizer = (_Adam(det.learning_rate, net.layers)
                  if det.optimizer == "adam" else None)
@@ -320,7 +308,8 @@ def fine_tune_threshold(
     validation,
     grid=DEFAULT_THRESHOLD_GRID,
 ) -> tuple[ThresholdConfig, float]:
-    """Pick the (p, gamma) grid point with the best validation F1.
+    """Pick the (p, gamma) grid point with the best F1 on validation, a
+    labeled FeatureMatrix.
 
     Percentiles are taken over the validation rows labeled normal, so p
     and gamma stay interpretable together. Classification is strict:
@@ -328,16 +317,15 @@ def fine_tune_threshold(
     p. Returns (config, F1), F1 being -1.0 if every grid point was
     undefined.
     """
-    labels = getattr(validation, "labels", None)
-    if labels is None:
+    if validation.labels is None:
         raise DegenerateValidation("validation needs labels")
-    y = np.asarray(labels)
+    y = np.asarray(validation.labels)
     if not (np.any(y == 0) and np.any(y == 1)):
         raise DegenerateValidation("validation needs both classes")
     grid = list(grid)
     if not grid:
         raise DegenerateValidation("threshold grid is empty")
-    losses = reconstruction_losses(net, validation)
+    losses = reconstruction_losses(net, validation.values)
     normal_losses = losses[y == 0]
     best_cfg: ThresholdConfig | None = None
     best_f1 = -1.0

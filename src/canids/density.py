@@ -16,6 +16,9 @@ because FlatTree.route tests <= and x < t holds exactly when
 x <= nextafter(t, -inf) does, for every float x (infinities and NaN
 included) and every t but -inf, which the draw never gives. Leaf values
 are the path length: depth plus c(rows at the leaf). Gains are all 0.0.
+
+Fits and scores take the float64 2-D arrays that the detectors have
+checked; they do not convert or check them again.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
-from .errors import (
-    BadSubsample,
-    ConfigError,
-    EmptyData,
-    SingularCovariance,
-    TooFewSamples,
-    UnfitModel,
-)
+from .errors import BadSubsample, SingularCovariance, TooFewSamples
 from .trees import FlatTree, mean_route
 
 EULER_GAMMA = 0.5772156649015329
@@ -42,10 +38,6 @@ EULER_GAMMA = 0.5772156649015329
 _MCD_STARTS = 5
 _MCD_MAX_CSTEPS = 50
 _RIDGE_SCALE = 1e-6
-
-
-def _as_array(X) -> np.ndarray:
-    return np.asarray(getattr(X, "values", X), dtype=np.float64)
 
 
 def _ridge(cov: np.ndarray) -> np.ndarray:
@@ -81,12 +73,11 @@ class GaussianModel:
     cov: np.ndarray
     cov_inv: np.ndarray
     cutoff: float
-    support: np.ndarray
     det_traces: list[list[float]] = field(default_factory=list)
 
 
 def fit_robust_covariance(
-    X,
+    X: np.ndarray,
     support_fraction: float = 0.75,
     cutoff_level: float = 0.99,
     seed: int = 0,
@@ -99,14 +90,9 @@ def fit_robust_covariance(
     smallest. det_traces records the per-iteration log-determinants so the
     non-increase property is auditable.
     """
-    X = _as_array(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyData("robust covariance needs a non-empty 2-D matrix")
     n, dim = X.shape
     if n <= dim:
         raise TooFewSamples(f"{n} rows for {dim} dimensions")
-    if not 0.5 < support_fraction <= 1.0:
-        raise ConfigError("support_fraction must lie in (0.5, 1]")
     m = math.ceil(support_fraction * n)
 
     det_traces: list[list[float]] = []
@@ -149,20 +135,14 @@ def fit_robust_covariance(
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("covariance not invertible after ridge") from exc
     cutoff = float(2 * gammaincinv(dim / 2, cutoff_level))
-    return GaussianModel(mean, cov_r, cov_inv, cutoff, best[1], det_traces)
+    return GaussianModel(mean, cov_r, cov_inv, cutoff, det_traces)
 
 
-def mahalanobis_score(model: GaussianModel, x) -> float | np.ndarray:
-    """Squared Mahalanobis distance to the fitted mean."""
-    if model.cov_inv is None:
-        raise UnfitModel("model has no inverse covariance")
-    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    centered = arr - model.mean
+def mahalanobis_score(model: GaussianModel, X: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of each row of X to the fitted mean."""
+    centered = X - model.mean
     d2 = np.einsum("ij,jk,ik->i", centered, model.cov_inv, centered)
-    d2 = np.maximum(d2, 0.0)
-    return float(d2[0]) if single else d2
+    return np.maximum(d2, 0.0)
 
 
 # --- isolation forest --------------------------------------------------------
@@ -225,10 +205,8 @@ class IsoForestModel:
     def __post_init__(self):
         self._norm = float(average_path_length(self.subsample))  # c(psi)
 
-    def mean_path_length(self, X) -> np.ndarray:
-        if not self.trees:
-            raise UnfitModel("isolation forest not fitted")
-        return mean_route(self.trees, np.atleast_2d(_as_array(X)))
+    def mean_path_length(self, X: np.ndarray) -> np.ndarray:
+        return mean_route(self.trees, X)
 
     def to_payload(self) -> dict:
         return {"subsample": self.subsample,
@@ -236,13 +214,10 @@ class IsoForestModel:
 
 
 def fit_isolation_forest(
-    X, n_trees: int = 100, subsample: int = 256, seed: int = 0
+    X: np.ndarray, n_trees: int = 100, subsample: int = 256, seed: int = 0
 ) -> IsoForestModel:
     """Random partition trees on subsamples of size psi, height-limited to
     ceil(log2 psi); thresholds are uniform in the node's (min, max)."""
-    X = _as_array(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyData("isolation forest needs a non-empty 2-D matrix")
     n = X.shape[0]
     if subsample < 2 or subsample > n:
         raise BadSubsample(f"subsample {subsample} invalid for {n} rows")
@@ -256,11 +231,7 @@ def fit_isolation_forest(
     return model
 
 
-def iso_score(model: IsoForestModel, x) -> float | np.ndarray:
-    """Anomaly score 2^(-E[h(x)] / c(psi)); 0.5 at the average path length,
-    approaching 1 for very short paths."""
-    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    single = arr.ndim == 1
-    mean_h = model.mean_path_length(np.atleast_2d(arr))
-    score = np.exp2(-mean_h / model._norm)
-    return float(score[0]) if single else score
+def iso_score(model: IsoForestModel, X: np.ndarray) -> np.ndarray:
+    """Anomaly score 2^(-E[h(x)] / c(psi)) of each row x of X; 0.5 at the
+    average path length, approaching 1 for very short paths."""
+    return np.exp2(-model.mean_path_length(X) / model._norm)

@@ -8,9 +8,11 @@ standardizer on their training rows; tree models consume raw features.
 Each detector is a dataclass whose init fields are its constructor
 keywords. make_detector, params(), the fit and the model file all read that
 one declaration, and one _check_params per detector refuses bad values, at
-construction and again at fit. A model file holds the params, the seed, the
-fitted width and the fitted state, and load_detector rebuilds the detector
-through make_detector before it restores the state.
+construction and again at fit. Only fit and score check and convert input;
+the model layers take float64 2-D arrays and 0/1 labels as given. A model
+file holds the params, the seed, the fitted width and the fitted state, and
+load_detector rebuilds the detector through make_detector before it
+restores the state.
 
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
 factories; register_detector() lets tests add stubs.
@@ -19,7 +21,7 @@ factories; register_detector() lets tests add stubs.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .errors import (
     EmptyData,
     IoError,
     MissingLabels,
+    NonBinaryLabels,
     UnfitModel,
     WrongWidth,
 )
@@ -76,7 +79,10 @@ def derive_seed(master: int, name: str) -> int:
 def _require_labels(train: FeatureMatrix, name: str) -> np.ndarray:
     if train.labels is None:
         raise MissingLabels(f"{name} is supervised and needs labeled training data")
-    return np.asarray(train.labels)
+    y = np.asarray(train.labels)
+    if not np.all((y == 0) | (y == 1)):
+        raise NonBinaryLabels(f"{name} labels must be 0/1")
+    return y
 
 
 def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
@@ -131,9 +137,11 @@ class Detector:
         too."""
 
     def fit(self, train: FeatureMatrix, val: FeatureMatrix | None = None):
+        """Fit on train, refused without rows or columns, as float64."""
         self._check_params()
-        if train.n_rows == 0:
+        if train.values.size == 0:
             raise EmptyData(f"{self.name}: empty training matrix")
+        train = replace(train, values=np.asarray(train.values, np.float64))
         self.n_features = train.n_cols
         if self.standardized:
             self.standardizer = fit_standardizer(train)
@@ -218,6 +226,10 @@ class KnnDetector(Detector):
     k: int = 5
     index: NeighborIndex | None = _fitted()
     labels: np.ndarray | None = _fitted()
+
+    def _check_params(self):
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
 
     def _fit(self, train, val=None):
         self.labels = _require_labels(train, self.name)
@@ -336,10 +348,7 @@ class GbtDetector(Detector):
         if not isinstance(trace, list) or len(trace) != self.rounds + 1:
             raise IoError(f"loss_trace must list rounds + 1 = "
                           f"{self.rounds + 1} values")
-        try:
-            self.loss_trace = [decode_float(v) for v in trace]
-        except (TypeError, ValueError) as exc:
-            raise IoError(f"loss_trace value is not a hex float: {exc}") from exc
+        self.loss_trace = [decode_float(v) for v in trace]
 
 
 @dataclass(eq=False)
@@ -376,11 +385,15 @@ class RcDetector(Detector):
                 "cutoff": encode_float(self.model.cutoff)}
 
     def _restore(self, state):
-        self.model = GaussianModel(
-            decode_array(state["mean"]), decode_array(state["cov"]),
-            decode_array(state["cov_inv"]), decode_float(state["cutoff"]),
-            support=np.array([], dtype=np.int64),
-        )
+        n = self.n_features
+        arrays = {key: decode_array(state[key])
+                  for key in ("mean", "cov", "cov_inv")}
+        for key, a in arrays.items():
+            need = (n,) if key == "mean" else (n, n)
+            if a.shape != need:
+                raise IoError(f"{key} has shape {list(a.shape)}, "
+                              f"n_features {n} needs {list(need)}")
+        self.model = GaussianModel(**arrays, cutoff=decode_float(state["cutoff"]))
 
 
 @dataclass(eq=False)
@@ -498,11 +511,12 @@ class DaeDetector(Detector):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
     def _fit(self, train, val=None):
+        if train.labels is not None and np.any(np.asarray(train.labels) == 1):
+            raise ConfigError("dae trains on normal rows only")
         self.net = ae.make_autoencoder(
             train.n_cols, self.hidden, self.bottleneck, seed=self.seed
         )
-        # train rejects anomaly-labeled rows
-        self.net, self.loss_trace = ae.train(self.net, train, self)
+        self.net, self.loss_trace = ae.train(self.net, train.values, self)
         val_usable = (
             val is not None and val.labels is not None
             and np.any(np.asarray(val.labels) == 1)

@@ -259,11 +259,20 @@ def prepare_features(cfg: ExperimentConfig) -> tuple[FeatureMatrix, FeatureMatri
     raise ConfigError(f"unknown data kind {d.kind!r}")
 
 
+def _fit_policy(det: Detector, policy: str) -> str | None:
+    """The policy det is fitted under in a run with this semi-supervised
+    policy: None if det is supervised, always normal-only for dae."""
+    if det.supervised:
+        return None
+    return "normal-only" if det.name == "dae" else policy
+
+
 def _fit_matrix(det: Detector, train: FeatureMatrix, policy: str) -> FeatureMatrix:
     """Training view a detector receives under the run's fitting policy."""
-    if det.supervised:
+    policy = _fit_policy(det, policy)
+    if policy is None:
         return train
-    if det.name == "dae" or policy == "normal-only":
+    if policy == "normal-only":
         if train.labels is None:
             raise ConfigError("normal-only policy needs labeled training data")
         return _take(train, np.flatnonzero(np.asarray(train.labels) == 0))
@@ -307,8 +316,7 @@ def _run_model(
                                      cfg.policy, cfg.seed)
             params = {**params, **best}
         det = make_detector(name, params, seed=derive_seed(cfg.seed, name))
-        if not det.supervised:
-            policy = "normal-only" if det.name == "dae" else cfg.policy
+        policy = _fit_policy(det, cfg.policy)
         det.fit(_fit_matrix(det, train, cfg.policy), val=val)
         row = evaluate(det, test)
         row.policy = policy

@@ -43,7 +43,11 @@ def encode_float(x: float) -> str:
 
 
 def decode_float(s: str) -> float:
-    return float.fromhex(s)
+    """The float a C99 hex string encodes; IoError for any other value."""
+    try:
+        return float.fromhex(s)
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"{s!r} is not a hex float: {exc}") from exc
 
 
 def _rows(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -45,6 +45,9 @@ depend on that row and the references only, not on the rest of its batch,
 the block size, BLAS blocking or how often a reference row repeats.
 Distance ties break toward the lower reference row id. When every row is
 its own group the same steps search all distinct rows.
+
+Fits and queries take the float64 2-D arrays the detectors have checked;
+the index checks only shapes, since a file's references reach it as read.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ class NeighborIndex:
     group's last column for the rows that may lie within it."""
 
     def __init__(self, refs: np.ndarray):
-        refs = np.asarray(getattr(refs, "values", refs), dtype=np.float64)
         if refs.ndim != 2 or refs.size == 0:
             raise EmptyData("reference matrix must be a non-empty 2-D array")
         self.refs = refs
@@ -140,16 +142,8 @@ class NeighborIndex:
         self._keys = ((np.cumsum(in_group) - 1) * self._stride
                       + np.searchsorted(self._values, self._last))
 
-    def _check_queries(self, X) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(getattr(X, "values", X), dtype=np.float64))
-        if q.shape[1] != self.width:
-            raise WrongWidth(
-                f"query width {q.shape[1]} != reference width {self.width}"
-            )
-        return q
-
     def query(
-        self, X, k: int, exclude_self: bool = False
+        self, q: np.ndarray, k: int, exclude_self: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest references for each query row.
 
@@ -162,7 +156,10 @@ class NeighborIndex:
         limit = self.n - 1 if exclude_self else self.n
         if k > limit:
             raise KTooLarge(f"k={k} exceeds {limit} available references")
-        q = self._check_queries(X)
+        if q.shape[1] != self.width:
+            raise WrongWidth(
+                f"query width {q.shape[1]} != reference width {self.width}"
+            )
         budget = _BUDGET_BYTES - (
             0 if np.may_share_memory(self._prefix, self.refs)
             else self._prefix.nbytes)
@@ -425,7 +422,7 @@ class LocalOutlierFactor:
         self.ref_lrd: np.ndarray | None = None
         self.ref_lof: np.ndarray | None = None
 
-    def fit(self, refs) -> "LocalOutlierFactor":
+    def fit(self, refs: np.ndarray) -> "LocalOutlierFactor":
         self.index = NeighborIndex(refs)
         if self.k >= self.index.n:
             raise KTooLarge(f"k={self.k} needs more than {self.index.n} points")
@@ -453,22 +450,12 @@ class LocalOutlierFactor:
         self.ref_kdist, self.ref_lrd, self.ref_lof = kdist, lrd, lof
         return self
 
-    def fit_scores(self) -> np.ndarray:
-        """LOF of every reference point (the fit-time scores)."""
-        self._require_fit()
-        return self.ref_lof
-
-    def score(self, X) -> np.ndarray:
+    def score(self, X: np.ndarray) -> np.ndarray:
         """LOF of held-out points against the fitted references."""
-        self._require_fit()
         dists, ids = self.index.query(X, self.k)
         reach = np.maximum(self.ref_kdist[ids], dists)
         lrd = _safe_lrd(self.k, reach.sum(axis=1))
         return _lof_ratio(self.ref_lrd[ids].mean(axis=1), lrd)
-
-    def _require_fit(self):
-        if self.index is None:
-            raise EmptyData("LOF not fitted")
 
 
 def _safe_lrd(k: int, reach_sum: np.ndarray) -> np.ndarray:

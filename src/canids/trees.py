@@ -43,6 +43,9 @@ Every tree is a FlatTree: parallel arrays in pre-order, left subtree
 first, which the growers write as they go. Every model, the isolation
 forest in density included, routes rows through it with the one test
 x <= threshold, and model files hold it as a FlatTree payload.
+
+The growers and routers take the float64 2-D arrays and 0/1 labels that
+the detectors have checked; they do not convert or check them again.
 """
 
 from __future__ import annotations
@@ -54,16 +57,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .autoencoder import sigmoid
-from .errors import EmptyData, IoError, NonBinaryLabels, UnfitModel
+from .errors import IoError
 from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
     from .detectors import GbtDetector, RandomForestDetector
-
-
-def _as_array(X) -> np.ndarray:
-    values = getattr(X, "values", X)
-    return np.asarray(values, dtype=np.float64)
 
 
 # --- split search ----------------------------------------------------------
@@ -251,34 +249,15 @@ class _Presorted:
 
 # --- CART --------------------------------------------------------------------
 
-def fit_cart(
-    X,
-    y,
-    max_depth: int = 12,
-    min_samples_leaf: int = 1,
-    rng: np.random.Generator | None = None,
-    features_per_split: int | None = None,
-) -> FlatTree:
-    """Greedy CART by Gini impurity reduction; leaves store the
-    positive-class fraction. rng/features_per_split enable the per-node
-    feature sampling used by the random forest; sampling needs the rng."""
-    X = _as_array(X)
-    y = np.asarray(y)
-    if X.size == 0 or len(y) == 0:
-        raise EmptyData("cannot fit a tree on zero rows")
-    if not np.all((y == 0) | (y == 1)):
-        raise NonBinaryLabels("CART labels must be 0/1")
-    k = features_per_split
-    sampled = k is not None and k < X.shape[1]
-    if sampled and rng is None:
-        raise ValueError("features_per_split needs an rng to sample features")
+def fit_cart(X: np.ndarray, y: np.ndarray, max_depth: int = 12,
+             min_samples_leaf: int = 1) -> FlatTree:
+    """Greedy CART by Gini impurity reduction over every feature; leaves
+    store the positive-class fraction."""
     data = _Presorted(X)
     all_feats = np.arange(X.shape[1])
-    grow_args = (_Gini(min_samples_leaf), y.astype(np.float64),
-                 np.ones(len(y)), np.arange(len(y)), all_feats, max_depth)
-    if sampled:
-        return data.grow(*grow_args, sample=_sampler(rng, all_feats, k))
-    return data.grow(*grow_args, block=data.block(all_feats))
+    return data.grow(_Gini(min_samples_leaf), y.astype(np.float64),
+                     np.ones(len(y)), np.arange(len(y)), all_feats, max_depth,
+                     data.block(all_feats))
 
 
 def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
@@ -382,14 +361,9 @@ def fit_random_forest(X, y, det: RandomForestDetector) -> list[FlatTree]:
     samples features_per_split candidate features at every node.
 
     All trees share one _Presorted of X. A tree grows on the distinct rows
-    it drew, weighted by how often it drew them, and equals the CART that
-    fit_cart grows on the resample X[rows], y[rows]."""
-    X = _as_array(X)
-    y = np.asarray(y)
-    if X.size == 0 or len(y) == 0:
-        raise EmptyData("cannot fit a forest on zero rows")
-    if not np.all((y == 0) | (y == 1)):
-        raise NonBinaryLabels("CART labels must be 0/1")
+    it drew, weighted by how often it drew them, and equals the CART grown
+    on the resample X[rows], y[rows] with the same per-node feature
+    samples."""
     n, width = X.shape
     k = det.features_per_split
     if k is None:
@@ -443,13 +417,7 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     margins scaled by the learning rate. loss_trace[0] is the loss at the
     base score, one entry per round follows.
     """
-    X = _as_array(X)
-    y = np.asarray(y, dtype=np.float64)
-    if X.size == 0 or len(y) == 0:
-        raise EmptyData("cannot fit gbt on zero rows")
-    if not np.all((y == 0) | (y == 1)):
-        raise NonBinaryLabels("gbt labels must be 0/1")
-
+    y = y.astype(np.float64)
     n, n_features = X.shape
     data = _Presorted(X)
     crit = _Newton(det)
@@ -493,8 +461,6 @@ def feature_importance(trees: list[FlatTree], width: int) -> np.ndarray:
     """Total split gain per feature across trees, normalized to sum 1,
     added tree by tree in pre-order. Trees that never split give all
     zeros."""
-    if not trees:
-        raise UnfitModel("feature_importance needs a fitted model")
     feature = np.concatenate([t.feature for t in trees])
     split = feature >= 0
     gain = np.concatenate([t.gain for t in trees])[split]

@@ -19,6 +19,7 @@ from canids.autoencoder import (
     train,
 )
 from canids.errors import (
+    ConfigError,
     DegenerateValidation,
     DivergedTraining,
     EmptyLosses,
@@ -85,8 +86,8 @@ def test_forward_zero_net_outputs_zero():
         [DenseLayer(np.zeros((3, 4)), np.zeros(3), "identity")],
         [DenseLayer(np.zeros((4, 3)), np.zeros(4), "identity")],
     )
-    _, recon = net.forward(np.array([1.0, -2.0, 3.0, 4.0]))
-    assert recon.tolist() == [0.0] * 4
+    _, recon = net.forward(np.array([[1.0, -2.0, 3.0, 4.0]]))
+    assert recon[0].tolist() == [0.0] * 4
 
 
 def test_forward_identity_pair_is_exact():
@@ -95,9 +96,9 @@ def test_forward_identity_pair_is_exact():
         [DenseLayer(np.eye(4), np.zeros(4), "identity")],
     )
     x = np.array([0.5, -1.5, 2.0, 0.0])
-    latent, recon = net.forward(x)
-    assert np.array_equal(recon, x)
-    assert np.array_equal(latent, x)
+    latent, recon = net.forward(x[None])
+    assert np.array_equal(recon[0], x)
+    assert np.array_equal(latent[0], x)
 
 
 def test_forward_matches_straight_line_oracle():
@@ -107,8 +108,8 @@ def test_forward_matches_straight_line_oracle():
                                hidden_activation=["relu", "sigmoid", "tanh"][trial % 3],
                                seed=trial)
         x = rng.normal(size=5)
-        _, recon = net.forward(x)
-        assert np.allclose(recon, straight_line_forward(net, x), atol=1e-12)
+        _, recon = net.forward(x[None])
+        assert np.allclose(recon[0], straight_line_forward(net, x), atol=1e-12)
 
 
 def test_forward_sums_each_layer_in_input_order():
@@ -123,14 +124,14 @@ def test_forward_sums_each_layer_in_input_order():
         for i, x in enumerate(X):
             want = straight_line_forward(net, x)
             assert recon[i].tobytes() == want.tobytes()
-            assert net.forward(x)[1].tobytes() == want.tobytes()
+            assert net.forward(x[None])[1][0].tobytes() == want.tobytes()
         assert latent.shape == (4, 12) and latent.flags.c_contiguous
 
 
 def test_forward_width_check():
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=0)
     with pytest.raises(WrongWidth):
-        net.forward(np.ones(5))
+        net.forward(np.ones((1, 5)))
 
 
 def linear_net(scale: float, width: int = 2) -> AutoencoderNet:
@@ -144,12 +145,12 @@ def linear_net(scale: float, width: int = 2) -> AutoencoderNet:
 
 def test_reconstruction_losses_cases():
     # a row reconstructed exactly has zero loss
-    assert reconstruction_losses(linear_net(1.0), [[1.0, 2.0]])[0] == 0.0
+    assert reconstruction_losses(linear_net(1.0), np.array([[1.0, 2.0]]))[0] == 0.0
     # [1, 1] reconstructed as [0, 0]
-    assert reconstruction_losses(linear_net(0.0), [[1.0, 1.0]])[0] == 1.0
+    assert reconstruction_losses(linear_net(0.0), np.array([[1.0, 1.0]]))[0] == 1.0
     for X in ([[1.0]], [[1.0, 2.0, 3.0]]):
         with pytest.raises(WrongWidth):
-            reconstruction_losses(linear_net(1.0), X)
+            reconstruction_losses(linear_net(1.0), np.array(X))
 
 
 def test_zero_net_loss_is_mean_square():
@@ -268,11 +269,11 @@ def test_training_bit_reproducible():
 
 
 def test_train_rejects_anomalous_rows():
+    # the detector refuses them before train sees the rows
     m = FeatureMatrix(np.ones((4, 3)), labels=np.array([0, 0, 1, 0]),
                       column_ids=(0, 1, 2))
-    net = make_autoencoder(3, hidden=(), bottleneck=2, seed=0)
-    with pytest.raises(ValueError):
-        train(net, m, DaeDetector(epochs=1, seed=0))
+    with pytest.raises(ConfigError, match="normal rows only"):
+        DaeDetector(hidden=(), bottleneck=2, epochs=1, seed=0).fit(m)
 
 
 def test_train_divergence_detected():
@@ -336,8 +337,7 @@ def test_fine_tune_single_point_grid():
 def test_fine_tune_perfect_separation_reaches_f1_one():
     val = _separable_validation()
     net = make_autoencoder(4, hidden=(3,), bottleneck=2, seed=2)
-    net, _ = train(net, FeatureMatrix(val.values[val.labels == 0],
-                                      None, val.column_ids),
+    net, _ = train(net, val.values[val.labels == 0],
                    DaeDetector(epochs=60, batch_size=16, seed=2))
     losses = reconstruction_losses(net, val.values)
     assert losses[val.labels == 1].min() > losses[val.labels == 0].max()

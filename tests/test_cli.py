@@ -255,7 +255,8 @@ def model_files(feature_csvs, tmp_path_factory):
                          ("rf", "n_trees=3,max_depth=4"),
                          ("gbt", "rounds=3,max_depth=3"),
                          ("iforest", "n_trees=5,subsample=32"),
-                         ("knn", "k=3"), ("lof", "k=5"), ("dae", "epochs=1")]:
+                         ("knn", "k=3"), ("lof", "k=5"), ("dae", "epochs=1"),
+                         ("rc", "support_fraction=1.0")]:
         files[kind] = root / f"{kind}.json"
         assert run_cli("train", "--model", kind,
                        "--in", str(feature_csvs["train"]),
@@ -390,6 +391,18 @@ def dae_bogus_activation(doc):
     doc["payload"]["state"]["net"]["decoder"][0]["activation"] = "bogus"
 
 
+def rc_cutoff_number(doc):
+    doc["payload"]["state"]["cutoff"] = 5
+
+
+def dae_threshold_p_number(doc):
+    doc["payload"]["state"]["threshold"]["p"] = 95
+
+
+def rc_mean_three_wide(doc):
+    doc["payload"]["state"]["mean"] = encode_array(np.zeros(3))
+
+
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
     dt_two_trees, rf_child_out_of_range, gbt_gain_short,
@@ -399,6 +412,7 @@ def dae_bogus_activation(doc):
     knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
     knn_refs_choice_short, knn_state_list,
+    rc_cutoff_number, dae_threshold_p_number, rc_mean_three_wide,
 ], ids=lambda f: f.__name__)
 def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
                                           corrupt):

@@ -20,7 +20,7 @@ from canids.density import (
     mahalanobis_score,
 )
 from canids.detectors import RcDetector
-from canids.errors import BadSubsample, TooFewSamples
+from canids.errors import BadSubsample, ConfigError, TooFewSamples
 from canids.features import FeatureMatrix
 
 
@@ -40,25 +40,21 @@ def test_identity_covariance_score_is_squared_euclidean():
     dim = 6
     x = np.zeros(dim)
     x[0], x[1] = 3.0, 4.0
-    model = GaussianModel(np.zeros(dim), np.eye(dim), np.eye(dim),
-                          cutoff=1.0, support=np.arange(1))
-    assert mahalanobis_score(model, x) == pytest.approx(25.0)
+    model = GaussianModel(np.zeros(dim), np.eye(dim), np.eye(dim), cutoff=1.0)
+    assert mahalanobis_score(model, x[None])[0] == pytest.approx(25.0)
 
 
 def test_score_at_mean_is_zero():
-    model = GaussianModel(np.full(3, 2.0), np.eye(3), np.eye(3),
-                          cutoff=1.0, support=np.arange(1))
-    assert mahalanobis_score(model, np.full(3, 2.0)) == pytest.approx(0.0)
+    model = GaussianModel(np.full(3, 2.0), np.eye(3), np.eye(3), cutoff=1.0)
+    assert mahalanobis_score(model, np.full((1, 3), 2.0))[0] == pytest.approx(0.0)
 
 
 def test_scaling_covariance_scales_scores():
     rng = np.random.default_rng(1)
     cov = np.eye(3) * 2.0
     x = rng.normal(size=(20, 3))
-    base = GaussianModel(np.zeros(3), cov, np.linalg.inv(cov), 1.0,
-                         np.arange(1))
-    scaled = GaussianModel(np.zeros(3), 4 * cov, np.linalg.inv(4 * cov), 1.0,
-                           np.arange(1))
+    base = GaussianModel(np.zeros(3), cov, np.linalg.inv(cov), 1.0)
+    scaled = GaussianModel(np.zeros(3), 4 * cov, np.linalg.inv(4 * cov), 1.0)
     s1 = mahalanobis_score(base, x)
     s2 = mahalanobis_score(scaled, x)
     assert np.allclose(s2, s1 / 4.0)
@@ -138,10 +134,14 @@ def test_too_few_samples():
 
 
 def test_support_fraction_range():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(50, 2))
-    with pytest.raises(ValueError):
-        fit_robust_covariance(X, support_fraction=0.4)
+    # refused when the detector is made, and again at fit if set later
+    with pytest.raises(ConfigError, match="support_fraction"):
+        RcDetector(support_fraction=0.4)
+    det = RcDetector()
+    det.support_fraction = 0.4
+    X = np.random.default_rng(6).normal(size=(50, 2))
+    with pytest.raises(ConfigError, match="support_fraction"):
+        det.fit(FeatureMatrix(X, None, (0, 1)))
 
 
 # --- isolation forest ------------------------------------------------------------

@@ -18,12 +18,15 @@ from canids.detectors import (
 )
 from canids.errors import (
     ConfigError,
+    EmptyData,
     IoError,
     MissingLabels,
+    NonBinaryLabels,
     UnfitModel,
     WrongWidth,
 )
 from canids.features import FeatureMatrix
+from canids.model_io import encode_array
 from canids.neighbors import NeighborIndex
 
 
@@ -107,6 +110,29 @@ def test_supervised_requires_labels(name):
         det.fit(unlabeled)
 
 
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_fit_checks_and_converts_its_input(name):
+    """fit refuses a matrix without rows or columns and supervised labels
+    other than 0/1, and fits integer values as their float64 copy."""
+    det = make_detector(name, FAST_PARAMS[name], seed=2)
+    train = fit_view(det, small_dataset(seed=23))
+    for rows, cols in ((slice(0), slice(None)), (slice(None), slice(0))):
+        empty = FeatureMatrix(train.values[rows, cols], train.labels[rows],
+                              train.column_ids[cols])
+        with pytest.raises(EmptyData):
+            det.fit(empty)
+    ints = np.round(4 * train.values).astype(np.int64)
+    test = small_dataset(seed=24, n=100)
+    scores = [det.fit(FeatureMatrix(v, train.labels, train.column_ids))
+              .score(test).tobytes() for v in (ints, ints.astype(np.float64))]
+    assert scores[0] == scores[1]
+    if det.supervised:
+        labels = train.labels.copy()
+        labels[0] = 2
+        with pytest.raises(NonBinaryLabels):
+            det.fit(FeatureMatrix(train.values, labels, train.column_ids))
+
+
 def test_score_before_fit_raises():
     det = make_detector("dt")
     with pytest.raises(UnfitModel):
@@ -152,7 +178,7 @@ def test_model_groups():
 def test_dae_normal_only_enforced():
     train = small_dataset(seed=8)
     det = make_detector("dae", FAST_PARAMS["dae"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="normal rows only"):
         det.fit(train)  # contains anomaly-labeled rows
 
 
@@ -245,6 +271,7 @@ REFUSED_PARAMS = [
     ("iforest", "n_trees", 0, "n_trees must be >= 1"),
     ("iforest", "subsample", 1, "subsample must be >= 2"),
     ("lof", "k", 0, "k must be >= 1"),
+    ("knn", "k", 0, "k must be >= 1"),
     ("rc", "support_fraction", 0.5, "support_fraction must lie in (0.5, 1]"),
     ("rc", "support_fraction", 1.5, "support_fraction must lie in (0.5, 1]"),
     ("rc", "cutoff_level", 0, "cutoff_level must lie in (0, 1)"),
@@ -269,7 +296,8 @@ def test_refused_param_set_after_construction_fails_fit(name, key, value,
 
 
 def saved_model(tmp_path, name):
-    det = make_detector(name, FAST_PARAMS[name]).fit(small_dataset(seed=16))
+    det = make_detector(name, FAST_PARAMS[name])
+    det.fit(fit_view(det, small_dataset(seed=16)))
     path = tmp_path / f"{name}.json"
     save_detector(path, det)
     return path, json.loads(path.read_text())
@@ -395,6 +423,42 @@ def test_model_file_tree_count_must_match_params(name, key, tmp_path):
         load_detector(path)
 
 
+# (kind, path to a state value, the value put there, IoError message)
+MALFORMED_STATE = [
+    pytest.param("rc", ["cutoff"], 5, "5 is not a hex float",
+                 id="rc cutoff number"),
+    pytest.param("rc", ["cutoff"], "0x1.8q", "'0x1.8q' is not a hex float",
+                 id="rc cutoff malformed"),
+    pytest.param("dae", ["threshold", "p"], 95, "95 is not a hex float",
+                 id="dae threshold p number"),
+    pytest.param("gbt", ["loss_trace", 0], 0.5,
+                 "0.5 is not a hex float", id="gbt loss_trace number"),
+    pytest.param("rc", ["mean"], encode_array(np.zeros(3)),
+                 r"mean has shape \[3\], n_features 5 needs \[5\]",
+                 id="rc mean 3 wide"),
+    pytest.param("rc", ["cov"], encode_array(np.eye(3)),
+                 r"cov has shape \[3, 3\], n_features 5 needs \[5, 5\]",
+                 id="rc cov 3 by 3"),
+    pytest.param("rc", ["cov_inv"], encode_array(np.ones(25)),
+                 r"cov_inv has shape \[25\], n_features 5 needs \[5, 5\]",
+                 id="rc cov_inv flat"),
+]
+
+
+@pytest.mark.parametrize("name, keys, value, message", MALFORMED_STATE)
+def test_model_file_malformed_state_is_an_io_error(name, keys, value, message,
+                                                   tmp_path):
+    path, doc = saved_model(tmp_path, name)
+    obj = doc["payload"]["state"]
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"^model file {re.escape(str(path))}: "
+                                      f"{message}"):
+        load_detector(path)
+
+
 def test_model_file_unknown_kind_is_an_io_error(tmp_path):
     path, doc = saved_dt(tmp_path)
     doc["kind"] = "svm"
@@ -417,8 +481,8 @@ def test_lof_loads_without_neighbour_search(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(NeighborIndex, "query", no_query)
         restored = load_detector(path)
-    assert (restored.lof.fit_scores().tobytes()
-            == det.lof.fit_scores().tobytes())
+    assert (restored.lof.ref_lof.tobytes()
+            == det.lof.ref_lof.tobytes())
     assert restored.score(test).tobytes() == det.score(test).tobytes()
 
 

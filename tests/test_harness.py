@@ -290,6 +290,17 @@ def test_comparison_contaminated_policy_hides_labels():
     assert NormalOnlyProbe.seen_labels is None
 
 
+def test_comparison_fits_dae_normal_only_under_any_policy():
+    cfg = ExperimentConfig(models=("dt", "probe", "dae"), seed=4,
+                           data=DataSpec(kind="synth", attacks=("fuzzing",)),
+                           params={"dae": {"epochs": 1}},
+                           policy="contaminated")
+    report = run_comparison(cfg)
+    assert [report.row(m).policy for m in cfg.models] == [
+        None, "contaminated", "normal-only"]
+    assert report.row("dae").error is None
+
+
 def test_comparison_failed_model_does_not_abort():
     class Exploding(Detector):
         name = "boom"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from canids.errors import IoError
-from canids.model_io import decode_array, encode_array
+from canids.model_io import decode_array, decode_float, encode_array
 
 # values whose bits a text format could lose: NaN, signed zero and
 # infinities, and both ends of the subnormal range
@@ -156,3 +156,9 @@ assert PACKED["packed"] == [0]
 def test_bad_encoded_array_is_an_io_error(obj, match):
     with pytest.raises(IoError, match=match):
         decode_array(obj)
+
+
+@pytest.mark.parametrize("value", [5, 1.5, None, ["0x1p+0"], "", "0x1.8q"])
+def test_bad_hex_float_is_an_io_error(value):
+    with pytest.raises(IoError, match="is not a hex float"):
+        decode_float(value)

@@ -75,7 +75,7 @@ def nearest(index, x, k):
 
 
 def lof_of_refs(refs, k):
-    return LocalOutlierFactor(k).fit(refs).fit_scores()
+    return LocalOutlierFactor(k).fit(refs).ref_lof
 
 
 def knn_vote(refs, labels, x, k):
@@ -327,7 +327,7 @@ def test_knn_detector_tie_goes_to_anomaly():
 def test_lof_identical_points_convention():
     refs = np.zeros((6, 2))
     lof = LocalOutlierFactor(3).fit(refs)
-    assert np.all(lof.fit_scores() == 1.0)
+    assert np.all(lof.ref_lof == 1.0)
 
 
 def test_lof_uniform_grid_interior_near_one():
@@ -419,7 +419,7 @@ def test_scores_do_not_depend_on_the_budget(budget):
     def scores():
         knn = KnnDetector(k=5).fit(train)
         lof = LofDetector(k=10).fit(train)
-        return [knn.score(test), lof.lof.fit_scores(), lof.score(test)]
+        return [knn.score(test), lof.lof.ref_lof, lof.score(test)]
 
     want = scores()
     with mock.patch.object(neighbors, "_BUDGET_BYTES", budget):

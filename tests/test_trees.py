@@ -205,20 +205,12 @@ def test_cart_respects_min_samples_leaf():
     assert max_depth(fit_cart(X, y, max_depth=1)) <= 1
 
 
-def test_cart_feature_sampling_needs_rng():
-    X = np.arange(12.0).reshape(4, 3)
-    y = np.array([0, 0, 1, 1])
-    with pytest.raises(ValueError, match="rng"):
-        fit_cart(X, y, features_per_split=2)
-    # no sampling happens when every feature is a candidate
-    assert fit_cart(X, y, features_per_split=3).feature[0] == 0
-
-
 def test_cart_rejects_bad_input():
+    # the detector refuses both before fit_cart sees them
     with pytest.raises(EmptyData):
-        fit_cart(np.empty((0, 2)), np.array([]))
+        fit_on(DecisionTreeDetector(), np.empty((0, 2)), np.array([]))
     with pytest.raises(NonBinaryLabels):
-        fit_cart(np.ones((3, 1)), np.array([0, 1, 2]))
+        fit_on(DecisionTreeDetector(), np.ones((3, 1)), np.array([0, 1, 2]))
 
 
 def test_cart_monotone_transform_invariance():
@@ -428,10 +420,11 @@ def test_gbt_binary_feature_fast_path_consistency():
 
 
 def test_gbt_rejects_bad_labels():
+    # the detector refuses both before fit_gbt sees them
     with pytest.raises(NonBinaryLabels):
-        fit_gbt(np.ones((4, 1)), np.array([0, 1, 2, 1]), GbtDetector(rounds=1))
+        fit_on(GbtDetector(rounds=1), np.ones((4, 1)), np.array([0, 1, 2, 1]))
     with pytest.raises(EmptyData):
-        fit_gbt(np.empty((0, 1)), np.array([]), GbtDetector(rounds=1))
+        fit_on(GbtDetector(rounds=1), np.empty((0, 1)), np.array([]))
 
 
 # --- feature importance ---------------------------------------------------------
@@ -455,7 +448,7 @@ def test_importance_no_splits_all_zero():
 
 def test_importance_requires_fitted_model():
     with pytest.raises(UnfitModel):
-        feature_importance([], 2)
+        GbtDetector().importance()
 
 
 def test_importance_sums_to_one():
@@ -739,14 +732,12 @@ def assert_same_trees(got, want):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree_data(), st.integers(0, 6), st.integers(1, 4),
-       st.one_of(st.none(), st.integers(1, 7)), st.integers(0, 2 ** 32 - 1))
-@example(_frames_like(), 8, 2, None, 0)
-def test_cart_matches_gather_and_sort_reference(data, depth, leaf, k, seed):
+@given(tree_data(), st.integers(0, 6), st.integers(1, 4))
+@example(_frames_like(), 8, 2)
+def test_cart_matches_gather_and_sort_reference(data, depth, leaf):
     X, y = data
-    got = fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
-    want = ref_fit_cart(X, y, depth, leaf, np.random.default_rng(seed), k)
-    assert_same_trees([got], [want])
+    assert_same_trees([fit_cart(X, y, depth, leaf)],
+                      [ref_fit_cart(X, y, depth, leaf)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -794,8 +785,6 @@ def test_gbt_loss_trace_ends_at_the_model_margins(subsample):
 
 FITS = {
     "fit_cart": lambda X, y: fit_cart(X, y, 6),
-    "fit_cart sampled": lambda X, y: fit_cart(
-        X, y, 6, 1, np.random.default_rng(0), 8),
     "fit_random_forest": lambda X, y: fit_random_forest(
         X, y, RandomForestDetector(n_trees=3, max_depth=6)),
     "fit_gbt": lambda X, y: fit_gbt(

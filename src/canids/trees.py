@@ -10,14 +10,14 @@ scores the second-order gain.
 
 Computed gains that are exactly equal break to the lowest feature index,
 and within a feature to the lowest threshold, so fits are deterministic.
-Two features that make the same partition need not compute equal gains,
-though. A 0/1 column c takes its right side's sums A1 from a dot product
-and its left side's as S - A1; its complement 1 - c gets its own A1 from
-its own dot product, so each side's sum comes out of a different
-expression and can differ from c's in the last bit. CART's sums are
-integers, exact either way, so c wins; boosting's gradient sums are not,
-and the higher index can win (it won 359 of 941 gbt splits on such a pair
-next to one noise column, 5 rounds of depth 1).
+Every sum the search takes is exact, so two features that make the same
+partition compute equal gains and the lower index wins. CART sums labels
+and weights, which are integers. Boosting rounds each gradient and
+hessian to a multiple of 2**-s, with s = 53 - ceil(log2(n + 1)) for n
+training rows: every partial sum is then a multiple of 2**-s no larger
+than n in magnitude, which float64 holds exactly, so a node's sums are
+the same in any order or grouping (as in quantized gradient training,
+Shi et al., NeurIPS 2022).
 
 Each fit prepares its columns once, as in the presorted column blocks of
 exact greedy XGBoost but without histograms; a random forest prepares them
@@ -407,18 +407,25 @@ def gbt_margins(det: GbtDetector, X: np.ndarray) -> np.ndarray:
     return m
 
 
+def _on_grid(v: np.ndarray, s: int) -> np.ndarray:
+    """v rounded to the nearest multiples of 2**-s (ties to even)."""
+    return np.ldexp(np.rint(np.ldexp(v, s)), -s)
+
+
 def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     """Additive logistic-loss boosting with second-order split gains, grown
     with det's params (rounds, learning_rate, max_depth, lam, ..., seed).
     Returns the trees and the loss trace.
 
     Per round: gradients g = p - y and hessians h = p(1-p) at the current
-    margins; one tree grown on (g, h); leaf weights -G/(H+lam) added to the
+    margins, rounded to multiples of 2**-s so that their sums are exact;
+    one tree grown on (g, h); leaf weights -G/(H+lam) added to the
     margins scaled by the learning rate. loss_trace[0] is the loss at the
     base score, one entry per round follows.
     """
     y = y.astype(np.float64)
     n, n_features = X.shape
+    s = 53 - n.bit_length()  # n.bit_length() == ceil(log2(n + 1))
     data = _Presorted(X)
     crit = _Newton(det)
     margin = np.full(n, _base_margin(det.base_score))
@@ -432,8 +439,8 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     for r in range(det.rounds):
         rng = np.random.default_rng(streams[r])
         p = sigmoid(margin)
-        g = p - y
-        h = p * (1.0 - p)
+        g = _on_grid(p - y, s)
+        h = _on_grid(p * (1.0 - p), s)
         if det.subsample < 1.0:
             m = max(1, round(det.subsample * n))
             rows = np.sort(rng.choice(n, size=m, replace=False))

@@ -419,6 +419,19 @@ def test_gbt_binary_feature_fast_path_consistency():
                           model2.score(bits * 2) >= 0.5)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_gbt_same_partition_ties_to_the_lower_feature(seed):
+    # c and 1 - c make the same partition; exact sums give them equal
+    # gains, so the lower index wins every split on the pair
+    rng = np.random.default_rng(seed)
+    c = (rng.random(300) < 0.5).astype(np.float64)
+    X = np.column_stack([c, 1.0 - c, rng.normal(size=300)])
+    y = (c.astype(bool) ^ (rng.random(300) < 0.2)).astype(np.int64)
+    trees, _ = fit_gbt(X, y, GbtDetector(rounds=5, max_depth=1, seed=seed))
+    feats = np.concatenate([t.feature for t in trees])
+    assert 1 not in feats.tolist()
+
+
 def test_gbt_rejects_bad_labels():
     # the detector refuses both before fit_gbt sees them
     with pytest.raises(NonBinaryLabels):
@@ -664,6 +677,8 @@ def ref_fit_gbt(X, y, cfg):
         rng = np.random.default_rng(stream)
         p = sigmoid(margin)
         g, h = p - y, p * (1.0 - p)
+        scale = 2.0 ** (53 - int(np.ceil(np.log2(n + 1))))
+        g, h = np.round(g * scale) / scale, np.round(h * scale) / scale
         rows = (np.sort(rng.choice(n, size=max(1, round(cfg.subsample * n)),
                                    replace=False))
                 if cfg.subsample < 1.0 else np.arange(n))

@@ -575,10 +575,6 @@ def register_detector(name: str, cls: type[Detector]) -> None:
     _REGISTRY[name] = cls
 
 
-def detector_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 def make_detector(name: str, params: dict | None = None, seed: int = 0) -> Detector:
     """A detector of kind name; ConfigError if params holds a keyword
     that the kind does not declare."""

@@ -19,25 +19,32 @@ than n in magnitude, which float64 holds exactly, so a node's sums are
 the same in any order or grouping (as in quantized gradient training,
 Shi et al., NeurIPS 2022).
 
-Each fit prepares its columns once, as in the presorted column blocks of
-exact greedy XGBoost but without histograms; a random forest prepares them
-once for all its trees. Columns whose training values are all 0/1 (the 64
-payload bits) have the single candidate threshold 0.5; they are copied
-into one C-contiguous block, a node takes its rows from it, and one
-matrix-vector product per statistic sums them. Every other column is
-argsorted once (stable); a node keeps its rows in that order and its
-children inherit it by stable partition. A node's rows are always
-ascending, so that order equals a per-node stable argsort and BLAS gets the
-same float64 rows in the same layout as a per-node gather: every sum is
-taken over the same numbers in the same order, and the trees are bit for
-bit those of a search that gathers and sorts at each node.
+Each fit prepares its columns once; a random forest prepares them once
+for all its trees. A column with at most _HIST_VALUES distinct training
+values (the 64 payload bits, DLC and CAN ID) is a histogram column: a node
+sums (count, S1, S2) per distinct value and takes every threshold between
+consecutive values it holds from cumulative sums over those bins, as in
+LightGBM (Ke et al., NeurIPS 2017). 0/1 columns are copied into one
+C-contiguous uint8 block and one matrix product over a node's block rows
+gives all three sums; every other histogram column holds uint8 value codes
+and one bincount per statistic sums them. A split sums only its smaller
+child: the larger child's histogram, and its S1 and S2, are the parent's
+minus the smaller one's. The one column with more values (the interval)
+is argsorted once (stable); a node keeps its rows in that order, its
+children inherit it by stable partition, and the node scans it with
+cumulative sums. All candidates of a node, from bits, bins and the scan,
+go through one gain evaluation. Since every sum is exact, none of this
+changes a sum: the trees are bit for bit those of a search that gathers
+and sorts at each node, whichever columns take histograms.
 
 A forest tree grows on the distinct rows of its bootstrap sample, each
 weighted by the number of times it was drawn: CART sums (label * weight,
 weight) where a tree on the resampled copy X[rows] sums (label, 1). The
 Gini sums are integers below 2**53, exact in any order, so the trees are
 bit for bit those grown on X[rows], also where a column is 0/1 only within
-the sample: both searches give it the one threshold 0.5.
+the sample: both searches give it the one threshold 0.5. Every node sums
+the histograms of all columns, since its children subtract them, and
+masks the candidates of the features it did not sample.
 
 Every tree is a FlatTree: parallel arrays in pre-order, left subtree
 first, which the growers write as they go. Every model, the isolation
@@ -122,7 +129,9 @@ class _Newton:
         return -G / (H + self.lam) if H + self.lam > 0 else 0.0
 
     def is_final(self, G, H, rows):
-        return rows < 2
+        # the sides' exact hessian sums add up to H, so below this no split
+        # can give both sides min_child_weight
+        return rows < 2 or H < 2 * self.min_weight
 
     def gains(self, G, H, GL, HL, GR, HR):
         lam = self.lam
@@ -131,46 +140,103 @@ class _Newton:
                 - self.gamma_split)
 
 
+# Columns with at most this many distinct training values search value
+# histograms; the others scan their presorted values.
+_HIST_VALUES = 256
+_BLOCK_ROWS = 1024  # rows per matrix product over the 0/1 block
+
+
 class _Presorted:
-    """One fit's split-search data, shared by every tree of a forest: which
-    columns are 0/1, and a contiguous copy and a stable argsort of every
-    other column. A tree may grow on any ascending subset of the rows."""
+    """One fit's split-search data, shared by every tree of a forest: the
+    0/1 histogram columns as one uint8 block, the other histogram columns
+    as offset value codes, and a contiguous copy and a stable argsort of
+    every scan column. A tree may grow on any ascending subset of the
+    rows."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
-        self.is_binary = np.all((X == 0.0) | (X == 1.0), axis=0)
-        self.cols = {f: np.ascontiguousarray(X[:, f])
-                     for f in np.flatnonzero(~self.is_binary).tolist()}
-        self.orders = {f: np.argsort(v, kind="stable") for f, v in self.cols.items()}
+        zero, one = X == 0.0, X == 1.0
+        is01 = np.all(zero | one, axis=0)
+        n01 = zero.any(axis=0) + one.any(axis=0).astype(np.int64)
+        del zero, one
+        self.bits = np.flatnonzero(is01 & (n01 <= _HIST_VALUES))
+        self.block = np.empty((X.shape[0], self.bits.size), dtype=np.uint8)
+        for lo in range(0, X.shape[0], _BLOCK_ROWS):  # no float64 copy
+            self.block[lo:lo + _BLOCK_ROWS] = X[lo:lo + _BLOCK_ROWS, self.bits]
+        codes, values, feats = [], [], []
+        self.cols, self.orders = {}, {}
+        for f in np.flatnonzero(~is01 | (n01 > _HIST_VALUES)).tolist():
+            v = np.ascontiguousarray(X[:, f])
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            first = np.r_[True, sv[1:] != sv[:-1]]  # first row of each value
+            if np.count_nonzero(first) <= _HIST_VALUES:
+                code = np.empty(v.size, dtype=np.int64)
+                code[order] = np.cumsum(first) - 1
+                codes.append(code)
+                values.append(sv[first])
+                feats.append(f)
+            else:
+                self.cols[f], self.orders[f] = v, order
+        # code column j owns bins j*width .. j*width + width - 1, one per
+        # value in ascending order; bins past a column's values stay empty
+        self.width = max(map(len, values), default=0)
+        self.values = np.zeros((len(values), self.width))
+        for j, v in enumerate(values):
+            self.values[j, :v.size] = v
+        self.values = self.values.ravel()
+        self.code_feats = np.array(feats, dtype=np.int64)
+        offsets = np.arange(len(codes)) * self.width
+        self.codes = (np.column_stack(codes) + offsets).astype(
+            np.min_scalar_type(max(self.values.size - 1, 0))) if codes else None
         self.mask = np.zeros(X.shape[0], dtype=bool)  # scratch: rows going left
 
-    def block(self, feats: np.ndarray) -> np.ndarray:
-        """The 0/1 columns among feats as a C-contiguous uint8 block."""
-        return np.ascontiguousarray(self.X[:, feats[self.is_binary[feats]]],
-                                    dtype=np.uint8)
+    def histogram(self, idx, a, b) -> np.ndarray:
+        """The (count, S1, S2) sums over the rows idx as a (3, bits + bins)
+        array: per 0/1 column the sums over its rows that hold 1, then per
+        bin of a code column the sums over its rows with that value."""
+        nb = self.bits.size
+        out = np.empty((3, nb + self.values.size))
+        ai, bi = a[idx], b[idx]
+        if nb:
+            # in chunks of rows, so that the float64 copy of the block rows
+            # stays small; the sums are exact, so chunking changes none
+            W = np.stack([np.ones(idx.size), ai, bi])
+            out[:, :nb] = 0.0
+            for lo in range(0, idx.size, _BLOCK_ROWS):
+                rows = np.take(self.block, idx[lo:lo + _BLOCK_ROWS], axis=0)
+                out[:, :nb] += W[:, lo:lo + _BLOCK_ROWS] @ rows.astype(np.float64)
+        if self.codes is not None:
+            c = np.take(self.codes, idx, axis=0).ravel()
+            k = self.codes.shape[1]
+            out[0, nb:] = np.bincount(c, minlength=self.values.size)
+            out[1, nb:] = np.bincount(c, np.repeat(ai, k), self.values.size)
+            out[2, nb:] = np.bincount(c, np.repeat(bi, k), self.values.size)
+        return out
 
-    def grow(self, crit, a, b, rows, feats, max_depth, block=None, sample=None,
+    def grow(self, crit, a, b, rows, feats, max_depth, sample=None,
              leaves=None) -> FlatTree:
         """One tree on the ascending row indices rows, summing (a, b).
         Every node searches feats, or the sorted subset sample() draws from
-        feats. The 0/1 candidates' rows come from block, which holds exactly
-        the 0/1 columns of feats, or from X per node when block is None.
-        If leaves is given, leaves[i] is set to the value of the leaf that
-        row i of rows reaches, the value FlatTree.route gives it."""
+        feats. If leaves is given, leaves[i] is set to the value of the
+        leaf that row i of rows reaches, the value FlatTree.route gives
+        it."""
         X, mask = self.X, self.mask
         member = np.zeros(X.shape[0], dtype=bool)
         member[rows] = True
         orders = {f: o[member[o]] for f, o in self.orders.items() if f in feats}
         nodes: list[list] = []  # FlatTree.of_rows rows, in pre-order
 
-        def node(idx, orders, depth) -> int:
+        def searched(S1, S2, m, depth):
+            return depth < max_depth and not crit.is_final(S1, S2, m)
+
+        def node(idx, S1, S2, hist, orders, depth) -> int:
+            # hist is the node's histogram if it is searched, else None
             i = len(nodes)
-            S1 = float(a[idx].sum())
-            S2 = float(b[idx].sum())
             split = None
-            if depth < max_depth and not crit.is_final(S1, S2, idx.size):
+            if hist is not None:
                 cand = feats if sample is None else sample()
-                split = self._best_split(crit, a, b, idx, orders, cand, block,
+                split = self._best_split(crit, a, b, idx, orders, cand, hist,
                                          S1, S2)
             if split is None:
                 value = crit.leaf(S1, S2)
@@ -182,69 +248,97 @@ class _Presorted:
             nodes.append([f, float(thr), -1, -1, 0.0, float(gain)])
             go_left = X[idx, f] <= thr
             mask[idx] = go_left
-            left, right = {}, {}
+            halves = {}, {}
             for g, s in orders.items():
                 keep = mask[s]
-                left[g], right[g] = s[keep], s[~keep]
+                halves[0][g], halves[1][g] = s[keep], s[~keep]
             orders.clear()  # its halves replace it down the recursion
-            nodes[i][2] = node(idx[go_left], left, depth + 1)
-            nodes[i][3] = node(idx[~go_left], right, depth + 1)
+            kids = idx[go_left], idx[~go_left]
+            # sum the smaller child; the larger one is the parent minus it
+            small = int(kids[1].size < kids[0].size)
+            s1, s2 = float(a[kids[small]].sum()), float(b[kids[small]].sum())
+            sums = [(s1, s2)] * 2
+            sums[1 - small] = (S1 - s1, S2 - s2)
+            go = [searched(*sums[j], kids[j].size, depth + 1) for j in (0, 1)]
+            hists = [None, None]
+            if go[0] or go[1]:
+                h = self.histogram(kids[small], a, b)
+                hists[small] = h if go[small] else None
+                hists[1 - small] = hist - h if go[1 - small] else None
+            nodes[i][2] = node(kids[0], *sums[0], hists[0], halves[0], depth + 1)
+            nodes[i][3] = node(kids[1], *sums[1], hists[1], halves[1], depth + 1)
             return i
 
         with np.errstate(divide="ignore", invalid="ignore"):
             try:
-                node(rows, orders, 0)
+                S1, S2 = float(a[rows].sum()), float(b[rows].sum())
+                root = (self.histogram(rows, a, b)
+                        if searched(S1, S2, rows.size, 0) else None)
+                node(rows, S1, S2, root, orders, 0)
             finally:
                 # node refers to itself; without this the cycle would keep
                 # the tree's search data until a garbage collection
                 del node
         return FlatTree.of_rows(nodes)
 
-    def _best_split(self, crit, a, b, idx, orders, feats, block, S1, S2):
+    def _best_split(self, crit, a, b, idx, orders, feats, hist, S1, S2):
         """Best (feature, threshold, gain) at a node, or None.
 
-        A 0/1 column's right side sums come from one matrix-vector product
-        over the node's block rows; any other column's left sums are
-        cumulative sums in its presorted order. Equal computed gains keep
-        the lowest feature, and within a feature the lowest threshold."""
-        m = idx.size
-        found = []
-
-        def masked_gains(nL, L1, L2, nR, R1, R2):
-            valid = ((nL > 0) & (nR > 0)
-                     & (L2 >= crit.min_weight) & (R2 >= crit.min_weight))
-            return np.where(valid, crit.gains(S1, S2, L1, L2, R1, R2), -np.inf)
-
-        bits = feats[self.is_binary[feats]]
-        if bits.size:
-            # float64 rows in C order either way, so BLAS sums them alike
-            B = (np.take(block, idx, axis=0).astype(np.float64)
-                 if block is not None else self.X[np.ix_(idx, bits)])
-            n1 = np.ones(m) @ B
-            A1 = a[idx] @ B
-            W1 = b[idx] @ B
-            gains = masked_gains(m - n1, S1 - A1, S2 - W1, n1, A1, W1)
-            j = int(np.argmax(gains))
-            found.append((gains[j], -int(bits[j]), 0.5))
-
-        for f in feats[~self.is_binary[feats]].tolist():
-            s = orders[f]
+        Every candidate's left side sums come from the node's histogram or
+        from cumulative sums over a scan column's presorted order; one
+        gain evaluation scores them all. Equal computed gains keep the
+        lowest feature, and within a feature the lowest threshold."""
+        S = np.array([[idx.size], [S1], [S2]], dtype=np.float64)
+        nb = self.bits.size
+        lefts = [S - hist[:, :nb]]  # a 0/1 column's left side holds its 0s
+        cand_feats = [self.bits]
+        held = cut = np.zeros(0, dtype=np.int64)
+        if self.codes is not None:
+            bins = hist[:, nb:]
+            held = np.flatnonzero(bins[0])
+            col = held // self.width
+            cut = np.flatnonzero(col[1:] == col[:-1])  # held[cut] | held[cut+1]
+            cum = np.cumsum(bins.reshape(3, -1, self.width), axis=2)
+            lefts.append(cum.reshape(3, -1)[:, held[cut]])
+            cand_feats.append(self.code_feats[col[cut]])
+        allowed = np.zeros(self.X.shape[1], dtype=bool)
+        allowed[feats] = True
+        scans = []
+        for f, s in orders.items():
+            if not allowed[f]:
+                continue
             sv = self.cols[f][s]
             boundary = np.flatnonzero(sv[1:] != sv[:-1])
-            if boundary.size == 0:
-                continue
-            nL = boundary + 1.0
-            L1 = np.cumsum(a[s])[boundary]
-            L2 = np.cumsum(b[s])[boundary]
-            gains = masked_gains(nL, L1, L2, m - nL, S1 - L1, S2 - L2)
-            j = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            found.append((gains[j], -f, _split_value(sv[boundary[j]],
-                                                     sv[boundary[j] + 1])))
-
-        if not found:
+            lefts.append(np.stack([boundary + 1.0, np.cumsum(a[s])[boundary],
+                                   np.cumsum(b[s])[boundary]]))
+            cand_feats.append(np.full(boundary.size, f))
+            scans.append((sv, boundary))
+        L = np.concatenate(lefts, axis=1)
+        if L.shape[1] == 0:
             return None
-        gain, neg_f, thr = max(found)  # equal gains: the larger -f wins
-        return (-neg_f, thr, gain) if gain > 0.0 else None
+        R = S - L
+        feat = np.concatenate(cand_feats)
+        valid = ((L[0] > 0) & (R[0] > 0) & allowed[feat]
+                 & (L[2] >= crit.min_weight) & (R[2] >= crit.min_weight))
+        gains = np.where(valid, crit.gains(S1, S2, L[1], L[2], R[1], R[2]),
+                         -np.inf)
+        j = int(np.argmax(gains))
+        if not gains[j] > 0.0:
+            return None
+        ties = np.flatnonzero(gains == gains[j])
+        j = int(ties[np.argmin(feat[ties])])  # first: lowest threshold
+        f, gain = int(feat[j]), gains[j]
+        if j < nb:
+            return f, 0.5, gain
+        j -= nb
+        if j < cut.size:
+            return f, _split_value(self.values[held[cut[j]]],
+                                   self.values[held[cut[j] + 1]]), gain
+        j -= cut.size
+        for sv, boundary in scans:
+            if j < boundary.size:
+                return f, _split_value(sv[boundary[j]], sv[boundary[j] + 1]), gain
+            j -= boundary.size
 
 
 # --- CART --------------------------------------------------------------------
@@ -256,8 +350,7 @@ def fit_cart(X: np.ndarray, y: np.ndarray, max_depth: int = 12,
     data = _Presorted(X)
     all_feats = np.arange(X.shape[1])
     return data.grow(_Gini(min_samples_leaf), y.astype(np.float64),
-                     np.ones(len(y)), np.arange(len(y)), all_feats, max_depth,
-                     data.block(all_feats))
+                     np.ones(len(y)), np.arange(len(y)), all_feats, max_depth)
 
 
 def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
@@ -374,16 +467,15 @@ def fit_random_forest(X, y, det: RandomForestDetector) -> list[FlatTree]:
     crit = _Gini(1)
     y = y.astype(np.float64)
     all_feats = np.arange(width)
-    block = data.block(all_feats) if k == width else None
     trees = []
     for stream in np.random.SeedSequence(det.seed).spawn(det.n_trees):
         rng = np.random.default_rng(stream)
         w = np.bincount(rng.integers(0, n, size=sample_size), minlength=n)
         rows = np.flatnonzero(w)
         w = w.astype(np.float64)
-        sample = None if block is not None else _sampler(rng, all_feats, k)
+        sample = None if k == width else _sampler(rng, all_feats, k)
         trees.append(data.grow(crit, y * w, w, rows, all_feats, det.max_depth,
-                               block, sample))
+                               sample))
     return trees
 
 
@@ -433,7 +525,6 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     loss_trace = [_log_loss(margin, y)]
     streams = np.random.SeedSequence(det.seed).spawn(det.rounds)
     all_feats = np.arange(n_features)
-    full_block = None if det.colsample < 1.0 else data.block(all_feats)
     leaves = np.empty(n)  # each row's leaf value in the round's tree
 
     for r in range(det.rounds):
@@ -451,8 +542,7 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
             candidates = np.sort(rng.choice(all_feats, size=k, replace=False))
         else:
             candidates = all_feats
-        block = data.block(candidates) if full_block is None else full_block
-        tree = data.grow(crit, g, h, rows, candidates, det.max_depth, block,
+        tree = data.grow(crit, g, h, rows, candidates, det.max_depth,
                          leaves=leaves)
         trees.append(tree)
         if rows.size < n:  # rows the tree was not grown on

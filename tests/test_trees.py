@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from canids.trees import (
     gbt_margins,
     mean_route,
 )
-from canids.trees import _log_loss
+from canids import trees
+from canids.trees import _log_loss, _Presorted
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "gain")
 
@@ -784,6 +786,76 @@ def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
     cfg = GbtDetector(rounds, 0.3, depth, lam, gamma, weight, subsample,
                       colsample, 0.5, seed=seed)
     assert_same_trees(fit_gbt(X, y, cfg)[0], ref_fit_gbt(X, y, cfg))
+
+
+PATH_FITS = {
+    "fit_cart": lambda X, y: [fit_cart(X, y, 5, 2)],
+    "fit_random_forest": lambda X, y: fit_random_forest(
+        X, y, RandomForestDetector(3, 5, 2, 0.5, seed=1)),
+    "fit_gbt": lambda X, y: fit_gbt(
+        X, y, GbtDetector(3, 0.3, 4, 0.0, 0.0, 0.0, 0.5, 0.5, seed=2))[0],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data(), st.sampled_from(sorted(PATH_FITS)))
+@example(_frames_like(), "fit_cart")
+@example(_frames_like(), "fit_random_forest")
+@example(_frames_like(), "fit_gbt")
+def test_histogram_and_scan_columns_grow_the_same_trees(data, name):
+    # only the distinct-value count picks a column's search; every column
+    # scanned and every column histogrammed must agree to the bit
+    X, y = data
+    with mock.patch.object(trees, "_HIST_VALUES", 0):
+        scanned = PATH_FITS[name](X, y)
+    with mock.patch.object(trees, "_HIST_VALUES", 10 ** 6):
+        binned = PATH_FITS[name](X, y)
+    assert_same_trees(binned, scanned)
+
+
+def _node_sizes(tree, X):
+    """The number of rows of X that reach each node, and each node's
+    depth."""
+    sizes = np.zeros(tree.feature.size, dtype=np.int64)
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]), 0)]
+    while stack:
+        i, rows, d = stack.pop()
+        sizes[i], depth[i] = rows.size, d
+        if tree.feature[i] >= 0:
+            go = X[rows, tree.feature[i]] <= tree.threshold[i]
+            stack += [(tree.left[i], rows[go], d + 1),
+                      (tree.right[i], rows[~go], d + 1)]
+    return sizes, depth
+
+
+def test_gbt_sums_only_the_smaller_child_of_each_split():
+    # the root is summed, then at each split (pre-order) the smaller child
+    # once one of the two children is searched; the larger child's sums
+    # come by subtraction and are never summed
+    X, y = _frames_like()
+    max_depth = 5
+    summed = []
+    histogram = _Presorted.histogram
+
+    def spy(self, idx, a, b):
+        summed.append(idx.size)
+        return histogram(self, idx, a, b)
+
+    with mock.patch.object(_Presorted, "histogram", spy):
+        fitted, _ = fit_gbt(X, y, GbtDetector(rounds=4, max_depth=max_depth,
+                                              min_child_weight=0.0))
+    want = []
+    for tree in fitted:
+        sizes, depth = _node_sizes(tree, X)
+        want.append(X.shape[0])
+        for i in np.flatnonzero(tree.feature >= 0):
+            kids = sizes[[tree.left[i], tree.right[i]]]
+            assert kids.sum() == sizes[i]
+            if depth[i] + 1 < max_depth and kids.max() >= 2:
+                want.append(int(kids.min()))
+    assert summed == want
+    assert sum(summed) < 2 * len(fitted) * X.shape[0]
 
 
 @pytest.mark.parametrize("subsample", [1.0, 0.5])

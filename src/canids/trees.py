@@ -26,13 +26,13 @@ sums (count, S1, S2) per distinct value and takes every threshold between
 consecutive values it holds from cumulative sums over those bins, as in
 LightGBM (Ke et al., NeurIPS 2017). 0/1 columns are copied into one
 C-contiguous uint8 block and one matrix product over a node's block rows
-gives all three sums; every other histogram column holds uint8 value codes
-and one bincount per statistic sums them. A split sums only its smaller
-child: the larger child's histogram, and its S1 and S2, are the parent's
-minus the smaller one's. The one column with more values (the interval)
-is argsorted once (stable); a node keeps its rows in that order, its
-children inherit it by stable partition, and the node scans it with
-cumulative sums. All candidates of a node, from bits, bins and the scan,
+gives all three sums; the other histogram columns hold value codes (uint8
+for DLC and CAN ID) and one bincount per statistic sums them. A split sums
+only its smaller child: the larger child's histogram, and its S1 and S2,
+are the parent's minus the smaller one's. A column with more values (here
+only the interval) is a scan column: it is argsorted once (stable), a node
+keeps its rows in that order, its children inherit it by stable
+partition, and the node scans it with cumulative sums. All candidates of a node, from bits, bins and the scan,
 go through one gain evaluation. Since every sum is exact, none of this
 changes a sum: the trees are bit for bit those of a search that gathers
 and sorts at each node, whichever columns take histograms.
@@ -218,7 +218,8 @@ class _Presorted:
              leaves=None) -> FlatTree:
         """One tree on the ascending row indices rows, summing (a, b).
         Every node searches feats, or the sorted subset sample() draws from
-        feats. If leaves is given, leaves[i] is set to the value of the
+        feats; nodes grow depth first, so sample() is called in pre-order.
+        If leaves is given, leaves[i] is set to the value of the
         leaf that row i of rows reaches, the value FlatTree.route gives
         it."""
         X, mask = self.X, self.mask

@@ -32,10 +32,11 @@ only its smaller child: the larger child's histogram, and its S1 and S2,
 are the parent's minus the smaller one's. A column with more values (here
 only the interval) is a scan column: it is argsorted once (stable), a node
 keeps its rows in that order, its children inherit it by stable
-partition, and the node scans it with cumulative sums. All candidates of a node, from bits, bins and the scan,
-go through one gain evaluation. Since every sum is exact, none of this
-changes a sum: the trees are bit for bit those of a search that gathers
-and sorts at each node, whichever columns take histograms.
+partition, and the node scans it with cumulative sums. All candidates of
+a node, from bits, bins and the scan, go through one gain evaluation.
+Since every sum is exact, none of this changes a sum: the trees are bit
+for bit those of a search that gathers and sorts at each node, whichever
+columns take histograms.
 
 A forest tree grows on the distinct rows of its bootstrap sample, each
 weighted by the number of times it was drawn: CART sums (label * weight,
@@ -200,12 +201,14 @@ class _Presorted:
         ai, bi = a[idx], b[idx]
         if nb:
             # in chunks of rows, so that the float64 copy of the block rows
-            # stays small; the sums are exact, so chunking changes none
+            # stays small (a forest's peak memory is tested); the sums are
+            # exact, so chunking changes none
             W = np.stack([np.ones(idx.size), ai, bi])
             out[:, :nb] = 0.0
             for lo in range(0, idx.size, _BLOCK_ROWS):
                 rows = np.take(self.block, idx[lo:lo + _BLOCK_ROWS], axis=0)
-                out[:, :nb] += W[:, lo:lo + _BLOCK_ROWS] @ rows.astype(np.float64)
+                out[:, :nb] += (W[:, lo:lo + _BLOCK_ROWS]
+                                @ rows.astype(np.float64))
         if self.codes is not None:
             c = np.take(self.codes, idx, axis=0).ravel()
             k = self.codes.shape[1]
@@ -266,8 +269,9 @@ class _Presorted:
                 h = self.histogram(kids[small], a, b)
                 hists[small] = h if go[small] else None
                 hists[1 - small] = hist - h if go[1 - small] else None
-            nodes[i][2] = node(kids[0], *sums[0], hists[0], halves[0], depth + 1)
-            nodes[i][3] = node(kids[1], *sums[1], hists[1], halves[1], depth + 1)
+            for j in (0, 1):
+                nodes[i][2 + j] = node(kids[j], *sums[j], hists[j], halves[j],
+                                       depth + 1)
             return i
 
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,7 +342,8 @@ class _Presorted:
         j -= cut.size
         for sv, boundary in scans:
             if j < boundary.size:
-                return f, _split_value(sv[boundary[j]], sv[boundary[j] + 1]), gain
+                lo, hi = sv[boundary[j]], sv[boundary[j] + 1]
+                return f, _split_value(lo, hi), gain
             j -= boundary.size
 
 

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateValidation,
     DivergedTraining,
     EmptyLosses,
+    IoError,
     NonFiniteActivation,
     WrongWidth,
 )
@@ -78,8 +79,10 @@ class DenseLayer:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.weights.shape[0] != self.bias.shape[0]:
-            raise WrongWidth("bias length must match output width")
+        if self.weights.ndim != 2 or self.bias.shape != self.weights.shape[:1]:
+            raise WrongWidth(f"weights {list(self.weights.shape)} and bias "
+                             f"{list(self.bias.shape)} are not (out, in) "
+                             "and (out,)")
 
     def forward(self, a_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = a_prev @ self.weights.T + self.bias
@@ -100,11 +103,23 @@ class DenseLayer:
 
 
 class AutoencoderNet:
-    """Encoder stack followed by a mirror-image decoder stack."""
+    """Encoder stack followed by a mirror-image decoder stack: each stack
+    has a layer, each layer's input width is the previous layer's output
+    width, and the last output width is the first input width."""
 
     def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
         self.encoder = encoder
         self.decoder = decoder
+        if not encoder or not decoder:
+            raise WrongWidth("encoder and decoder each need a layer")
+        widths = [l.weights.shape for l in self.layers]
+        for i, ((n_out, _), (_, n_in)) in enumerate(zip(widths, widths[1:])):
+            if n_in != n_out:
+                raise WrongWidth(f"layer {i + 1} takes {n_in} inputs, "
+                                 f"layer {i} gives {n_out}")
+        if widths[-1][0] != self.input_width:
+            raise WrongWidth(f"net outputs {widths[-1][0]} columns, "
+                             f"takes {self.input_width}")
 
     @property
     def layers(self) -> list[DenseLayer]:
@@ -362,14 +377,20 @@ def net_to_payload(net: AutoencoderNet) -> dict:
 
 
 def net_from_payload(payload: dict) -> AutoencoderNet:
-    def stack(objs):
+    """The net a payload holds; IoError unless each stack is a list of
+    layer objects, WrongWidth unless the layers chain."""
+    def stack(key):
+        objs = payload[key]
+        if not isinstance(objs, list) or not all(isinstance(o, dict)
+                                                 for o in objs):
+            raise IoError(f"{key} is not a list of layer objects")
         return [
             DenseLayer(decode_array(o["weights"]), decode_array(o["bias"]),
                        o["activation"])
             for o in objs
         ]
 
-    return AutoencoderNet(stack(payload["encoder"]), stack(payload["decoder"]))
+    return AutoencoderNet(stack("encoder"), stack("decoder"))
 
 
 def threshold_to_payload(tc: ThresholdConfig, threshold: float) -> dict:

@@ -17,7 +17,6 @@ from .detectors import (
     ALL_MODELS,
     derive_seed,
     load_detector,
-    make_detector,
     save_detector,
 )
 from .errors import (
@@ -95,11 +94,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normal-only", action="store_true",
                    help="fit semi-supervised models on rows labeled Normal "
-                        "only (dae always is)")
+                        "only (dae always is); without it they fit on every "
+                        "row, labels hidden, because a training CSV may be "
+                        "unlabeled")
     p.add_argument("--params", default="",
-                   help="comma list of overrides, e.g. k=5,threshold=1.2")
+                   help="comma list of overrides of the detector defaults, "
+                        "e.g. k=5,threshold=1.2")
     p.add_argument("--grid", choices=["default"],
-                   help="grid-search hyperparameters on the validation set")
+                   help="grid-search hyperparameters on the validation set; "
+                        "each grid point overrides --params")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a feature CSV")
@@ -195,13 +198,11 @@ def _cmd_train(args) -> int:
             raise ConfigError("--grid needs a labeled --val feature CSV")
         best, best_f1, _ = grid_search(
             args.model, DEFAULT_GRIDS.get(args.model, {}), train, val,
-            policy=policy, seed=args.seed,
+            policy=policy, seed=args.seed, params=params,
         )
-        params = {**best, **params}
+        params = {**params, **best}
         print(f"grid best for {args.model}: {best} (f1={best_f1:.4f})")
-    det = make_detector(args.model, params,
-                        seed=derive_seed(args.seed, args.model))
-    det.fit(harness._fit_matrix(det, train, policy), val=val)
+    det = harness.fit_model(args.model, params, train, val, policy, args.seed)
     save_detector(args.out, det)
     print(f"saved {args.model} model to {args.out}")
     return 0

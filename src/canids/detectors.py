@@ -553,7 +553,10 @@ class DaeDetector(Detector):
                                                      self.threshold)}
 
     def _restore(self, state):
-        self.net = ae.net_from_payload(state["net"])
+        self.net = ae.net_from_payload(_object(state["net"], "net"))
+        if self.net.input_width != self.n_features:
+            raise IoError(f"net takes {self.net.input_width} columns, "
+                          f"n_features is {self.n_features}")
         self.threshold_config, self.threshold = ae.threshold_from_payload(
             state["threshold"]
         )

@@ -11,7 +11,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     IoError,
     ReportInconsistent,
 )
-from .features import FeatureMatrix, extract, select_subset
+from .features import SUBSETS, FeatureMatrix, extract, select_subset
 from .metrics import ConfusionCounts, ScoredLabels, confusion, roc_auc
 
 # Per-model hyperparameter grids for grid search (exhaustive).
@@ -148,33 +148,33 @@ def grid_search(
     val: FeatureMatrix,
     policy: str = "normal-only",
     seed: int = 0,
+    params: dict | None = None,
 ) -> tuple[dict, float, list[tuple[dict, float]]]:
-    """Exhaustive search: fit each grid point on train, score F1 on val.
+    """Exhaustive search: fit each grid point, laid over params, on train
+    and score F1 on val.
 
-    Returns (best_params, best_f1, all evaluations); ties keep the earliest
-    grid point. Undefined F1 counts as -1, and a point whose make, fit or
-    predict raises a CanidsError scores -inf; any other exception is a bug
-    and propagates.
+    Returns (best grid point, best_f1, all evaluations); ties keep the
+    earliest grid point. Undefined F1 counts as -1, and a point whose make,
+    fit or predict raises a CanidsError scores -inf; any other exception is
+    a bug and propagates.
     """
     points = expand_grid(grid) if isinstance(grid, dict) else list(grid)
     if not points:
         raise EmptyGrid(f"empty grid for {model_name}")
     evaluations = []
     best: tuple[dict, float] | None = None
-    for params in points:
+    for point in points:
         try:
-            det = make_detector(model_name, params,
-                                seed=derive_seed(seed, model_name))
-            fit_m = _fit_matrix(det, train, policy)
-            det.fit(fit_m, val=val)
+            det = fit_model(model_name, {**(params or {}), **point}, train,
+                            val, policy, seed)
             score = mx.f1(confusion(det.predict(val), np.asarray(val.labels)))
             score = -1.0 if score is None else score
         except CanidsError:
             # a degenerate grid point loses; it must not abort the search
             score = -np.inf
-        evaluations.append((params, score))
+        evaluations.append((point, score))
         if best is None or score > best[1]:
-            best = (params, score)
+            best = (point, score)
     return best[0], best[1], evaluations
 
 
@@ -183,7 +183,8 @@ def grid_search(
 @dataclass
 class DataSpec:
     """Where the experiment's records come from: synthetic benchmark or
-    challenge-CSV files."""
+    challenge-CSV files. Its fields are the keys of a config file's
+    `data` object, except that the file says profile, train and test."""
 
     kind: str = "synth"  # "synth" | "files"
     attacks: tuple[str, ...] = synth.DEFAULT_ATTACKS
@@ -192,9 +193,22 @@ class DataSpec:
     train_path: str | None = None
     test_path: str | None = None
 
+    def __post_init__(self):
+        self.attacks = tuple(self.attacks)
+        self.horizon = float(self.horizon)
+        unknown = [a for a in self.attacks if a not in synth.ATTACK_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown attacks {unknown}; "
+                              f"known: {list(synth.ATTACK_NAMES)}")
+
 
 @dataclass
 class ExperimentConfig:
+    """One run; its fields are the keys of a config file. Every model named
+    in models, params or grids is made once with its resolved params, so a
+    name or param that does not exist is a ConfigError before any data is
+    built."""
+
     models: tuple[str, ...] = ALL_MODELS
     data: DataSpec = field(default_factory=DataSpec)
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
@@ -206,8 +220,24 @@ class ExperimentConfig:
     subset: str = "all67"
 
     def __post_init__(self):
+        self.models = tuple(self.models)
+        self.fractions = tuple(float(f) for f in self.fractions)
+        self.seed = int(self.seed)
+        self.threads = int(self.threads)
         if self.policy not in ("normal-only", "contaminated"):
             raise ConfigError(f"unknown policy {self.policy!r}")
+        if self.subset not in SUBSETS:
+            raise ConfigError(f"unknown subset {self.subset!r}; "
+                              f"known: {list(SUBSETS)}")
+        for name in dict.fromkeys([*self.models, *self.params, *self.grids]):
+            try:
+                make_detector(name, self.resolved_params(name))
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from None
+
+    def resolved_params(self, name: str) -> dict:
+        """The params model name runs with, before any grid point."""
+        return {**DEFAULT_PARAMS.get(name, {}), **self.params.get(name, {})}
 
 
 @dataclass
@@ -280,6 +310,15 @@ def _fit_matrix(det: Detector, train: FeatureMatrix, policy: str) -> FeatureMatr
     return FeatureMatrix(train.values, None, train.column_ids, train.row_index)
 
 
+def fit_model(name: str, params: dict, train: FeatureMatrix,
+              val: FeatureMatrix | None, policy: str, seed: int) -> Detector:
+    """Detector name made with params and the run's seed for it, fitted on
+    its view of train under policy; the one path by which a run fits a
+    model."""
+    det = make_detector(name, params, seed=derive_seed(seed, name))
+    return det.fit(_fit_matrix(det, train, policy), val=val)
+
+
 def evaluate(det: Detector, test: FeatureMatrix) -> EvalRow:
     """Row of a fitted detector on a labeled test matrix: scores, decisions,
     confusion counts, the metrics they give, and ROC AUC (None when the
@@ -307,23 +346,20 @@ def _run_model(
     val: FeatureMatrix,
     test: FeatureMatrix,
 ) -> tuple[EvalRow, Detector | None]:
-    params = {**DEFAULT_PARAMS.get(name, {}), **cfg.params.get(name, {})}
-    policy = None
+    params = cfg.resolved_params(name)
     started = time.perf_counter()
     try:
         if name in cfg.grids:
             best, _, _ = grid_search(name, cfg.grids[name], train, val,
-                                     cfg.policy, cfg.seed)
+                                     cfg.policy, cfg.seed, params)
             params = {**params, **best}
-        det = make_detector(name, params, seed=derive_seed(cfg.seed, name))
-        policy = _fit_policy(det, cfg.policy)
-        det.fit(_fit_matrix(det, train, cfg.policy), val=val)
+        det = fit_model(name, params, train, val, cfg.policy, cfg.seed)
         row = evaluate(det, test)
-        row.policy = policy
+        row.policy = _fit_policy(det, cfg.policy)
         row.wall_clock = time.perf_counter() - started
         return row, det
     except Exception as exc:  # a failed model must not abort the run
-        row = EvalRow(model=name, params=params, policy=policy,
+        row = EvalRow(model=name, params=params,
                       wall_clock=time.perf_counter() - started,
                       error=f"{type(exc).__name__}: {exc}")
         return row, None
@@ -550,8 +586,27 @@ def emit_report(report: EvalReport, fmt: str, path: str | Path | None = None) ->
 
 # --- config files ------------------------------------------------------------------
 
+# DataSpec fields whose config-file key is not the field's name
+_FILE_KEYS = {"profile_path": "profile", "train_path": "train",
+              "test_path": "test"}
+
+
+def _from_doc(cls, doc, where: str):
+    """cls built from a JSON object whose keys are cls's fields;
+    ConfigError for any other value or key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    fields_by_key = {_FILE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = [key for key in doc if key not in fields_by_key]
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; "
+                          f"known: {list(fields_by_key)}")
+    return cls(**{fields_by_key[key]: value for key, value in doc.items()})
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """JSON config mirroring ExperimentConfig; see README for the schema."""
+    """The ExperimentConfig a JSON file declares; see README for the
+    schema."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -559,25 +614,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
-        data_doc = doc.get("data", {})
-        data = DataSpec(
-            kind=data_doc.get("kind", "synth"),
-            attacks=tuple(data_doc.get("attacks", synth.DEFAULT_ATTACKS)),
-            horizon=float(data_doc.get("horizon", synth.DEFAULT_HORIZON)),
-            profile_path=data_doc.get("profile"),
-            train_path=data_doc.get("train"),
-            test_path=data_doc.get("test"),
-        )
-        return ExperimentConfig(
-            models=tuple(doc.get("models", ALL_MODELS)),
-            data=data,
-            fractions=tuple(doc.get("fractions", (0.8, 0.1, 0.1))),
-            policy=doc.get("policy", "normal-only"),
-            seed=int(doc.get("seed", 0)),
-            params=doc.get("params", {}),
-            grids=doc.get("grids", {}),
-            threads=int(doc.get("threads", 1)),
-            subset=doc.get("subset", "all67"),
-        )
-    except (TypeError, ValueError, KeyError) as exc:
+        if isinstance(doc, dict) and "data" in doc:
+            doc["data"] = _from_doc(DataSpec, doc["data"], "data")
+        return _from_doc(ExperimentConfig, doc, "config")
+    # AttributeError and TypeError: a value of the wrong JSON type
+    except (ConfigError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc

@@ -105,16 +105,14 @@ def roc_auc(scored: ScoredLabels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based ranks i+1 .. j+1 share the mid-rank
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    # a run of ties starts where a sorted score differs from the one before
+    # it, so each NaN is a run of its own; 1-based ranks start + 1 .. end
+    # share the mid-rank
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum_pos = float(np.sum(ranks[truth == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -173,7 +173,11 @@ class AttackSpec:
 
 
 def _frames_before(span: float, step: float) -> int:
-    """Number of k ≥ 0 with k*step < span, robust to float noise."""
+    """Number of k ≥ 0 with k*step < span, robust to float noise;
+    ConfigError unless step is positive and span / step finite (a flood on
+    a denormal period underflows to a step of 0 or overflows the count)."""
+    if not step > 0 or not math.isfinite(span / step):
+        raise ConfigError(f"cannot lay frames {step!r} s apart over {span!r} s")
     count = int(math.floor(span / step - 1e-9)) + 1
     while count > 0 and (count - 1) * step >= span:
         count -= 1
@@ -408,6 +412,7 @@ def timing_attack_specs(
 
 
 DEFAULT_ATTACKS = ("flooding", "fuzzing", "spoofing", "stealth")
+ATTACK_NAMES = DEFAULT_ATTACKS + ("timing",)  # what benchmark_batch injects
 
 
 def benchmark_batch(

@@ -203,6 +203,54 @@ def test_config_fractions_not_summing_to_one_exit_2(tmp_path, capsys):
     assert "split fractions must sum to 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"modles": ["dt"]},
+    {"models": ["dt"], "data": {"horizn": 1.0}},
+    [{"models": ["dt"]}],
+    {"models": ["dt"], "data": ["synth"]},
+    {"models": ["dt"], "params": {"gtb": {"rounds": 5}}},
+    {"models": ["dtt"]},
+    {"models": ["dt"], "params": {"dt": {"max_dept": 3}}},
+    {"models": ["gbt"], "params": {"gbt": {"rounds": 0}}},
+    {"models": ["dt"], "subset": "all66"},
+    {"models": ["dt"], "data": {"attacks": ["flodding"]}},
+], ids=["modles", "horizn", "list-document", "list-data", "gtb-params",
+        "dtt-models", "max_dept", "rounds-0", "subset-all66",
+        "attack-flodding"])
+def test_compare_refuses_config_before_building_data(tmp_path, capsys,
+                                                     monkeypatch, doc):
+    import canids.harness as harness
+
+    def no_data(cfg):
+        raise AssertionError("data built for a refused config")
+
+    monkeypatch.setattr(harness, "prepare_features", no_data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("compare", "--config", str(cfg)) == 2
+    assert f"data error: bad config {cfg}: " in capsys.readouterr().err
+
+
+def test_train_grid_points_lay_over_params(feature_csvs, tmp_path,
+                                           monkeypatch):
+    import canids.harness as harness
+    from canids.detectors import make_detector
+
+    made = []
+
+    def spy(name, params=None, seed=0):
+        made.append(make_detector(name, params, seed))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_detector", spy)
+    assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
+                   "--val", str(feature_csvs["val"]),
+                   "--out", str(tmp_path / "dt.json"), "--grid", "default",
+                   "--params", "min_samples_leaf=5") == 0
+    assert len(made) == 5  # four grid points and the refit winner
+    assert all(det.min_samples_leaf == 5 for det in made)
+
+
 def test_eval_model_file_missing_key_exit_2(feature_csvs, tmp_path, capsys):
     model_path = tmp_path / "dt.json"
     assert run_cli("train", "--model", "dt", "--in", str(feature_csvs["train"]),
@@ -391,6 +439,44 @@ def dae_bogus_activation(doc):
     doc["payload"]["state"]["net"]["decoder"][0]["activation"] = "bogus"
 
 
+def _net(doc):
+    return doc["payload"]["state"]["net"]
+
+
+def _resize_layer(layer, n_out=None, n_in=None):
+    weights = decode_array(layer["weights"])
+    n_out, n_in = n_out or weights.shape[0], n_in or weights.shape[1]
+    grown = np.zeros((n_out, n_in))
+    grown[:min(n_out, weights.shape[0]), :min(n_in, weights.shape[1])] = \
+        weights[:n_out, :n_in]
+    layer["weights"] = encode_array(grown)
+    layer["bias"] = encode_array(np.zeros(n_out))
+
+
+def dae_first_layer_narrow(doc):
+    layer = _net(doc)["encoder"][0]
+    _resize_layer(layer, n_in=decode_array(layer["weights"]).shape[1] - 1)
+
+
+def dae_encoder_empty(doc):
+    _net(doc)["encoder"] = []
+
+
+def dae_encoder_number(doc):
+    _net(doc)["encoder"] = 5
+
+
+def dae_decoder_layer_list(doc):
+    _net(doc)["decoder"][0] = [1, 2]
+
+
+def dae_net_wide(doc):
+    net = _net(doc)
+    width = doc["payload"]["n_features"] + 1
+    _resize_layer(net["encoder"][0], n_in=width)
+    _resize_layer(net["decoder"][-1], n_out=width)
+
+
 def rc_cutoff_number(doc):
     doc["payload"]["state"]["cutoff"] = 5
 
@@ -413,6 +499,8 @@ def rc_mean_three_wide(doc):
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
     knn_refs_choice_short, knn_state_list,
     rc_cutoff_number, dae_threshold_p_number, rc_mean_three_wide,
+    dae_first_layer_narrow, dae_encoder_empty, dae_encoder_number,
+    dae_decoder_layer_list, dae_net_wide,
 ], ids=lambda f: f.__name__)
 def test_eval_malformed_model_file_exit_2(model_files, feature_csvs, tmp_path,
                                           corrupt):

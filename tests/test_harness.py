@@ -439,6 +439,46 @@ def test_load_experiment_config(tmp_path):
     assert cfg.threads == 2
 
 
+def test_config_file_keys_are_the_dataclass_fields(tmp_path):
+    doc = {"models": ["dt"], "fractions": [0.6, 0.2, 0.2], "seed": 4,
+           "data": {"kind": "files", "attacks": ["timing"], "horizon": 2,
+                    "profile": "p.txt", "train": "a.csv", "test": "b.csv"},
+           "grids": {"dt": {"max_depth": [2]}}, "subset": "last3"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert load_experiment_config(path) == ExperimentConfig(
+        models=("dt",), fractions=(0.6, 0.2, 0.2), seed=4,
+        data=DataSpec(kind="files", attacks=("timing",), horizon=2.0,
+                      profile_path="p.txt", train_path="a.csv",
+                      test_path="b.csv"),
+        grids={"dt": {"max_depth": [2]}}, subset="last3")
+    # configs built in Python get the same casts
+    assert ExperimentConfig(models=["dt"], seed=4.0).models == ("dt",)
+    assert DataSpec(attacks=["timing"], horizon=2).horizon == 2.0
+
+
+def test_grid_points_are_laid_over_the_run_params(monkeypatch):
+    import canids.harness as harness
+
+    made = []
+
+    def spy(name, params=None, seed=0):
+        det = make_detector(name, params, seed)
+        made.append(det)
+        return det
+
+    monkeypatch.setattr(harness, "make_detector", spy)
+    cfg = ExperimentConfig(models=("gbt",), seed=2,
+                           data=DataSpec(attacks=("flooding",), horizon=25.0),
+                           params={"gbt": {"rounds": 5}},
+                           grids={"gbt": {"max_depth": [2, 3]}})
+    report = run_comparison(cfg)
+    assert report.row("gbt").error is None
+    assert report.row("gbt").params["rounds"] == 5
+    assert len(made) >= 3  # two grid points and the refit winner
+    assert all(det.rounds == 5 for det in made)
+
+
 def test_load_experiment_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

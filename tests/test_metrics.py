@@ -133,6 +133,40 @@ def test_auc_matches_pair_counting_oracle():
         assert abs(roc_auc(s) - brute_force_auc(scores, truth)) < 1e-12
 
 
+def loop_auc(scores, truth) -> float:
+    """Oracle: roc_auc as one Python loop over the runs of equal sorted
+    scores, where NaN equals nothing and so is a run of its own."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.int64)
+    n_pos, n_neg = int(np.sum(truth == 1)), int(np.sum(truth == 0))
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    rank_sum_pos = float(np.sum(ranks[truth == 1]))
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_bit_identical_to_loop_oracle_with_nan_zero_and_inf_ties():
+    rng = np.random.default_rng(11)
+    pool = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5])
+    for _ in range(1000):
+        n = int(rng.integers(2, 60))
+        truth = rng.integers(0, 2, size=n)
+        truth[:2] = [0, 1]
+        scores = np.where(rng.random(n) < 0.7, rng.choice(pool, size=n),
+                          rng.normal(size=n))
+        want = loop_auc(scores, truth)
+        got = roc_auc(ScoredLabels(scores, truth))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(4)
     scores = rng.random(150)

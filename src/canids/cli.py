@@ -222,10 +222,9 @@ def _cmd_eval(args) -> int:
 
 def _run_experiment(args, runner, stem: str) -> int:
     cfg = load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
+    overrides = {"seed": args.seed, "threads": args.threads}
+    # replace re-runs the config's checks on the overrides
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     report = runner(cfg)
     print(emit_report(report, "text"), end="")
     if args.out:

@@ -15,9 +15,9 @@ len(batch) - len(unique ids) rows.
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -190,9 +190,11 @@ def fit_standardizer(m: FeatureMatrix) -> Standardizer:
 # --- feature CSV I/O ---------------------------------------------------------
 #
 # Both directions move rows as numpy byte blocks of at most _BLOCK_ROWS rows.
-# The writer renders a block as one row image from per-column text tables;
-# the reader scans a block of lines as bytes and sends any block holding a
-# line of another shape to np.loadtxt, the one judge of the grammar.
+# The writer renders a block as one row image of two kinds of part: a run of
+# value columns that hold only 0.0 and 1.0 becomes 4-byte words, and every
+# other column is looked up in a text table of its distinct values. The
+# reader scans a block of lines as bytes and sends any block holding a line
+# of another shape to np.loadtxt, the one judge of the grammar.
 
 # Rows per block of write_features and read_features; bounds the
 # temporaries of both.
@@ -201,12 +203,9 @@ _BLOCK_ROWS = 8192
 # Widest value field the reader's block scan parses; longer ones are judged.
 _FIELD_WIDTH = 24
 
-# Bit i (most significant first) of each byte value: the packbits code of
-# 8 two-valued columns picks column i's text by _BYTE_BITS[code, i].
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-
-# "0.0," and "1.0," as native uint32 words.
+# "0.0," and "1.0," as native uint32 words, and the bits of 1.0.
 _ZERO_WORD, _ONE_WORD = np.frombuffer(b"0.0,1.0,", np.uint32)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 # 256-entry byte classes of the block scan: 0 for [0-9.e+-], 1 for a
 # comma, 2 for any other byte.
@@ -215,119 +214,68 @@ _BYTE_CLASS[np.frombuffer(b"0123456789.e+-", np.uint8)] = 0
 _BYTE_CLASS[ord(",")] = 1
 
 
-class _Segment(NamedTuple):
-    """Adjacent output columns rendered from one text table.
-
-    bits is one column's bit patterns (n,), or a packed run's (n, g): g
-    two-valued columns of one text width whose codes are np.packbits of
-    bits == keys, 8 columns per table lookup. A single column's code is its
-    pattern's index in keys. Row c of table is code c's text, separators
-    included; lengths gives each code's byte count when they differ."""
-
-    bits: np.ndarray
-    keys: np.ndarray
-    table: np.ndarray
-    lengths: np.ndarray | None
-
-    def codes(self, a: int, b: int) -> np.ndarray:
-        """(rows, groups) table rows of rows a..b."""
-        if self.bits.ndim == 1:
-            return np.searchsorted(self.keys, self.bits[a:b])[:, None]
-        packed = np.packbits(self.bits[a:b] == self.keys, axis=1)
-        return packed + 256 * np.arange(packed.shape[1])
+def _word_run(values: np.ndarray):
+    """The text of rows a..b of value columns that hold only +0.0 and 1.0:
+    the word "0.0," or "1.0," per value."""
+    step = _ONE_WORD - _ZERO_WORD  # faster than np.where between the two
+    return lambda a, b: (((values[a:b] == 1.0) * step + _ZERO_WORD)
+                         .view(np.uint8), None)
 
 
-def _distinct_patterns(bits: np.ndarray) -> list[np.ndarray]:
-    """The sorted distinct patterns of each column of bits, an unsigned
-    (rows, columns) view. A column whose every pattern is its minimum or
-    its maximum, as the 64 payload bits of an extracted matrix are, is
-    found by comparisons over row blocks; only the other columns are
-    copied and sorted."""
-    lo, hi = bits.min(axis=0), bits.max(axis=0)
-    two = np.ones(bits.shape[1], dtype=bool)
+def _text_column(col: np.ndarray, text, sep: str):
+    """The text of rows a..b of col, and each row's byte count if texts
+    differ in width, from a table of text(v) + sep. The table has a row per
+    distinct bit pattern, so text runs once per pattern and -0.0 and 0.0
+    stay apart."""
+    bits = col.view(f"u{col.itemsize}")
+    keys = np.sort(bits)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    strings = [text(v) + sep for v in keys.view(col.dtype).tolist()]
+    lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+    table = np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+    varied = lengths.min() != lengths.max()
+
+    def rows(a, b):
+        codes = np.searchsorted(keys, bits[a:b])
+        return np.take(table, codes, axis=0), lengths[codes] if varied else None
+    return rows
+
+
+def _parts(values: np.ndarray, labels: np.ndarray | None) -> list:
+    """The parts that render each row of values (and labels): word runs of
+    the columns whose bit patterns are all +0.0 or 1.0, found by
+    comparisons over row blocks, and a text column for every other one.
+    The last column ends the line, so it is never in a run."""
+    bits = values.view(np.uint64)
+    in_run = np.ones(values.shape[1], dtype=bool)
     for a in range(0, len(bits), _BLOCK_ROWS):
         blk = bits[a:a + _BLOCK_ROWS]
-        two &= ((blk == lo) | (blk == hi)).all(axis=0)
-    keys = []
-    for j in range(bits.shape[1]):
-        col = np.sort(bits[:, j]) if not two[j] else np.array([lo[j], hi[j]])
-        first = np.ones(col.size, dtype=bool)
-        first[1:] = col[1:] != col[:-1]
-        keys.append(col[first])
-    return keys
-
-
-def _column_text(keys: np.ndarray, dtype, text, sep: str) -> list:
-    """text(v) + sep for each bit pattern of keys read as dtype: text runs
-    once per pattern, so -0.0 and 0.0 stay apart."""
-    return [text(v) + sep for v in keys.view(dtype).tolist()]
-
-
-def _text_table(strings: list) -> np.ndarray:
-    """strings as the rows of a zero-padded uint8 table."""
-    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
-
-
-def _segments(values: np.ndarray, labels: np.ndarray | None) -> list[_Segment]:
-    """The segments that render each row of values (and labels)."""
-    n_val = values.shape[1]
-    cols = [values[:, j] for j in range(n_val)]
-    keys = _distinct_patterns(values.view(np.uint64))
-    texts = [repr] * n_val
+        in_run &= ((blk == 0) | (blk == _ONE_BITS)).all(axis=0)
+    if labels is None and in_run.size:
+        in_run[-1] = False
+    seps = [","] * (values.shape[1] - (labels is None)) + ["\n"]
+    parts = []
+    for run, group in itertools.groupby(range(in_run.size), in_run.__getitem__):
+        js = list(group)
+        if run:
+            parts.append(_word_run(values[:, js[0]:js[-1] + 1]))
+        else:
+            parts += [_text_column(values[:, j], repr, seps[j]) for j in js]
     if labels is not None:
-        cols.append(labels)
-        keys += _distinct_patterns(labels.view(f"u{labels.itemsize}")[:, None])
-        texts.append(lambda v: str(int(v)))
-    seps = [","] * (len(cols) - 1) + ["\n"]
-    strings = [_column_text(key, col.dtype, text, sep)
-               for key, col, text, sep in zip(keys, cols, texts, seps)]
-    # the text width of a value column with at most two texts of one
-    # width, which may join a packed run; 0 for any other column
-    width = [len(t[0]) if j < n_val and len(t) <= 2 and len(t[0]) == len(t[-1])
-             else 0 for j, t in enumerate(strings)]
-    segments, j = [], 0
-    while j < len(cols):
-        stop = j
-        while stop < len(cols) and width[stop] and width[stop] == width[j]:
-            stop += 1
-        if stop - j >= 8:
-            stop -= (stop - j) % 8  # whole groups of 8; the rest run on
-        if stop == j:
-            lengths = np.fromiter(map(len, strings[j]), np.intp, len(strings[j]))
-            segments.append(_Segment(
-                cols[j].view(keys[j].dtype), keys[j], _text_table(strings[j]),
-                None if lengths.min() == lengths.max() else lengths))
-            j += 1
-            continue
-        g = min(stop - j, 8)
-        # pairs[k, i, c]: the text of column j + g * k + i for choice bit c
-        pairs = np.stack([_text_table([strings[i][0], strings[i][-1]])
-                          for i in range(j, stop)]).reshape(-1, g, 2, width[j])
-        table = pairs[:, np.arange(g), _BYTE_BITS[:, :g]]  # (groups, 256, g, w)
-        segments.append(_Segment(
-            values[:, j:stop].view(np.uint64),
-            np.array([keys[i][-1] for i in range(j, stop)]),
-            table.reshape(-1, g * width[j]), None))
-        j = stop
-    return segments
+        parts.append(_text_column(labels, lambda v: str(int(v)), "\n"))
+    return parts
 
 
-def _render(segments: list[_Segment], a: int, b: int) -> np.ndarray:
-    """The text of rows a..b as bytes: each segment fills its part of a
-    row image, and one mask drops the padding of variable-width text."""
-    parts = [(seg, seg.codes(a, b)) for seg in segments]
-    widths = [codes.shape[1] * seg.table.shape[1] for seg, codes in parts]
-    image = np.empty((b - a, sum(widths)), np.uint8)
-    mask = None
-    off = 0
-    for (seg, codes), w in zip(parts, widths):
-        image[:, off:off + w] = np.take(seg.table, codes, axis=0).reshape(-1, w)
-        if seg.lengths is not None:
-            if mask is None:
-                mask = np.ones(image.shape, dtype=bool)
-            mask[:, off:off + w] = seg.lengths[codes] > np.arange(w)
-        off += w
-    return image if mask is None else image[mask]
+def _render(parts: list, a: int, b: int) -> np.ndarray:
+    """The text of rows a..b as bytes: each part fills its columns of a row
+    image, and one mask drops the padding of variable-width text."""
+    texts = [part(a, b) for part in parts]
+    image = np.hstack([t for t, _ in texts])
+    if all(lengths is None for _, lengths in texts):
+        return image
+    return image[np.hstack([np.ones(t.shape, bool) if lengths is None
+                            else lengths[:, None] > np.arange(t.shape[1])
+                            for t, lengths in texts])]
 
 
 def write_features(path, m: FeatureMatrix) -> None:
@@ -337,7 +285,8 @@ def write_features(path, m: FeatureMatrix) -> None:
     and the bytes depend on the values alone; a trailing `label` column of
     integers is added when labels are present. repr runs once per distinct
     value of a column, not once per value: each block of _BLOCK_ROWS rows
-    is rendered from per-column text tables into one byte image."""
+    is rendered from 0/1 word runs and per-column text tables into one
+    byte image."""
     names = list(m.column_names())
     values = np.asarray(m.values, dtype=np.float64)
     labels = None if m.labels is None else np.asarray(m.labels)
@@ -347,9 +296,9 @@ def write_features(path, m: FeatureMatrix) -> None:
         fh.write((",".join(names) + "\n").encode("utf-8"))
         if not names or m.n_rows == 0:
             return
-        segments = _segments(values, labels)
+        parts = _parts(values, labels)
         for a in range(0, m.n_rows, _BLOCK_ROWS):
-            fh.write(_render(segments, a, min(a + _BLOCK_ROWS, m.n_rows)))
+            fh.write(_render(parts, a, min(a + _BLOCK_ROWS, m.n_rows)))
 
 
 def _text_lines(data: bytes, encoding: str = "utf-8") -> list[str]:

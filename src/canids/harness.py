@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -202,6 +203,17 @@ class DataSpec:
                               f"known: {list(synth.ATTACK_NAMES)}")
 
 
+def _whole(value, name: str) -> int:
+    """value as an int: an integer that is not a bool, or a float that is
+    one (4.0); ConfigError for anything else, which int() would truncate
+    (3.7) or read as a number (true)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, not {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One run; its fields are the keys of a config file. Every model named
@@ -222,8 +234,10 @@ class ExperimentConfig:
     def __post_init__(self):
         self.models = tuple(self.models)
         self.fractions = tuple(float(f) for f in self.fractions)
-        self.seed = int(self.seed)
-        self.threads = int(self.threads)
+        self.seed = _whole(self.seed, "seed")
+        self.threads = _whole(self.threads, "threads")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, not {self.threads}")
         if self.policy not in ("normal-only", "contaminated"):
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.subset not in SUBSETS:

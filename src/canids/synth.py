@@ -174,9 +174,10 @@ class AttackSpec:
 
 def _frames_before(span: float, step: float) -> int:
     """Number of k ≥ 0 with k*step < span, robust to float noise;
-    ConfigError unless step is positive and span / step finite (a flood on
-    a denormal period underflows to a step of 0 or overflows the count)."""
-    if not step > 0 or not math.isfinite(span / step):
+    ConfigError unless step is positive and span / step at most 2**53 (a
+    flood on a denormal period underflows to a step of 0 or overflows the
+    count), beyond which k*step no longer counts frames exactly."""
+    if not step > 0 or not span / step <= 2 ** 53:
         raise ConfigError(f"cannot lay frames {step!r} s apart over {span!r} s")
     count = int(math.floor(span / step - 1e-9)) + 1
     while count > 0 and (count - 1) * step >= span:

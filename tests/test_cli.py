@@ -231,6 +231,43 @@ def test_compare_refuses_config_before_building_data(tmp_path, capsys,
     assert f"data error: bad config {cfg}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threads", "0", "threads must be at least 1, not 0"),
+    ("--threads", "-3", "threads must be at least 1, not -3"),
+])
+def test_compare_checks_its_overrides(tmp_path, capsys, monkeypatch, flag,
+                                      value, message):
+    import canids.harness as harness
+
+    def no_data(cfg):
+        raise AssertionError("data built for a refused override")
+
+    monkeypatch.setattr(harness, "prepare_features", no_data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": ["dt"]}))
+    assert run_cli("compare", "--config", str(cfg), flag, value) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
+def test_compare_applies_seed_and_threads_overrides(tmp_path, monkeypatch):
+    import canids.harness as harness
+
+    seen = []
+
+    def runner(cfg):
+        seen.append(cfg)
+        return harness.EvalReport(seed=cfg.seed)
+
+    monkeypatch.setattr(harness, "run_comparison", runner)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": ["dt"], "seed": 4, "threads": 1,
+                               "subset": "last3"}))
+    assert run_cli("compare", "--config", str(cfg), "--seed", "9",
+                   "--threads", "2") == 0
+    assert (seen[0].seed, seen[0].threads, seen[0].subset) == (9, 2, "last3")
+    assert seen[0].models == ("dt",)
+
+
 def test_train_grid_points_lay_over_params(feature_csvs, tmp_path,
                                            monkeypatch):
     import canids.harness as harness

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from canids import features
@@ -633,6 +633,72 @@ def test_feature_csv_block_invariant_on_drawn_matrices(tmp_path, m, block):
     assert (back.labels is None) == (ref.labels is None)
     if ref.labels is not None:
         assert back.labels.tobytes() == ref.labels.tobytes()
+
+
+# column kinds of the writer's two parts: 0/1 columns join word runs, and
+# -0.0 keeps a column of 0.0 and 1.0 out of them
+ZERO_ONE_KINDS = {"0/1": (0.0, 1.0), "0/1/-0.0": (0.0, 1.0, -0.0),
+                  "other": None}
+
+
+@st.composite
+def word_run_matrices(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(ZERO_ONE_KINDS)), min_size=1,
+                          max_size=8))
+    cols = tuple(draw(st.permutations(range(N_FEATURES)))[:len(kinds)])
+    n = draw(st.integers(1, 20))
+    columns = []
+    for kind in kinds:
+        pool = ZERO_ONE_KINDS[kind]
+        column = draw(st.lists(floats if pool is None else st.sampled_from(pool),
+                               min_size=n, max_size=n))
+        if kind == "0/1/-0.0":
+            column[draw(st.integers(0, n - 1))] = -0.0
+        columns.append(column)
+    labels = None
+    if draw(st.booleans()):
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)), dtype=np.int8)
+    return FeatureMatrix(np.array(columns, dtype=np.float64).T.copy(), labels,
+                         cols)
+
+
+def _matrix(columns, labels=None):
+    values = np.array(columns, dtype=np.float64).T.copy()
+    return FeatureMatrix(values, labels, tuple(range(values.shape[1])))
+
+
+_BITS = [[0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0]] * 2
+_OTHER = [[0.5, 8.0, -3.25, 496.0, 1e-300, 0.0, 7.0, 2.5, -1.0]]
+_LABELS = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1], np.int8)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(word_run_matrices())
+@example(_matrix(_BITS + _OTHER * 2))  # a run first
+@example(_matrix(_BITS + _OTHER * 2, _LABELS))
+@example(_matrix(_OTHER + _BITS + _OTHER))  # a run in the middle
+@example(_matrix(_OTHER + _BITS + _OTHER, _LABELS))
+@example(_matrix(_OTHER * 2 + _BITS))  # a 0/1 column ends the line
+@example(_matrix(_OTHER * 2 + _BITS, _LABELS))  # a run ends the values
+@example(_matrix(_BITS + [[-0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]]
+                 + _BITS))  # -0.0 splits the run
+@example(_matrix(_BITS))  # only 0/1 columns, no label
+def test_feature_csv_word_runs_match_per_value_oracle(tmp_path, block, m):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    ref_write_features(want, m)
+    with mock.patch.object(features, "_BLOCK_ROWS", block):
+        write_features(got, m)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_features(got)
+    # a NaN reads back as the one NaN that "nan" parses to
+    ref = ref_read_features(want)
+    assert back.values.tobytes() == ref.values.tobytes()
+    assert (back.labels is None) == (m.labels is None)
+    if m.labels is not None:
+        assert back.labels.tobytes() == m.labels.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(REFUSED))

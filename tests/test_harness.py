@@ -457,6 +457,27 @@ def test_config_file_keys_are_the_dataclass_fields(tmp_path):
     assert DataSpec(attacks=["timing"], horizon=2).horizon == 2.0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 3.7), ("threads", 2.5), ("seed", True), ("threads", True),
+    ("seed", "3"), ("threads", 0), ("threads", -2),
+], ids=["seed-3.7", "threads-2.5", "seed-true", "threads-true", "seed-str",
+        "threads-0", "threads-negative"])
+def test_config_refuses_seed_or_threads_it_would_truncate(tmp_path, key,
+                                                           value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(models=("dt",), **{key: value})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"models": ["dt"], key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_experiment_config(path)
+
+
+def test_config_takes_whole_seed_and_threads_as_ints():
+    cfg = ExperimentConfig(models=("dt",), seed=np.int64(7), threads=2.0)
+    assert (cfg.seed, cfg.threads) == (7, 2)
+    assert type(cfg.seed) is int and type(cfg.threads) is int
+
+
 def test_grid_points_are_laid_over_the_run_params(monkeypatch):
     import canids.harness as harness
 

@@ -677,6 +677,26 @@ def test_flood_on_a_denormal_period_is_refused(multiplier):
                       profile, 0.5)
 
 
+def test_frames_before_refuses_a_count_floats_cannot_lay():
+    # 1e-300 / 5e-324 is about 2e23 frames; k * step stops counting
+    # frames exactly above 2**53
+    with pytest.raises(ConfigError, match="cannot lay frames"):
+        _frames_before(1e-300, 5e-324)
+    # here the count's correction loop would step down ~1e17 times
+    with pytest.raises(ConfigError, match="cannot lay frames"):
+        _frames_before(1e-290, 5e-324)
+    assert _frames_before(2.0 ** 53, 1.0) == 2 ** 53
+    with pytest.raises(ConfigError):
+        _frames_before(2.0 ** 54, 1.0)
+
+
+def test_normal_traffic_on_a_denormal_period_is_refused():
+    profile = TrafficProfile(ids=(
+        IdSpec(0x100, 5e-324, 0.0, 0, PayloadModel("constant", ())),))
+    with pytest.raises(ConfigError, match="cannot lay frames"):
+        generate_normal(profile, 1e-300, seed=0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(synth_cases())
 @example((default_profile(), 1.0, 5,

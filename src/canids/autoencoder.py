@@ -60,11 +60,13 @@ ACTIVATIONS = {
 }
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activation_grad(name: str, z: np.ndarray, a: np.ndarray):
+    """f'(z) for the activations a = f(z), as a factor of delta: relu's is
+    the mask z > 0, identity's the scalar 1.0."""
     if name == "identity":
-        return np.ones_like(z)
+        return 1.0
     if name == "relu":
-        return (z > 0).astype(z.dtype)
+        return z > 0
     if name == "sigmoid":
         return a * (1.0 - a)
     return 1.0 - a ** 2  # tanh
@@ -199,22 +201,51 @@ def reconstruction_losses(net: AutoencoderNet, X: np.ndarray) -> np.ndarray:
     return np.mean((X - recon) ** 2, axis=1)
 
 
-def _grads(net: AutoencoderNet, X: np.ndarray):
-    """Mean-loss gradients for every layer: L = mean over batch and
-    coordinates of squared reconstruction error."""
+def _views(layers: list[DenseLayer], flat: np.ndarray
+           ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) shaped views of flat, one pair per layer, laid out
+    end to end in layer order."""
+    views, at = [], 0
+    for layer in layers:
+        (n_out, n_in), end = layer.weights.shape, at + layer.weights.size
+        views.append((flat[at:end].reshape(n_out, n_in),
+                      flat[end:end + n_out]))
+        at = end + n_out
+    return views
+
+
+def _flatten(net: AutoencoderNet) -> np.ndarray:
+    """One array holding every weight and bias of net, which the layers'
+    weights and biases become views of."""
+    layers = net.layers
+    flat = np.empty(sum(l.weights.size + l.bias.size for l in layers))
+    for layer, (W, b) in zip(layers, _views(layers, flat)):
+        W[...], b[...] = layer.weights, layer.bias
+        layer.weights, layer.bias = W, b
+    return flat
+
+
+def _grads(net: AutoencoderNet, X: np.ndarray, out: np.ndarray | None = None):
+    """Mean-loss gradients for every layer, written into out (or a new
+    array), a flat array laid out as _views lays out the parameters:
+    L = mean over batch and coordinates of squared reconstruction error.
+    Returns the loss and the (weights, bias) gradient views of out."""
     cache, recon = net._forward_cached(X)
     batch, width = X.shape
     loss = float(np.mean((recon - X) ** 2))
     delta = 2.0 * (recon - X) / (batch * width)  # dL/d(output activation)
     layers = net.layers
-    grads = []
+    if out is None:
+        out = np.empty(sum(l.weights.size + l.bias.size for l in layers))
+    grads = _views(layers, out)
     for i in reversed(range(len(layers))):
         a_prev, z, a = cache[i]
         dz = delta * _activation_grad(layers[i].activation, z, a)
-        grads.append((dz.T @ a_prev, dz.sum(axis=0)))
+        gW, gb = grads[i]
+        np.matmul(dz.T, a_prev, out=gW)
+        dz.sum(axis=0, out=gb)
         if i:  # the input layer's delta, dL/dX, is never used
             delta = dz @ layers[i].weights
-    grads.reverse()
     return loss, grads
 
 
@@ -225,30 +256,25 @@ _EPS = 1e-8
 
 
 class _Adam:
-    def __init__(self, learning_rate: float, layers: list[DenseLayer]):
+    """Adam over one flat parameter array, its moments flat arrays too."""
+
+    def __init__(self, learning_rate: float, size: int):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
-        self.v = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, layers: list[DenseLayer], grads) -> None:
+    def step(self, params: np.ndarray, g: np.ndarray) -> None:
         lr = self.learning_rate
         self.t += 1
         corr1 = 1.0 - _BETA1 ** self.t
         corr2 = 1.0 - _BETA2 ** self.t
-        for i, (layer, (gW, gb)) in enumerate(zip(layers, grads)):
-            mW, mb = self.m[i]
-            vW, vb = self.v[i]
-            mW *= _BETA1
-            mW += (1 - _BETA1) * gW
-            mb *= _BETA1
-            mb += (1 - _BETA1) * gb
-            vW *= _BETA2
-            vW += (1 - _BETA2) * gW ** 2
-            vb *= _BETA2
-            vb += (1 - _BETA2) * gb ** 2
-            layer.weights -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + _EPS)
-            layer.bias -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + _EPS)
+        m, v = self.m, self.v
+        m *= _BETA1
+        m += (1 - _BETA1) * g
+        v *= _BETA2
+        v += (1 - _BETA2) * g ** 2
+        params -= lr * (m / corr1) / (np.sqrt(v / corr2) + _EPS)
 
 
 def train(
@@ -262,7 +288,9 @@ def train(
     pre-update loss across that epoch's batches.
     """
     rng = np.random.default_rng(np.random.SeedSequence(det.seed))
-    optimizer = (_Adam(det.learning_rate, net.layers)
+    params = _flatten(net)
+    grad = np.empty_like(params)
+    optimizer = (_Adam(det.learning_rate, params.size)
                  if det.optimizer == "adam" else None)
     trace: list[float] = []
     n = X.shape[0]
@@ -274,14 +302,12 @@ def train(
             epoch_loss = 0.0
             for start in range(0, n, det.batch_size):
                 batch = X[order[start:start + det.batch_size]]
-                loss, grads = _grads(net, batch)
+                loss, _ = _grads(net, batch, grad)
                 epoch_loss += loss * batch.shape[0]
                 if optimizer is not None:
-                    optimizer.step(net.layers, grads)
+                    optimizer.step(params, grad)
                 else:
-                    for layer, (gW, gb) in zip(net.layers, grads):
-                        layer.weights -= det.learning_rate * gW
-                        layer.bias -= det.learning_rate * gb
+                    params -= det.learning_rate * grad
             epoch_loss /= n
             if not math.isfinite(epoch_loss):
                 raise DivergedTraining(f"loss became {epoch_loss}")
@@ -324,7 +350,20 @@ def fine_tune_threshold(
     grid=DEFAULT_THRESHOLD_GRID,
 ) -> tuple[ThresholdConfig, float]:
     """Pick the (p, gamma) grid point with the best F1 on validation, a
-    labeled FeatureMatrix.
+    labeled FeatureMatrix: tune_threshold on its reconstruction losses."""
+    if validation.labels is None:
+        raise DegenerateValidation("validation needs labels")
+    return tune_threshold(reconstruction_losses(net, validation.values),
+                          validation.labels, grid)
+
+
+def tune_threshold(
+    losses: np.ndarray,
+    labels,
+    grid=DEFAULT_THRESHOLD_GRID,
+) -> tuple[ThresholdConfig, float]:
+    """Pick the (p, gamma) grid point with the best F1 on validation rows
+    with these reconstruction losses and 0/1 labels.
 
     Percentiles are taken over the validation rows labeled normal, so p
     and gamma stay interpretable together. Classification is strict:
@@ -332,15 +371,12 @@ def fine_tune_threshold(
     p. Returns (config, F1), F1 being -1.0 if every grid point was
     undefined.
     """
-    if validation.labels is None:
-        raise DegenerateValidation("validation needs labels")
-    y = np.asarray(validation.labels)
+    y = np.asarray(labels)
     if not (np.any(y == 0) and np.any(y == 1)):
         raise DegenerateValidation("validation needs both classes")
     grid = list(grid)
     if not grid:
         raise DegenerateValidation("threshold grid is empty")
-    losses = reconstruction_losses(net, validation.values)
     normal_losses = losses[y == 0]
     best_cfg: ThresholdConfig | None = None
     best_f1 = -1.0

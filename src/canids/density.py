@@ -31,7 +31,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
 from .errors import BadSubsample, SingularCovariance, TooFewSamples
-from .trees import FlatTree, mean_route
+from .trees import FlatTree, mean_route, trees_to_payload
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -210,7 +210,7 @@ class IsoForestModel:
 
     def to_payload(self) -> dict:
         return {"subsample": self.subsample,
-                "trees": [t.to_payload() for t in self.trees]}
+                **trees_to_payload(self.trees)}
 
 
 def fit_isolation_forest(

@@ -62,6 +62,8 @@ from .trees import (
     fit_random_forest,
     gbt_margins,
     mean_route,
+    trees_from_payload,
+    trees_to_payload,
 )
 
 SUPERVISED_MODELS = ("dt", "knn", "rf", "gbt")
@@ -91,21 +93,14 @@ def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
                          f"n_features is {n_features}")
 
 
-def _trees_state(trees: list[FlatTree]) -> dict:
-    return {"trees": [t.to_payload() for t in trees]}
-
-
 def _load_trees(state: dict, width: int, param: str, count: int
                 ) -> list[FlatTree]:
-    """The trees state["trees"] holds, fitted on width columns; IoError
-    unless it is a list of count tree objects, count being what param
-    says."""
-    trees = state["trees"]
-    if not isinstance(trees, list):
-        raise IoError("trees is not a list")
+    """The trees state holds, fitted on width columns; IoError unless
+    there are count of them, count being what param says."""
+    trees = trees_from_payload(state, width)
     if len(trees) != count:
         raise IoError(f"{len(trees)} trees, {param} is {count}")
-    return [FlatTree.from_payload(_object(t, "tree"), width) for t in trees]
+    return trees
 
 
 def _fitted(default=None):
@@ -211,7 +206,7 @@ class DecisionTreeDetector(Detector):
         return (scores >= self.cutoff).astype(np.int8)
 
     def _state(self):
-        return _trees_state(self.trees)
+        return trees_to_payload(self.trees)
 
     def _restore(self, state):
         self.trees = _load_trees(state, self.n_features, "dt's tree count", 1)
@@ -289,7 +284,7 @@ class RandomForestDetector(Detector):
         return (scores >= self.cutoff).astype(np.int8)
 
     def _state(self):
-        return _trees_state(self.trees)
+        return trees_to_payload(self.trees)
 
     def _restore(self, state):
         self.trees = _load_trees(state, self.n_features, "n_trees",
@@ -339,7 +334,7 @@ class GbtDetector(Detector):
         return feature_importance(self.trees, self.n_features)
 
     def _state(self):
-        return {**_trees_state(self.trees),
+        return {**trees_to_payload(self.trees),
                 "loss_trace": [encode_float(v) for v in self.loss_trace]}
 
     def _restore(self, state):
@@ -523,11 +518,13 @@ class DaeDetector(Detector):
             and np.any(np.asarray(val.labels) == 0)
         )
         if val_usable:
+            # each row's loss is computed alone, so the normal rows' losses
+            # are those a pass over the normal rows alone would give
             val_z = self.standardizer.apply(val)
-            self.threshold_config, _ = ae.fine_tune_threshold(self.net, val_z)
-            normal_losses = ae.reconstruction_losses(
-                self.net, val_z.values[np.asarray(val_z.labels) == 0]
-            )
+            y = np.asarray(val_z.labels)
+            losses = ae.reconstruction_losses(self.net, val_z.values)
+            self.threshold_config, _ = ae.tune_threshold(losses, y)
+            normal_losses = losses[y == 0]
         else:
             self.threshold_config = _DAE_FALLBACK
             normal_losses = ae.reconstruction_losses(self.net, train.values)
@@ -578,19 +575,25 @@ def register_detector(name: str, cls: type[Detector]) -> None:
     _REGISTRY[name] = cls
 
 
+def check_param_names(name: str, keys, what: str = "param") -> None:
+    """ConfigError if a key is not a constructor keyword of kind name;
+    KeyError if name is not a registered kind."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown model {name!r}; known: {sorted(_REGISTRY)}")
+    declared = [f.name for f in fields(_REGISTRY[name]) if f.init]
+    for key in keys:
+        if key not in declared:
+            raise ConfigError(f"unknown {name} {what} {key!r}; "
+                              f"known: {declared}")
+
+
 def make_detector(name: str, params: dict | None = None, seed: int = 0) -> Detector:
     """A detector of kind name; ConfigError if params holds a keyword
     that the kind does not declare."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(_REGISTRY)}")
-    cls = _REGISTRY[name]
     kwargs = dict(params or {})
     seed = kwargs.pop("seed", seed)
-    declared = [f.name for f in fields(cls) if f.init and f.name != "seed"]
-    for key in kwargs:
-        if key not in declared:
-            raise ConfigError(f"unknown {name} param {key!r}; known: {declared}")
-    return cls(seed=seed, **kwargs)
+    check_param_names(name, kwargs)
+    return _REGISTRY[name](seed=seed, **kwargs)
 
 
 def save_detector(path, det: Detector) -> None:

@@ -23,6 +23,7 @@ from .canlog import clean, load_log
 from .detectors import (
     ALL_MODELS,
     Detector,
+    check_param_names,
     derive_seed,
     make_detector,
 )
@@ -248,6 +249,11 @@ class ExperimentConfig:
                 make_detector(name, self.resolved_params(name))
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
+        # a grid value is checked when its point is fitted, and loses there
+        for name, grid in self.grids.items():
+            points = [grid] if isinstance(grid, dict) else grid
+            check_param_names(name, [k for point in points for k in point],
+                              "grid param")
 
     def resolved_params(self, name: str) -> dict:
         """The params model name runs with, before any grid point."""

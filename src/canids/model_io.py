@@ -1,7 +1,7 @@
 """Versioned JSON model files with bit-exact float round-tripping.
 
 All fitted models serialize through the same envelope:
-    {"format": "canids-model", "version": 6, "kind": "<model name>",
+    {"format": "canids-model", "version": 7, "kind": "<model name>",
      "payload": {...}}
 Every fitted float array is stored as {"shape": [...], "data": "<base64>"}.
 The array is viewed as shape[0] rows by prod(shape[1:]) columns (a 1-D
@@ -14,10 +14,12 @@ where a row holds the second pattern, ceil(rows / 8) bytes per column).
 data is the base64 of the other columns' little-endian float64 bytes in C
 order; with no packed column the object holds only shape and data.
 Scalars are stored as C99 hex strings (float.hex()). Both round-trip doubles
-exactly, -0.0 and NaN payloads included. Integer arrays, such as a tree's
-feature and child indices, are plain JSON integer lists. Every tree, of any
-model, is a trees.FlatTree payload: flat lists, never nested nodes. Files
-of any other version are refused, and so is JSON nested too deep to parse.
+exactly, -0.0 and NaN payloads included. Integer arrays, such as the trees'
+split features, are plain JSON integer lists. The trees of every tree
+model are one trees.trees_to_payload object: their node counts and their
+node arrays end to end in pre-order, children implied by the order, never
+nested nodes. Files of any other version are refused, and so is JSON
+nested too deep to parse.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import IoError
 
 FORMAT_NAME = "canids-model"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _LE_F8 = np.dtype("<f8")
 _LE_U8 = np.dtype("<u8")

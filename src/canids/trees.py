@@ -49,8 +49,10 @@ masks the candidates of the features it did not sample.
 
 Every tree is a FlatTree: parallel arrays in pre-order, left subtree
 first, which the growers write as they go. Every model, the isolation
-forest in density included, routes rows through it with the one test
-x <= threshold, and model files hold it as a FlatTree payload.
+forest in density included, routes rows through route_trees, which takes
+all of a model's trees in one pass with the one test x <= threshold.
+Model files hold a model's trees as one payload, their nodes end to end in
+pre-order, from which loading works out the children.
 
 The growers and routers take the float64 2-D arrays and 0/1 labels that
 the detectors have checked; they do not convert or check them again.
@@ -370,10 +372,11 @@ class FlatTree:
     and stores.
 
     Node i is a leaf when feature[i] == -1; otherwise x goes to left[i]
-    when x[feature[i]] <= threshold[i], else to right[i]. Children come
-    after their parent. value holds the leaf outputs: CART fractions,
-    boosting weights or isolation path lengths; gain holds each split's
-    gain. An entry a node does not use is -1 (a leaf's children) or 0.0
+    when x[feature[i]] <= threshold[i], else to right[i]. Nodes are in
+    pre-order, left subtree first, so left[i] is i + 1; the model file
+    form stores no children and relies on it. value holds the leaf
+    outputs: CART fractions, boosting weights or isolation path lengths;
+    gain holds each split's gain. An entry a node does not use is -1 (a leaf's children) or 0.0
     (a split's value, a leaf's threshold and gain, and every gain of an
     isolation tree).
     """
@@ -397,59 +400,163 @@ class FlatTree:
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """The leaf value each row of X reaches."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature[node]
-            internal = feats >= 0
-            if not internal.any():
-                return self.value[node]
-            rows = np.flatnonzero(internal)
-            fvals = X[rows, feats[rows]]
-            go_left = fvals <= self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]],
-                                  self.right[node[rows]])
+        return route_trees([self], X)[0]
 
-    def to_payload(self) -> dict:
-        return {"feature": self.feature.tolist(),
-                "threshold": encode_array(self.threshold),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "value": encode_array(self.value),
-                "gain": encode_array(self.gain)}
 
-    @classmethod
-    def from_payload(cls, obj: dict, width: int) -> "FlatTree":
-        """The tree to_payload wrote, checked so that route ends and reads
-        only columns below width; IoError otherwise."""
-        try:
-            feature, left, right = [np.array(obj[k])
-                                    for k in ("feature", "left", "right")]
-        except ValueError as exc:  # nested lists of uneven lengths
-            raise IoError(f"tree index list is malformed: {exc}") from exc
-        tree = cls(feature, decode_array(obj["threshold"]), left, right,
-                   decode_array(obj["value"]), decode_array(obj["gain"]))
-        arrays = (feature, tree.threshold, left, right, tree.value, tree.gain)
-        n = feature.size
-        if (n == 0 or any(a.shape != (n,) for a in arrays)
-                or any(a.dtype != np.int64 for a in (feature, left, right))):
-            raise IoError(f"tree arrays have shapes {[a.shape for a in arrays]}"
-                          ", need one non-empty length and integer indices")
-        if np.any((feature < -1) | (feature >= width)):
-            raise IoError(f"tree split on a feature outside [0, {width})")
-        parent = np.flatnonzero(feature >= 0)
-        for kids in (left[parent], right[parent]):
-            if np.any((kids <= parent) | (kids >= n)):
-                raise IoError("tree child index does not lie after its "
-                              f"parent and below {n}")
-        return tree
+# (row, tree) cells routed together; a block's index arrays stay in cache
+_ROUTE_CELLS = 1 << 14
+# cells per block of rows that mean_route and gbt_margins route at a time,
+# so that their memory does not grow with rows times trees
+_SUM_CELLS = 1 << 20
+
+
+def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
+    """The (len(trees), rows) leaf values that the rows of X reach in each
+    tree.
+
+    The trees are stacked end to end with their child indices offset, and
+    node i becomes the slots 2i, holding its right child's slot, and
+    2i + 1, holding its left child's, so that one routing step is the take
+    child[slot + (x <= threshold)]. A leaf's slots both hold the leaf and
+    its threshold is +inf, so a cell that sits on a leaf stays there
+    whatever its row holds, NaN included. The (row, tree) cells are routed
+    row by row in blocks of _ROUTE_CELLS, by flat takes on X, one step per
+    level until every cell of the block sits on a leaf."""
+    sizes = [t.feature.size for t in trees]
+    roots = np.cumsum([0, *sizes[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    leaf = feature < 0
+    here = 2 * np.arange(feature.size)
+    offset = 2 * np.repeat(roots, sizes)
+    child = np.empty(2 * feature.size, dtype=np.int64)
+    for parity, name in ((0, "right"), (1, "left")):
+        kids = np.concatenate([getattr(t, name) for t in trees])
+        child[parity::2] = np.where(leaf, here, 2 * kids + offset)
+    column = np.repeat(np.where(leaf, 0, feature), 2)
+    threshold = np.repeat(np.where(
+        leaf, np.inf, np.concatenate([t.threshold for t in trees])), 2)
+    stop = np.repeat(leaf, 2)
+    value = np.concatenate([t.value for t in trees])
+    n, width = X.shape
+    flat_x = np.ascontiguousarray(X).ravel()
+    out = np.empty((n, len(trees)))
+    cells = out.reshape(-1)  # cell c is row c // len(trees), tree c % len(trees)
+    for lo in range(0, cells.size, _ROUTE_CELLS):
+        row, tree = np.divmod(np.arange(lo, min(lo + _ROUTE_CELLS, cells.size)),
+                              len(trees))
+        at = 2 * roots[tree]
+        base = row * width
+        while not stop[at].all():
+            at = child[at + (flat_x[base + column[at]] <= threshold[at])]
+        cells[lo:lo + at.size] = value[at >> 1]
+    return out.T
+
+
+def _sum_routes(trees: list[FlatTree], X: np.ndarray, start: float,
+                scale: float) -> np.ndarray:
+    """start plus scale times the leaf value each row of X reaches in each
+    tree, added tree by tree."""
+    out = np.full(X.shape[0], start)
+    step = max(1, _SUM_CELLS // len(trees))
+    for lo in range(0, X.shape[0], step):
+        acc = out[lo:lo + step]
+        for leaves in route_trees(trees, X[lo:lo + step]):
+            acc += scale * leaves
+    return out
 
 
 def mean_route(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
-    """The mean over trees of the leaf value each row of X reaches."""
-    acc = np.zeros(X.shape[0])
-    for tree in trees:
-        acc += tree.route(X)
-    return acc / len(trees)
+    """The mean over trees of the leaf value each row of X reaches, added
+    tree by tree."""
+    return _sum_routes(trees, X, 0.0, 1.0) / len(trees)
+
+
+# --- model file payload ------------------------------------------------------
+
+def _children(feature: np.ndarray, sizes: list[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right child indices, per tree, of trees whose nodes
+    are stored end to end in pre-order, left subtree first, sizes[t] nodes
+    for tree t; -1 for a leaf's. IoError unless each span of sizes is
+    exactly one complete binary tree.
+
+    With steps +1 per split and -1 per leaf, before[k] sums the steps of
+    the nodes before node k. If the trees before tree t are complete,
+    before is -t at its root and 1 + t + before[k] counts the subtrees
+    still to be read when its node k is. So tree t's span is one complete
+    tree when before stays >= -t over it and is -t - 1 at its end. A
+    split i's left child is i + 1 and its right child the first j > i
+    with before[j] == before[i]: its left subtree has then been read."""
+    step = np.where(feature >= 0, 1, -1)
+    before = np.concatenate([[0], np.cumsum(step)])
+    t = np.arange(len(sizes))
+    ends = np.cumsum(sizes)
+    if (np.any(before[ends] != -1 - t)
+            or np.any(before[:-1] < -np.repeat(t, sizes))):
+        raise IoError("tree sizes do not each span one complete binary "
+                      "tree in pre-order")
+    order = np.argsort(before[:-1], kind="stable")
+    after = np.full(feature.size, -1)
+    after[order[:-1]] = order[1:]  # the next node with the same count
+    split = feature >= 0
+    root = np.repeat(ends - sizes, sizes)
+    ids = np.arange(feature.size)
+    return (np.where(split, ids + 1 - root, -1),
+            np.where(split, after - root, -1))
+
+
+def trees_to_payload(trees: list[FlatTree]) -> dict:
+    """The model file form of trees grown in pre-order, left subtree
+    first: their node counts as "sizes" and their feature, threshold,
+    value and gain arrays end to end as "trees"; the children are implied
+    by the order. ValueError for a tree in another order."""
+    sizes = [t.feature.size for t in trees]
+
+    def stacked(name):
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    feature = stacked("feature")
+    left, right = _children(feature, sizes)
+    if not (np.array_equal(left, stacked("left"))
+            and np.array_equal(right, stacked("right"))):
+        raise ValueError("trees are not stored in pre-order, left subtree "
+                         "first")
+    return {"sizes": sizes,
+            "trees": {"feature": feature.tolist(),
+                      "threshold": encode_array(stacked("threshold")),
+                      "value": encode_array(stacked("value")),
+                      "gain": encode_array(stacked("gain"))}}
+
+
+def trees_from_payload(obj: dict, width: int) -> list[FlatTree]:
+    """The trees trees_to_payload wrote, as views of one array per field,
+    checked so that routing ends and reads only columns below width;
+    IoError otherwise."""
+    sizes, arrays = obj["sizes"], obj["trees"]
+    if not (isinstance(sizes, list) and sizes
+            and all(type(s) is int and s >= 1 for s in sizes)):
+        raise IoError("tree sizes are not a non-empty list of node counts "
+                      "of at least 1")
+    if not isinstance(arrays, dict):
+        raise IoError("trees is not an object")
+    try:
+        feature = np.array(arrays["feature"])
+    except ValueError as exc:  # nested lists of uneven lengths
+        raise IoError(f"tree feature list is malformed: {exc}") from exc
+    threshold, value, gain = (decode_array(arrays[k])
+                              for k in ("threshold", "value", "gain"))
+    n = sum(sizes)
+    shapes = [a.shape for a in (feature, threshold, value, gain)]
+    if any(s != (n,) for s in shapes) or feature.dtype != np.int64:
+        raise IoError(f"tree arrays have shapes {shapes}, need the {n} nodes "
+                      "the sizes sum to and integer features")
+    if np.any((feature < -1) | (feature >= width)):
+        raise IoError(f"tree split on a feature outside [0, {width})")
+    left, right = _children(feature, sizes)
+    parts = feature, threshold, left, right, value, gain
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [FlatTree(*(a[lo:lo + m] for a in parts))
+            for lo, m in zip(starts, sizes)]
 
 
 # --- random forest -----------------------------------------------------------
@@ -499,10 +606,8 @@ def gbt_margins(det: GbtDetector, X: np.ndarray) -> np.ndarray:
     """The margin of each row of X: the base margin of det.base_score plus
     det.learning_rate times the leaf value it reaches in each of det.trees,
     added tree by tree."""
-    m = np.full(X.shape[0], _base_margin(det.base_score))
-    for tree in det.trees:
-        m += det.learning_rate * tree.route(X)
-    return m
+    return _sum_routes(det.trees, X, _base_margin(det.base_score),
+                       det.learning_rate)
 
 
 def _on_grid(v: np.ndarray, s: int) -> np.ndarray:

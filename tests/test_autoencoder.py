@@ -10,6 +10,7 @@ from canids.autoencoder import (
     ThresholdConfig,
     _activation_grad,
     _grads,
+    _views,
     compute_threshold,
     fine_tune_threshold,
     make_autoencoder,
@@ -202,18 +203,20 @@ def test_backprop_matches_finite_differences():
             assert np.all(np.abs(gb - nb) / denomb < 1e-4)
 
 
-def reference_grads(net, X):
-    """Backprop that also forms the input layer's unused delta product."""
+def reference_grads(net, X, out):
+    """Backprop that forms each gradient in a new array before copying it
+    into out, and also forms the input layer's unused delta product."""
     cache, recon = net._forward_cached(X)
     batch, width = X.shape
     loss = float(np.mean((recon - X) ** 2))
     delta = 2.0 * (recon - X) / (batch * width)
-    grads = []
-    for layer, (a_prev, z, a) in zip(reversed(net.layers), reversed(cache)):
+    grads = _views(net.layers, out)
+    for layer, (a_prev, z, a), (gW, gb) in zip(reversed(net.layers),
+                                                reversed(cache),
+                                                reversed(grads)):
         dz = delta * _activation_grad(layer.activation, z, a)
-        grads.append((dz.T @ a_prev, dz.sum(axis=0)))
+        gW[...], gb[...] = dz.T @ a_prev, dz.sum(axis=0)
         delta = dz @ layer.weights
-    grads.reverse()
     return loss, grads
 
 
@@ -370,6 +373,25 @@ def test_fine_tune_degenerate_validation():
     single = FeatureMatrix(values, np.zeros(5, dtype=np.int8), tuple(range(4)))
     with pytest.raises(DegenerateValidation):
         fine_tune_threshold(net, single)
+
+
+def test_dae_threshold_reuses_the_validation_losses():
+    # the normal rows' losses from the pass over every validation row are
+    # bit for bit those of a pass over the normal rows alone
+    rng = np.random.default_rng(12)
+    train = FeatureMatrix(rng.normal(size=(120, 5)), np.zeros(120, np.int8),
+                          tuple(range(5)))
+    values = rng.normal(size=(60, 5))
+    labels = (np.arange(60) % 3 == 0).astype(np.int8)
+    values[labels == 1] *= 4.0
+    val = FeatureMatrix(values, labels, tuple(range(5)))
+    det = DaeDetector(hidden=(4,), bottleneck=2, epochs=3, batch_size=16,
+                      seed=2).fit(train, val)
+    val_z = det.standardizer.apply(val)
+    want_cfg, _ = fine_tune_threshold(det.net, val_z)
+    normal = reconstruction_losses(det.net, val_z.values[labels == 0])
+    assert det.threshold_config == want_cfg
+    assert det.threshold == compute_threshold(normal, want_cfg)
 
 
 def test_dae_decide_boundary_rules():

@@ -349,23 +349,65 @@ def model_files(feature_csvs, tmp_path_factory):
     return files
 
 
-def _iforest_tree(doc):
-    return doc["payload"]["state"]["model"]["trees"][0]
+def _trees(doc):
+    """The object of a tree model file that holds sizes and trees."""
+    state = doc["payload"]["state"]
+    return state.get("model", state)
+
+
+def _edit_nodes(doc, edit):
+    """Applies edit(lists, sizes) to the file's tree node arrays, as one list
+    per key, and to its sizes."""
+    held = _trees(doc)
+    arrays = held["trees"]
+    lists = {"feature": arrays["feature"]}
+    lists.update({k: decode_array(arrays[k]).tolist()
+                  for k in ("threshold", "value", "gain")})
+    edit(lists, held["sizes"])
+    arrays["feature"] = lists["feature"]
+    arrays.update({k: encode_array(np.array(lists[k]))
+                   for k in ("threshold", "value", "gain")})
 
 
 def iforest_cyclic(doc):
-    tree = _iforest_tree(doc)
-    last = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
-    tree["left"][last] = 0  # back to the root
+    # the first tree's last leaf becomes a split with no children in its
+    # span; child indices could only have sent them back up the tree
+    def edit(lists, sizes):
+        lists["feature"][sizes[0] - 1] = 0
+    _edit_nodes(doc, edit)
 
 
 def iforest_ragged(doc):
-    _iforest_tree(doc)["left"].pop()
+    _trees(doc)["trees"]["feature"].pop()
 
 
 def iforest_child_out_of_range(doc):
-    tree = _iforest_tree(doc)
-    tree["right"][0] = len(tree["feature"]) + 5
+    # the first tree's last leaf moves into the second tree's span
+    sizes = _trees(doc)["sizes"]
+    sizes[0] -= 1
+    sizes[1] += 1
+
+
+def iforest_missing_leaf(doc):
+    def edit(lists, sizes):
+        i = lists["feature"].index(-1)
+        for values in lists.values():
+            del values[i]
+        sizes[0] -= 1
+    _edit_nodes(doc, edit)
+
+
+def iforest_trailing_node(doc):
+    def edit(lists, sizes):
+        for key, v in (("feature", -1), ("threshold", 0.0), ("value", 1.0),
+                       ("gain", 0.0)):
+            lists[key].insert(sizes[0], v)
+        sizes[0] += 1
+    _edit_nodes(doc, edit)
+
+
+def iforest_zero_size(doc):
+    _trees(doc)["sizes"].insert(1, 0)
 
 
 def iforest_subsample_string(doc):
@@ -373,24 +415,35 @@ def iforest_subsample_string(doc):
 
 
 def dt_feature_99(doc):
-    tree = doc["payload"]["state"]["trees"][0]
-    assert tree["feature"][0] >= 0
-    tree["feature"][0] = 99
+    feature = _trees(doc)["trees"]["feature"]
+    assert feature[0] >= 0
+    feature[0] = 99
 
 
 def dt_two_trees(doc):
-    trees = doc["payload"]["state"]["trees"]
-    trees.append(trees[0])
+    def edit(lists, sizes):
+        for values in lists.values():
+            values.extend(values)
+        sizes.append(sizes[0])
+    _edit_nodes(doc, edit)
 
 
 def rf_child_out_of_range(doc):
-    tree = doc["payload"]["state"]["trees"][-1]
-    tree["left"][0] = len(tree["feature"])
+    # the last tree loses its last leaf, the right child of a split
+    def edit(lists, sizes):
+        for values in lists.values():
+            values.pop()
+        sizes[-1] -= 1
+    _edit_nodes(doc, edit)
+
+
+def rf_sizes_short(doc):
+    _trees(doc)["sizes"][-1] -= 1
 
 
 def gbt_gain_short(doc):
-    tree = doc["payload"]["state"]["trees"][0]
-    tree["gain"] = encode_array(decode_array(tree["gain"])[:-1])
+    arrays = _trees(doc)["trees"]
+    arrays["gain"] = encode_array(decode_array(arrays["gain"])[:-1])
 
 
 def _set_knn_labels(doc, labels):
@@ -529,7 +582,8 @@ def rc_mean_three_wide(doc):
 @pytest.mark.parametrize("corrupt", [
     iforest_cyclic, iforest_ragged, iforest_child_out_of_range, dt_feature_99,
     dt_two_trees, rf_child_out_of_range, gbt_gain_short,
-    iforest_subsample_string,
+    iforest_subsample_string, iforest_missing_leaf, iforest_trailing_node,
+    iforest_zero_size, rf_sizes_short,
     knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
     knn_labels_300, knn_labels_one_true, knn_labels_one_float,
     knn_refs_narrow, lof_refs_narrow, lof_short_lrd,

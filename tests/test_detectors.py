@@ -335,8 +335,12 @@ def test_version_5_model_file_is_refused(tmp_path):
     refuse_version(5, tmp_path)
 
 
+def test_version_6_model_file_is_refused(tmp_path):
+    refuse_version(6, tmp_path)
+
+
 @pytest.mark.parametrize("drop", ["kind", "payload", "params", "seed",
-                                  "n_features", "state", "trees"])
+                                  "n_features", "state", "trees", "sizes"])
 def test_model_file_missing_key_is_an_io_error(drop, tmp_path):
     path, doc = saved_dt(tmp_path)
     for obj in (doc, doc["payload"], doc["payload"]["state"]):
@@ -382,7 +386,7 @@ STALE_KEYS = {"rf": {"n_features": 9}, "gbt": {"n_features": 9},
 
 
 def tree_holder(name, doc):
-    """The object of a model file that holds the trees list."""
+    """The object of a model file that holds the tree sizes and arrays."""
     state = doc["payload"]["state"]
     return state["model"] if name == "iforest" else state
 
@@ -401,9 +405,9 @@ def test_model_file_stale_model_keys_are_ignored(name, tmp_path):
 @pytest.mark.parametrize("name", ["rf", "gbt"])
 def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
     path, doc = saved_model(tmp_path, name)
-    tree = tree_holder(name, doc)["trees"][0]
-    assert tree["feature"][0] >= 0
-    tree["feature"][0] = doc["payload"]["n_features"]
+    feature = tree_holder(name, doc)["trees"]["feature"]
+    assert feature[0] >= 0
+    feature[0] = doc["payload"]["n_features"]
     path.write_text(json.dumps(doc))
     with pytest.raises(IoError, match=f"model file {re.escape(str(path))}: "
                                       r"tree split on a feature outside \[0, 5\)"):
@@ -414,7 +418,7 @@ def test_model_file_tree_split_beyond_width_is_an_io_error(name, tmp_path):
                                        ("iforest", "n_trees")])
 def test_model_file_tree_count_must_match_params(name, key, tmp_path):
     path, doc = saved_model(tmp_path, name)
-    stored = len(tree_holder(name, doc)["trees"])
+    stored = len(tree_holder(name, doc)["sizes"])
     assert doc["payload"]["params"][key] == stored
     doc["payload"]["params"][key] = 2 * stored
     path.write_text(json.dumps(doc))

@@ -500,6 +500,34 @@ def test_grid_points_are_laid_over_the_run_params(monkeypatch):
     assert all(det.rounds == 5 for det in made)
 
 
+@pytest.mark.parametrize("name, grid, key", [
+    ("dt", {"max_dept": [3, 4]}, "max_dept"),
+    ("rf", {"n_tree": [5], "max_depth": [4]}, "n_tree"),
+    ("gbt", {"rounds": [5], "learning_rte": [0.1]}, "learning_rte"),
+    ("knn", {"K": [3]}, "K"),
+    ("iforest", [{"subsample": 64}, {"sub_sample": 32}], "sub_sample"),
+], ids=["dt-max_dept", "rf-n_tree", "gbt-learning_rte", "knn-K",
+        "iforest-point-list"])
+def test_config_refuses_unknown_grid_param(tmp_path, name, grid, key):
+    match = f"unknown {name} grid param {key!r}"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(models=(name,), grids={name: grid})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"models": [name], "grids": {name: grid}}))
+    with pytest.raises(ConfigError, match=match):
+        load_experiment_config(path)
+
+
+def test_config_keeps_grid_values_that_fail_at_fit():
+    # only names are checked at load; a bad value loses its grid point
+    grid = {"rounds": [0, 20], "max_depth": [3]}
+    cfg = ExperimentConfig(models=("gbt",), grids={"gbt": grid})
+    train, val = _search_data()
+    best, _, evals = grid_search("gbt", cfg.grids["gbt"], train, val)
+    assert best == {"rounds": 20, "max_depth": 3}
+    assert evals[0][1] == -np.inf
+
+
 def test_load_experiment_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

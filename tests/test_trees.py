@@ -17,7 +17,7 @@ from canids.detectors import (DecisionTreeDetector, GbtDetector,
                               save_detector)
 from canids.errors import EmptyData, IoError, NonBinaryLabels, UnfitModel
 from canids.features import FeatureMatrix
-from canids.model_io import encode_array
+from canids.model_io import decode_array, encode_array
 from canids.trees import (
     FlatTree,
     feature_importance,
@@ -26,6 +26,9 @@ from canids.trees import (
     fit_random_forest,
     gbt_margins,
     mean_route,
+    route_trees,
+    trees_from_payload,
+    trees_to_payload,
 )
 from canids import trees
 from canids.trees import _log_loss, _Presorted
@@ -274,8 +277,9 @@ def test_forest_serialization_round_trip():
     y = (X[:, 0] > 0).astype(int)
     trees = fit_random_forest(X, y, RandomForestDetector(n_trees=5, max_depth=4,
                                                          seed=1))
-    restored = [FlatTree.from_payload(json.loads(json.dumps(t.to_payload())), 3)
-                for t in trees]
+    restored = trees_from_payload(
+        json.loads(json.dumps(trees_to_payload(trees))), 3)
+    assert_same_trees(restored, trees)
     assert np.array_equal(mean_route(trees, X), mean_route(restored, X))
 
 
@@ -287,63 +291,256 @@ def _cart_data(seed=12):
     return X, (X[:, 0] + X[:, 2] > 0).astype(int)
 
 
+def _flat_trees():
+    """A CART tree, a one-leaf tree and a second CART tree."""
+    X, y = _cart_data()
+    return [fit_cart(X, y), fit_cart(X, np.zeros(len(y))),
+            fit_cart(*_cart_data(seed=13), max_depth=2)]
+
+
 def _flat_payload():
-    tree = fit_cart(*_cart_data())
-    return json.loads(json.dumps(tree.to_payload()))
+    return json.loads(json.dumps(trees_to_payload(_flat_trees())))
 
 
 def test_flat_tree_payload_round_trip():
     X, y = _cart_data()
-    tree = fit_cart(X, y)
-    back = FlatTree.from_payload(_flat_payload(), 3)
-    for name in TREE_ARRAYS:
-        a, b = getattr(tree, name), getattr(back, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert back.route(X).tobytes() == tree.route(X).tobytes()
+    got = trees_from_payload(_flat_payload(), 3)
+    assert_same_trees(got, _flat_trees())
+    assert ([t.feature.size for t in got]
+            == _flat_payload()["sizes"] == [t.feature.size for t in _flat_trees()])
+    assert got[0].route(X).tobytes() == fit_cart(X, y).route(X).tobytes()
+
+
+def test_trees_to_payload_refuses_a_tree_out_of_pre_order():
+    tree = fit_cart(*_cart_data())
+    swapped = FlatTree(tree.feature, tree.threshold, tree.right, tree.left,
+                       tree.value, tree.gain)
+    with pytest.raises(ValueError, match="pre-order"):
+        trees_to_payload([swapped])
 
 
 def _set(key, i, v):
     def corrupt(p):
-        p[key][i] = v
+        p["trees"][key][i] = v
     return corrupt
 
 
-def _point_back_up(p):
-    internal = [i for i, f in enumerate(p["feature"]) if f >= 0]
-    p["right"][internal[-1]] = internal[0]
+def _node_count(p):
+    return len(p["trees"]["feature"])
+
+
+def _resize(key, by):
+    """Corrupts the encoded array key to the node count plus by entries."""
+    def corrupt(p):
+        p["trees"][key] = encode_array(np.zeros(_node_count(p) + by))
+    return corrupt
+
+
+def _edit_nodes(edit):
+    """Applies edit(lists, sizes) to the payload's node arrays as lists, one
+    per key, and to its sizes."""
+    def corrupt(p):
+        arrays = p["trees"]
+        lists = {"feature": arrays["feature"]}
+        lists.update({k: decode_array(arrays[k]).tolist()
+                      for k in ("threshold", "value", "gain")})
+        edit(lists, p["sizes"])
+        arrays["feature"] = lists["feature"]
+        arrays.update({k: encode_array(np.array(lists[k]))
+                       for k in ("threshold", "value", "gain")})
+    return corrupt
+
+
+def _first_leaf(lists):
+    return lists["feature"].index(-1)
+
+
+def _split_last_leaf(lists, sizes):
+    # the first tree's last leaf becomes a split whose children are missing;
+    # a file with child indices would have sent them back up the tree
+    lists["feature"][sizes[0] - 1] = 0
+
+
+def _leaf_at_root(lists, sizes):
+    # the first tree's root becomes a leaf, so no split leads to the nodes
+    # after it in its span
+    lists["feature"][0] = -1
+
+
+def _drop_node(at):
+    def edit(lists, sizes):
+        i = at(lists)
+        for values in lists.values():
+            del values[i]
+        sizes[0 if i < sizes[0] else -1] -= 1
+    return edit
+
+
+def _append_to_first_tree(*features):
+    """Appends nodes that split on these features (-1 a leaf) to the first
+    tree's span."""
+    def edit(lists, sizes):
+        for f in reversed(features):
+            for key, v in (("feature", f), ("threshold", 0.0),
+                           ("value", 0.5), ("gain", 0.0)):
+                lists[key].insert(sizes[0], v)
+        sizes[0] += len(features)
+    return edit
+
+
+def _move_leaf_to_next_tree(p):
+    # the first tree's last leaf opens the second tree's span instead
+    p["sizes"][0] -= 1
+    p["sizes"][1] += 1
 
 
 def _empty(p):
-    p.update({k: [] for k in ("feature", "left", "right")})
-    p.update({k: encode_array(np.zeros(0)) for k in ("threshold", "value")})
+    p["sizes"] = [0]
+    p["trees"]["feature"] = []
+    p["trees"].update({k: encode_array(np.zeros(0))
+                       for k in ("threshold", "value", "gain")})
+
+
+STRUCTURE = "one complete binary tree"
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (_set("left", 0, 0), "after its parent"),
-    (_point_back_up, "after its parent"),
-    (_set("right", 0, 10 ** 6), "after its parent"),
-    (lambda p: p["left"].pop(), "one non-empty length"),
-    (lambda p: p.update(value=encode_array(np.zeros((1, 1)))), "length"),
-    (lambda p: p.update(gain=encode_array(np.zeros(len(p["feature"]) - 1))),
-     "length"),
-    (lambda p: p.update(gain=encode_array(np.zeros(len(p["feature"]) + 1))),
-     "length"),
-    (lambda p: p.update(gain=encode_array(np.zeros((len(p["feature"]), 1)))),
-     "length"),
-    (_empty, "non-empty"),
+    (_edit_nodes(_split_last_leaf), STRUCTURE),
+    (_move_leaf_to_next_tree, STRUCTURE),
+    (_edit_nodes(_drop_node(lambda lists: len(lists["feature"]) - 1)),
+     STRUCTURE),
+    (lambda p: p["trees"]["feature"].pop(), "need the"),
+    (lambda p: p["trees"].update(value=encode_array(np.zeros((1, 1)))),
+     "need the"),
+    (_resize("gain", -1), "need the"),
+    (_resize("gain", 1), "need the"),
+    (lambda p: p["trees"].update(
+        gain=encode_array(np.zeros((_node_count(p), 1)))), "need the"),
+    (_empty, "node counts of at least 1"),
     (_set("feature", 0, 3), r"outside \[0, 3\)"),
     (_set("feature", 0, -2), r"outside \[0, 3\)"),
-    (_set("left", 0, 1.5), "integer"),
+    (_set("feature", 0, 1.5), "integer"),
     (_set("feature", 0, "0"), "integer"),
-    (_set("left", 0, [1, 2]), "malformed"),
+    (_set("feature", 0, [1, 2]), "malformed"),
+    (lambda p: p["sizes"].__setitem__(-1, p["sizes"][-1] - 1), "need the"),
+    (lambda p: p["sizes"].__setitem__(-1, p["sizes"][-1] + 1), "need the"),
+    (_edit_nodes(_drop_node(_first_leaf)), STRUCTURE),
+    (_edit_nodes(_leaf_at_root), STRUCTURE),
+    (_edit_nodes(_append_to_first_tree(-1)), STRUCTURE),
+    # a split and a leaf add no step, but are read after the tree has ended
+    (_edit_nodes(_append_to_first_tree(0, -1)), STRUCTURE),
+    (lambda p: p["sizes"].insert(1, 0), "node counts of at least 1"),
+    (lambda p: p.update(sizes=[]), "node counts of at least 1"),
+    (lambda p: p["sizes"].__setitem__(1, True), "node counts of at least 1"),
+    (lambda p: p.update(sizes=len(p["trees"]["feature"])),
+     "node counts of at least 1"),
+    (lambda p: p.update(trees=[]), "trees is not an object"),
 ], ids=["cycle-at-root", "child-before-parent", "child-past-end", "ragged",
-        "value-2d", "gain-short", "gain-long", "gain-2d", "empty", "feature-3", "feature-minus-2", "float-index",
-        "string-feature", "nested-index"])
+        "value-2d", "gain-short", "gain-long", "gain-2d", "empty", "feature-3",
+        "feature-minus-2", "float-index", "string-feature", "nested-index",
+        "sizes-sum-short", "sizes-sum-long", "missing-leaf", "leaf-root",
+        "trailing-node", "trailing-split-and-leaf", "zero-size", "no-sizes", "bool-size", "sizes-number",
+        "trees-list"])
 def test_flat_tree_payload_is_checked(corrupt, match):
     payload = _flat_payload()
     corrupt(payload)
     with pytest.raises(IoError, match=match):
-        FlatTree.from_payload(payload, 3)
+        trees_from_payload(payload, 3)
+
+
+# --- routing oracle ------------------------------------------------------------
+
+def ref_route(tree, X):
+    """The leaf value each row of X reaches in tree, routing the rows that
+    are not yet on a leaf one level at a time."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feats = tree.feature[node]
+        internal = feats >= 0
+        if not internal.any():
+            return tree.value[node]
+        rows = np.flatnonzero(internal)
+        go_left = X[rows, feats[rows]] <= tree.threshold[node[rows]]
+        node[rows] = np.where(go_left, tree.left[node[rows]],
+                              tree.right[node[rows]])
+
+
+_THRESHOLDS = [0.0, -0.0, 0.5, 1.0, -3.25, 1e300, 5e-324, np.inf, -np.inf,
+               np.nan]
+_ROUTE_VALUES = st.one_of(st.sampled_from(_THRESHOLDS),
+                          st.floats(allow_nan=False, width=32))
+# no fitted leaf holds NaN, and NaN + NaN keeps either operand's payload as
+# numpy's loop for the array length chooses, so sums of NaN leaves need not
+# repeat bit for bit; inf - inf gives the one default NaN
+_LEAF_VALUES = st.one_of(st.sampled_from(_THRESHOLDS[:-1]),
+                         st.floats(allow_nan=False, width=32))
+
+
+@st.composite
+def preorder_trees(draw, width):
+    """A FlatTree in pre-order, left subtree first, as the growers write
+    it, of at most depth 5."""
+    nodes = []
+
+    def build(depth):
+        i = len(nodes)
+        if depth < 5 and draw(st.booleans()):
+            nodes.append([draw(st.integers(0, width - 1)),
+                          draw(_ROUTE_VALUES), -1, -1, 0.0,
+                          draw(st.floats(0, 10))])
+            nodes[i][2] = build(depth + 1)
+            nodes[i][3] = build(depth + 1)
+        else:
+            nodes.append([-1, 0.0, -1, -1, draw(_LEAF_VALUES), 0.0])
+        return i
+
+    build(0)
+    return FlatTree.of_rows(nodes)
+
+
+@st.composite
+def forests(draw):
+    width = draw(st.integers(1, 4))
+    return width, draw(st.lists(preorder_trees(width), min_size=1,
+                                max_size=30))
+
+
+def _route_queries(trees, width, rows, seed):
+    """rows rows whose entries are drawn from the forest's thresholds, their
+    one-ulp neighbours, NaN, the infinities and both zeros."""
+    thr = np.concatenate([t.threshold for t in trees])
+    with np.errstate(invalid="ignore"):
+        pool = np.concatenate([thr, np.nextafter(thr, np.inf),
+                               np.nextafter(thr, -np.inf), _THRESHOLDS])
+    return np.random.default_rng(seed).choice(pool, size=(rows, width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests(), st.sampled_from([0, 1, 2, 9, 16385]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5, 64, 1 << 14]))
+def test_route_trees_matches_per_tree_routing(forest, rows, seed, cells):
+    width, forest_trees = forest
+    X = _route_queries(forest_trees, width, rows, seed)
+    with mock.patch.object(trees, "_ROUTE_CELLS", cells):
+        got = route_trees(forest_trees, X)
+    assert got.shape == (len(forest_trees), rows)
+    for leaves, tree in zip(got, forest_trees):
+        assert leaves.tobytes() == ref_route(tree, X).tobytes()
+    acc = np.zeros(rows)
+    with np.errstate(invalid="ignore"):  # leaf values inf and -inf
+        for tree in forest_trees:
+            acc += ref_route(tree, X)
+        with mock.patch.object(trees, "_SUM_CELLS", cells):
+            mean = mean_route(forest_trees, X)
+    assert mean.tobytes() == (acc / len(forest_trees)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests())
+def test_trees_payload_round_trip_keeps_every_array(forest):
+    width, forest_trees = forest
+    payload = json.loads(json.dumps(trees_to_payload(forest_trees)))
+    assert_same_trees(trees_from_payload(payload, width), forest_trees)
 
 
 # --- gradient boosting ---------------------------------------------------------------

@@ -134,10 +134,6 @@ class AutoencoderNet:
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(latent, reconstruction) of the rows of X, each row computed
         alone (DenseLayer.apply_columns); training uses BLAS."""
-        if X.shape[1] != self.input_width:
-            raise WrongWidth(
-                f"input width {X.shape[1]}, net expects {self.input_width}"
-            )
         a = np.ascontiguousarray(X.T)
         for layer in self.encoder:
             a = layer.apply_columns(a)

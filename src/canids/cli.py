@@ -22,11 +22,11 @@ from .detectors import (
 from .errors import (
     CanidsError,
     ConfigError,
-    EmptyMatrix,
     EmptySplit,
     IoError,
     NegativeInterval,
     ParseError,
+    WindowOutOfRange,
     WrongWidth,
 )
 from .features import (
@@ -45,7 +45,7 @@ from .harness import (
 )
 
 _DATA_ERRORS = (ParseError, IoError, ConfigError, NegativeInterval,
-                WrongWidth, EmptyMatrix, EmptySplit, FileNotFoundError,
+                WrongWidth, EmptySplit, WindowOutOfRange, FileNotFoundError,
                 OSError)
 
 

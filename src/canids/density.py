@@ -10,11 +10,12 @@ the row width d at cutoff_level, computed as 2 * gammaincinv(d / 2, level):
 the expression scipy.stats.chi2.ppf evaluates, bit for bit, without the
 ~40 MB and ~0.5 s that importing scipy.stats costs.
 
-Isolation trees are trees.FlatTree arrays. A node sends x left when
-x < t for its random threshold t; it stores nextafter(t, -inf) instead,
-because FlatTree.route tests <= and x < t holds exactly when
-x <= nextafter(t, -inf) does, for every float x (infinities and NaN
-included) and every t but -inf, which the draw never gives. Leaf values
+Isolation trees are trees.FlatTree arrays, grown in pre-order and routed
+by trees.route_trees. A node sends x left when x < t for its random
+threshold t; it stores nextafter(t, -inf) instead, because route_trees
+tests <= and x < t holds exactly when x <= nextafter(t, -inf) does, for
+every float x (infinities and NaN included) and every t but -inf, which
+the draw never gives. Leaf values
 are the path length: depth plus c(rows at the leaf). Gains are all 0.0.
 
 Fits and scores take the float64 2-D arrays that the detectors have
@@ -166,11 +167,9 @@ def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
                     rng: np.random.Generator, c: np.ndarray) -> FlatTree:
     """One isolation tree on X[rows], thresholds stored as nextafter(t, -inf);
     c[m] is average_path_length(m) for every m up to rows.size."""
-    nodes: list[list] = []  # FlatTree.of_rows rows
+    nodes: list[list] = []  # FlatTree.of_rows rows, in pre-order
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0, 0.0])
+    def build(idx: np.ndarray, depth: int):
         if idx.size > 1 and depth < height_limit:
             sub = X[idx]
             lo = sub.min(axis=0)
@@ -183,12 +182,11 @@ def _isolation_tree(X: np.ndarray, rows: np.ndarray, height_limit: int,
                     thr = np.nextafter(lo[f], hi[f])
                 thr = np.nextafter(thr, -np.inf)
                 go_left = sub[:, f] <= thr
-                nodes[i][:2] = f, float(thr)
-                nodes[i][2] = build(idx[go_left], depth + 1)
-                nodes[i][3] = build(idx[~go_left], depth + 1)
-                return i
-        nodes[i][4] = depth + float(c[idx.size])
-        return i
+                nodes.append([f, float(thr), 0.0, 0.0])
+                build(idx[go_left], depth + 1)
+                build(idx[~go_left], depth + 1)
+                return
+        nodes.append([-1, 0.0, depth + float(c[idx.size]), 0.0])
 
     try:
         build(rows, 0)

@@ -15,7 +15,7 @@ load_detector rebuilds the detector through make_detector before it
 restores the state.
 
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
-factories; register_detector() lets tests add stubs.
+factories.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .trees import (
     fit_random_forest,
     gbt_margins,
     mean_route,
+    route_trees,
     trees_from_payload,
     trees_to_payload,
 )
@@ -132,10 +133,14 @@ class Detector:
         too."""
 
     def fit(self, train: FeatureMatrix, val: FeatureMatrix | None = None):
-        """Fit on train, refused without rows or columns, as float64."""
+        """Fit on train, refused without rows or columns, as float64; val,
+        if given, must have train's width."""
         self._check_params()
         if train.values.size == 0:
             raise EmptyData(f"{self.name}: empty training matrix")
+        if val is not None and val.n_cols != train.n_cols:
+            raise WrongWidth(f"{self.name}: validation has {val.n_cols} "
+                             f"columns, training {train.n_cols}")
         train = replace(train, values=np.asarray(train.values, np.float64))
         self.n_features = train.n_cols
         if self.standardized:
@@ -200,7 +205,7 @@ class DecisionTreeDetector(Detector):
                                self.min_samples_leaf)]
 
     def _score(self, X):
-        return self.trees[0].route(X)
+        return route_trees(self.trees, X)[0]
 
     def decide(self, scores: np.ndarray) -> np.ndarray:
         return (scores >= self.cutoff).astype(np.int8)
@@ -569,10 +574,6 @@ _REGISTRY: dict[str, type[Detector]] = {
     "iforest": IsoForestDetector,
     "dae": DaeDetector,
 }
-
-
-def register_detector(name: str, cls: type[Detector]) -> None:
-    _REGISTRY[name] = cls
 
 
 def check_param_names(name: str, keys, what: str = "param") -> None:

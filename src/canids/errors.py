@@ -53,10 +53,6 @@ class WrongWidth(CanidsError):
     file expects."""
 
 
-class EmptyMatrix(CanidsError):
-    """An operation that needs data received zero rows."""
-
-
 # --- metrics -------------------------------------------------------------
 
 class LengthMismatch(CanidsError):

@@ -249,11 +249,19 @@ class ExperimentConfig:
                 make_detector(name, self.resolved_params(name))
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
-        # a grid value is checked when its point is fitted, and loses there
+        # a grid value is checked when its point is fitted, and loses there;
+        # a dict grid lists each param's values
         for name, grid in self.grids.items():
             points = [grid] if isinstance(grid, dict) else grid
             check_param_names(name, [k for point in points for k in point],
                               "grid param")
+            if not isinstance(grid, dict):
+                continue
+            for key, values in grid.items():
+                if not isinstance(values, (list, tuple)) or not values:
+                    raise ConfigError(f"{name} grid param {key!r} needs a "
+                                      f"non-empty list of values, not "
+                                      f"{values!r}")
 
     def resolved_params(self, name: str) -> dict:
         """The params model name runs with, before any grid point."""
@@ -493,24 +501,6 @@ def emit_csv(report: EvalReport) -> str:
             _float_repr(row.roc_auc),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def read_report_csv(text: str) -> EvalReport:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != ",".join(REPORT_COLUMNS):
-        raise IoError("not a canids report CSV")
-    report = EvalReport()
-    for line in lines[1:]:
-        parts = line.split(",")
-        if parts[1] == "FAILED":
-            report.rows.append(EvalRow(model=parts[0], error="FAILED"))
-            continue
-        vals = [None if p == "—" else float(p) for p in parts[1:6]]
-        report.rows.append(EvalRow(
-            model=parts[0], accuracy=vals[0], precision=vals[1],
-            recall=vals[2], f1=vals[3], roc_auc=vals[4],
-        ))
-    return report
 
 
 def emit_text(report: EvalReport) -> str:

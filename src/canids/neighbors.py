@@ -156,10 +156,6 @@ class NeighborIndex:
         limit = self.n - 1 if exclude_self else self.n
         if k > limit:
             raise KTooLarge(f"k={k} exceeds {limit} available references")
-        if q.shape[1] != self.width:
-            raise WrongWidth(
-                f"query width {q.shape[1]} != reference width {self.width}"
-            )
         budget = _BUDGET_BYTES - (
             0 if np.may_share_memory(self._prefix, self.refs)
             else self._prefix.nbytes)

@@ -47,12 +47,14 @@ the sample: both searches give it the one threshold 0.5. Every node sums
 the histograms of all columns, since its children subtract them, and
 masks the candidates of the features it did not sample.
 
-Every tree is a FlatTree: parallel arrays in pre-order, left subtree
-first, which the growers write as they go. Every model, the isolation
-forest in density included, routes rows through route_trees, which takes
-all of a model's trees in one pass with the one test x <= threshold.
-Model files hold a model's trees as one payload, their nodes end to end in
-pre-order, from which loading works out the children.
+Every tree is a FlatTree: four parallel arrays (feature, threshold,
+value, gain) in pre-order, left subtree first, which the growers append
+to as they go. No child index is stored: the order implies the children,
+and _children alone works them out. Every model, the isolation forest in
+density included, routes rows through route_trees, the one router, which
+takes all of a model's trees in one pass with the one test x <= threshold.
+Model files hold a model's trees as one payload of the four arrays end to
+end, which loading checks with _children.
 
 The growers and routers take the float64 2-D arrays and 0/1 labels that
 the detectors have checked; they do not convert or check them again.
@@ -225,8 +227,7 @@ class _Presorted:
         Every node searches feats, or the sorted subset sample() draws from
         feats; nodes grow depth first, so sample() is called in pre-order.
         If leaves is given, leaves[i] is set to the value of the
-        leaf that row i of rows reaches, the value FlatTree.route gives
-        it."""
+        leaf that row i of rows reaches, the value route_trees gives it."""
         X, mask = self.X, self.mask
         member = np.zeros(X.shape[0], dtype=bool)
         member[rows] = True
@@ -236,9 +237,8 @@ class _Presorted:
         def searched(S1, S2, m, depth):
             return depth < max_depth and not crit.is_final(S1, S2, m)
 
-        def node(idx, S1, S2, hist, orders, depth) -> int:
+        def node(idx, S1, S2, hist, orders, depth):
             # hist is the node's histogram if it is searched, else None
-            i = len(nodes)
             split = None
             if hist is not None:
                 cand = feats if sample is None else sample()
@@ -246,12 +246,12 @@ class _Presorted:
                                          S1, S2)
             if split is None:
                 value = crit.leaf(S1, S2)
-                nodes.append([-1, 0.0, -1, -1, value, 0.0])
+                nodes.append([-1, 0.0, value, 0.0])
                 if leaves is not None:
                     leaves[idx] = value
-                return i
+                return
             f, thr, gain = split
-            nodes.append([f, float(thr), -1, -1, 0.0, float(gain)])
+            nodes.append([f, float(thr), 0.0, float(gain)])
             go_left = X[idx, f] <= thr
             mask[idx] = go_left
             halves = {}, {}
@@ -272,9 +272,7 @@ class _Presorted:
                 hists[small] = h if go[small] else None
                 hists[1 - small] = hist - h if go[1 - small] else None
             for j in (0, 1):
-                nodes[i][2 + j] = node(kids[j], *sums[j], hists[j], halves[j],
-                                       depth + 1)
-            return i
+                node(kids[j], *sums[j], hists[j], halves[j], depth + 1)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             try:
@@ -368,39 +366,30 @@ def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
 
 @dataclass
 class FlatTree:
-    """A tree as parallel arrays, the one form every model grows, routes
-    and stores.
+    """A tree as four parallel arrays in pre-order, left subtree first: the
+    one form every model grows, routes and stores.
 
-    Node i is a leaf when feature[i] == -1; otherwise x goes to left[i]
-    when x[feature[i]] <= threshold[i], else to right[i]. Nodes are in
-    pre-order, left subtree first, so left[i] is i + 1; the model file
-    form stores no children and relies on it. value holds the leaf
-    outputs: CART fractions, boosting weights or isolation path lengths;
-    gain holds each split's gain. An entry a node does not use is -1 (a leaf's children) or 0.0
-    (a split's value, a leaf's threshold and gain, and every gain of an
-    isolation tree).
+    Node i is a leaf when feature[i] == -1; otherwise x goes to its left
+    child, node i + 1, when x[feature[i]] <= threshold[i], else to its
+    right child, the node after its left subtree (_children finds both).
+    value holds the leaf outputs: CART fractions, boosting weights or
+    isolation path lengths; gain holds each split's gain. An entry a node
+    does not use is 0.0 (a split's value, a leaf's threshold and gain, and
+    every gain of an isolation tree).
     """
 
     feature: np.ndarray    # int64
     threshold: np.ndarray  # float64
-    left: np.ndarray       # int64
-    right: np.ndarray      # int64
     value: np.ndarray      # float64
     gain: np.ndarray       # float64
 
     @classmethod
     def of_rows(cls, rows: list) -> "FlatTree":
-        """The tree whose node i is rows[i] = [feature, threshold, left,
-        right, value, gain]."""
-        feature, threshold, left, right, value, gain = zip(*rows)
+        """The tree whose node i is rows[i] = [feature, threshold, value,
+        gain]."""
+        feature, threshold, value, gain = zip(*rows)
         return cls(np.array(feature, dtype=np.int64), np.array(threshold),
-                   np.array(left, dtype=np.int64),
-                   np.array(right, dtype=np.int64), np.array(value),
-                   np.array(gain))
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """The leaf value each row of X reaches."""
-        return route_trees([self], X)[0]
+                   np.array(value), np.array(gain))
 
 
 # (row, tree) cells routed together; a block's index arrays stay in cache
@@ -414,8 +403,8 @@ def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
     """The (len(trees), rows) leaf values that the rows of X reach in each
     tree.
 
-    The trees are stacked end to end with their child indices offset, and
-    node i becomes the slots 2i, holding its right child's slot, and
+    The trees are stacked end to end, their children found by _children,
+    and node i becomes the slots 2i, holding its right child's slot, and
     2i + 1, holding its left child's, so that one routing step is the take
     child[slot + (x <= threshold)]. A leaf's slots both hold the leaf and
     its threshold is +inf, so a cell that sits on a leaf stays there
@@ -427,11 +416,10 @@ def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
     feature = np.concatenate([t.feature for t in trees])
     leaf = feature < 0
     here = 2 * np.arange(feature.size)
-    offset = 2 * np.repeat(roots, sizes)
+    left, right = _children(feature, sizes)
     child = np.empty(2 * feature.size, dtype=np.int64)
-    for parity, name in ((0, "right"), (1, "left")):
-        kids = np.concatenate([getattr(t, name) for t in trees])
-        child[parity::2] = np.where(leaf, here, 2 * kids + offset)
+    child[0::2] = np.where(leaf, here, 2 * right)
+    child[1::2] = np.where(leaf, here, 2 * left)
     column = np.repeat(np.where(leaf, 0, feature), 2)
     threshold = np.repeat(np.where(
         leaf, np.inf, np.concatenate([t.threshold for t in trees])), 2)
@@ -475,10 +463,10 @@ def mean_route(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
 
 def _children(feature: np.ndarray, sizes: list[int]
               ) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right child indices, per tree, of trees whose nodes
-    are stored end to end in pre-order, left subtree first, sizes[t] nodes
-    for tree t; -1 for a leaf's. IoError unless each span of sizes is
-    exactly one complete binary tree.
+    """The left and right child indices of the nodes of trees stored end to
+    end in pre-order, left subtree first, sizes[t] nodes for tree t, as
+    indices into those end-to-end arrays; -1 for a leaf's. IoError unless
+    each span of sizes is exactly one complete binary tree.
 
     With steps +1 per split and -1 per leaf, before[k] sums the steps of
     the nodes before node k. If the trees before tree t are complete,
@@ -499,30 +487,21 @@ def _children(feature: np.ndarray, sizes: list[int]
     after = np.full(feature.size, -1)
     after[order[:-1]] = order[1:]  # the next node with the same count
     split = feature >= 0
-    root = np.repeat(ends - sizes, sizes)
-    ids = np.arange(feature.size)
-    return (np.where(split, ids + 1 - root, -1),
-            np.where(split, after - root, -1))
+    return (np.where(split, np.arange(1, feature.size + 1), -1),
+            np.where(split, after, -1))
 
 
 def trees_to_payload(trees: list[FlatTree]) -> dict:
     """The model file form of trees grown in pre-order, left subtree
     first: their node counts as "sizes" and their feature, threshold,
     value and gain arrays end to end as "trees"; the children are implied
-    by the order. ValueError for a tree in another order."""
-    sizes = [t.feature.size for t in trees]
+    by the order."""
 
     def stacked(name):
         return np.concatenate([getattr(t, name) for t in trees])
 
-    feature = stacked("feature")
-    left, right = _children(feature, sizes)
-    if not (np.array_equal(left, stacked("left"))
-            and np.array_equal(right, stacked("right"))):
-        raise ValueError("trees are not stored in pre-order, left subtree "
-                         "first")
-    return {"sizes": sizes,
-            "trees": {"feature": feature.tolist(),
+    return {"sizes": [t.feature.size for t in trees],
+            "trees": {"feature": stacked("feature").tolist(),
                       "threshold": encode_array(stacked("threshold")),
                       "value": encode_array(stacked("value")),
                       "gain": encode_array(stacked("gain"))}}
@@ -552,8 +531,8 @@ def trees_from_payload(obj: dict, width: int) -> list[FlatTree]:
                       "the sizes sum to and integer features")
     if np.any((feature < -1) | (feature >= width)):
         raise IoError(f"tree split on a feature outside [0, {width})")
-    left, right = _children(feature, sizes)
-    parts = feature, threshold, left, right, value, gain
+    _children(feature, sizes)  # IoError unless the sizes span whole trees
+    parts = feature, threshold, value, gain
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     return [FlatTree(*(a[lo:lo + m] for a in parts))
             for lo, m in zip(starts, sizes)]
@@ -659,7 +638,7 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
         if rows.size < n:  # rows the tree was not grown on
             out = np.ones(n, dtype=bool)
             out[rows] = False
-            leaves[out] = tree.route(X[out])
+            leaves[out] = route_trees([tree], X[out])[0]
         margin += det.learning_rate * leaves
         loss_trace.append(_log_loss(margin, y))
     return trees, loss_trace

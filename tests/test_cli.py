@@ -214,9 +214,12 @@ def test_config_fractions_not_summing_to_one_exit_2(tmp_path, capsys):
     {"models": ["gbt"], "params": {"gbt": {"rounds": 0}}},
     {"models": ["dt"], "subset": "all66"},
     {"models": ["dt"], "data": {"attacks": ["flodding"]}},
+    {"models": ["dt"], "grids": {"dt": {"max_depth": 4}}},
+    {"models": ["dt"], "grids": {"dt": {"max_depth": "ab"}}},
+    {"models": ["dt"], "grids": {"dt": {"max_depth": []}}},
 ], ids=["modles", "horizn", "list-document", "list-data", "gtb-params",
         "dtt-models", "max_dept", "rounds-0", "subset-all66",
-        "attack-flodding"])
+        "attack-flodding", "grid-number", "grid-string", "grid-empty"])
 def test_compare_refuses_config_before_building_data(tmp_path, capsys,
                                                      monkeypatch, doc):
     import canids.harness as harness
@@ -229,6 +232,16 @@ def test_compare_refuses_config_before_building_data(tmp_path, capsys,
     cfg.write_text(json.dumps(doc))
     assert run_cli("compare", "--config", str(cfg)) == 2
     assert f"data error: bad config {cfg}: " in capsys.readouterr().err
+
+
+def test_compare_horizon_shorter_than_an_attack_window_exit_2(tmp_path,
+                                                             capsys):
+    # the default flooding window is [8, 23)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": ["dt"], "data": {"horizon": 20}}))
+    assert run_cli("compare", "--config", str(cfg)) == 2
+    assert ("data error: window [8.0, 23.0) outside horizon 20.0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -22,6 +22,7 @@ from canids.density import (
 from canids.detectors import RcDetector
 from canids.errors import BadSubsample, ConfigError, TooFewSamples
 from canids.features import FeatureMatrix
+from test_trees import ref_children
 
 
 def test_full_support_equals_empirical_estimate():
@@ -373,8 +374,9 @@ def test_isolation_forest_matches_strict_less_than_reference(data, n_trees,
     assert len(model.trees) == len(want)
     for got, ref in zip(model.trees, want):
         assert np.array_equal(got.feature, ref.feature)
-        assert np.array_equal(got.left, ref.left)
-        assert np.array_equal(got.right, ref.right)
+        left, right = ref_children(got)
+        assert np.array_equal(left, ref.left)
+        assert np.array_equal(right, ref.right)
         split = ref.feature >= 0
         assert (got.threshold[split].tobytes()
                 == np.nextafter(ref.threshold[split], -np.inf).tobytes())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from functools import cache
@@ -202,6 +203,18 @@ def test_detector_rejects_other_widths(name):
     for X in (test[:, :-1], np.hstack([test, test[:, :1]])):
         with pytest.raises(WrongWidth):
             det.score(X)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_fit_refuses_validation_of_another_width(name):
+    train = fit_view(make_detector(name), small_dataset(seed=10))
+    val = small_dataset(seed=11, n=120)
+    for values in (val.values[:, :3], np.hstack([val.values, val.values])):
+        other = FeatureMatrix(values, val.labels, tuple(range(values.shape[1])))
+        det = make_detector(name, FAST_PARAMS[name], seed=1)
+        with pytest.raises(WrongWidth, match="validation has"):
+            det.fit(train, val=other)
+        assert not det.fitted
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -532,3 +545,40 @@ def test_scores_do_not_depend_on_the_batch(name, data):
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     rows = np.array(rows)
     assert det.score(test[rows]).tobytes() == det.score(test)[rows].tobytes()
+
+
+def golden_dataset(seed, n):
+    """8 columns: four 0/1 columns, a 5-valued column and three continuous
+    ones, so that tree fits search the 0/1 block, value codes and scanned
+    columns; anomalies shift two continuous columns and set a bit."""
+    rng = np.random.default_rng(seed)
+    values = np.hstack([(rng.random((n, 4)) < 0.3).astype(float),
+                        rng.integers(0, 5, (n, 1)).astype(float),
+                        rng.normal(0.0, 1.0, (n, 3))])
+    labels = (rng.random(n) < 0.25).astype(np.int8)
+    values[labels == 1, 5:7] += 1.5
+    values[labels == 1, 0] = 1.0
+    return FeatureMatrix(values, labels, tuple(range(8)))
+
+
+# sha256 of each tree model's file, fitted with OTHER_PARAMS on
+# golden_dataset(30, 400), validated on golden_dataset(31, 150), seed 9.
+# Every split sum is exact, so the bytes do not depend on BLAS.
+GOLDEN_MODEL_FILES = {
+    "dt": "ac73577483da184b9c83eb28007e4b42363e5ab6cb66b5d3ada0fec33bb81ebb",
+    "rf": "e09c1e903cf28caf4d48eeb640fed57309fb3ed65f23529a436a80d0e81bfa6d",
+    "gbt": "77b11f5d9771b575597b01f42cfc0fa5fa297763050b720cffd8bb4e33377ec7",
+    "iforest":
+        "336309b2b8321a7b75d47c6c22f1178d5c88ce6cc40f2fef2e8bc18660beef90",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL_FILES))
+def test_tree_model_files_golden_digest(name, tmp_path):
+    det = make_detector(name, OTHER_PARAMS[name], seed=9)
+    det.fit(fit_view(det, golden_dataset(30, 400)),
+            val=golden_dataset(31, 150))
+    path = tmp_path / f"{name}.json"
+    save_detector(path, det)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_MODEL_FILES[name]

@@ -10,7 +10,6 @@ from canids import features
 from canids.canlog import CanRecord, Label, RecordBatch, clean
 from canids.errors import (
     DlcMismatch,
-    EmptyMatrix,
     IoError,
     NegativeInterval,
     WrongWidth,
@@ -374,18 +373,6 @@ def test_standardizer_moments_recompute():
     out = fit_standardizer(m).apply(m)
     assert np.all(np.abs(out.values.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(out.values.std(axis=0) - 1.0) < 1e-9)
-
-
-def test_standardizer_empty_matrix():
-    with pytest.raises(EmptyMatrix):
-        fit_standardizer(FeatureMatrix(np.empty((0, 3)), column_ids=(0, 1, 2)))
-
-
-def test_standardizer_width_check():
-    m = FeatureMatrix(np.ones((2, 2)), column_ids=(0, 1))
-    s = fit_standardizer(m)
-    with pytest.raises(WrongWidth):
-        s.apply(FeatureMatrix(np.ones((2, 3)), column_ids=(0, 1, 2)))
 
 
 # --- feature CSV ---------------------------------------------------------------

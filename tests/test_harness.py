@@ -4,17 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canids.detectors import (
-    ALL_MODELS,
-    Detector,
-    make_detector,
-    register_detector,
-)
+from canids import detectors
+from canids.detectors import ALL_MODELS, Detector, make_detector
 from canids.errors import (
     ConfigError,
     EmptyGrid,
     EmptySplit,
-    IoError,
     ReportInconsistent,
 )
 from canids.features import FeatureMatrix
@@ -30,7 +25,6 @@ from canids.harness import (
     grid_search,
     load_experiment_config,
     prepare_features,
-    read_report_csv,
     read_report_json,
     run_ablation,
     run_comparison,
@@ -151,7 +145,7 @@ def test_grid_search_empty():
         grid_search("dt", [], train, val)
 
 
-def test_grid_search_propagates_a_bug_in_a_grid_point():
+def test_grid_search_propagates_a_bug_in_a_grid_point(monkeypatch):
     class Buggy(Detector):
         name = "buggy"
         supervised = True
@@ -159,7 +153,7 @@ def test_grid_search_propagates_a_bug_in_a_grid_point():
         def _fit(self, train, val=None):
             raise TypeError("not a model error")
 
-    register_detector("buggy", Buggy)
+    monkeypatch.setitem(detectors._REGISTRY, "buggy", Buggy)
     train, val = _search_data()
     with pytest.raises(TypeError, match="not a model error"):
         grid_search("buggy", [{}], train, val)
@@ -249,9 +243,11 @@ class NormalOnlyProbe(Detector):
         return np.zeros_like(scores, dtype=np.int8)
 
 
-register_detector("oracle", PerfectOracle)
-register_detector("const0", ConstantNormal)
-register_detector("probe", NormalOnlyProbe)
+@pytest.fixture(autouse=True)
+def stub_detectors(monkeypatch):
+    """The stubs, registered for the length of each test."""
+    for cls in (PerfectOracle, ConstantNormal, NormalOnlyProbe):
+        monkeypatch.setitem(detectors._REGISTRY, cls.name, cls)
 
 
 def test_comparison_perfect_oracle_and_constant_rows():
@@ -301,7 +297,7 @@ def test_comparison_fits_dae_normal_only_under_any_policy():
     assert report.row("dae").error is None
 
 
-def test_comparison_failed_model_does_not_abort():
+def test_comparison_failed_model_does_not_abort(monkeypatch):
     class Exploding(Detector):
         name = "boom"
         supervised = True
@@ -309,7 +305,7 @@ def test_comparison_failed_model_does_not_abort():
         def _fit(self, train, val=None):
             raise RuntimeError("kaboom")
 
-    register_detector("boom", Exploding)
+    monkeypatch.setitem(detectors._REGISTRY, "boom", Exploding)
     cfg = ExperimentConfig(models=("boom", "oracle"), seed=3,
                            data=DataSpec(kind="synth", attacks=("flooding",)))
     report = run_comparison(cfg)
@@ -350,10 +346,23 @@ def sample_report() -> EvalReport:
     return EvalReport(rows=[row, undef], seed=1, meta={"note": "test"})
 
 
+def parse_report_csv(text):
+    """The rows of a CSV report, with its metric cells read back."""
+    report = EvalReport()
+    for line in text.splitlines()[1:]:
+        model, *cells = line.split(",")
+        vals = [None if c == "—" else float(c) for c in cells]
+        report.rows.append(EvalRow(model=model, accuracy=vals[0],
+                                   precision=vals[1], recall=vals[2],
+                                   f1=vals[3], roc_auc=vals[4]))
+    return report
+
+
 def test_emit_csv_round_trip():
     report = sample_report()
     text = emit_report(report, "csv")
-    parsed = read_report_csv(text)
+    assert text.splitlines()[0] == "model,accuracy,precision,recall,f1,roc_auc"
+    parsed = parse_report_csv(text)
     assert [r.model for r in parsed.rows] == ["dt", "const0"]
     for orig, back in zip(report.rows, parsed.rows):
         for key in ("accuracy", "precision", "recall", "f1", "roc_auc"):
@@ -394,11 +403,6 @@ def test_audit_catches_tampered_metrics():
 def test_emit_report_unknown_format():
     with pytest.raises(ValueError):
         emit_report(sample_report(), "yaml")
-
-
-def test_read_report_csv_rejects_garbage():
-    with pytest.raises(IoError):
-        read_report_csv("not,a,report\n")
 
 
 # --- ablation -----------------------------------------------------------------
@@ -514,6 +518,20 @@ def test_config_refuses_unknown_grid_param(tmp_path, name, grid, key):
         ExperimentConfig(models=(name,), grids={name: grid})
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"models": [name], "grids": {name: grid}}))
+    with pytest.raises(ConfigError, match=match):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("values", [4, "ab", []],
+                         ids=["number", "string", "empty-list"])
+def test_config_refuses_a_grid_param_that_is_not_a_list_of_values(
+        tmp_path, values):
+    match = "dt grid param 'max_depth' needs a non-empty list of values"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(models=("dt",), grids={"dt": {"max_depth": values}})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"models": ["dt"],
+                                "grids": {"dt": {"max_depth": values}}}))
     with pytest.raises(ConfigError, match=match):
         load_experiment_config(path)
 

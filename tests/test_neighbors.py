@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from canids import neighbors
 from canids.detectors import KnnDetector, LofDetector
-from canids.errors import EmptyData, KTooLarge, WrongWidth
+from canids.errors import EmptyData, KTooLarge
 from canids.features import FeatureMatrix
 from canids.neighbors import LocalOutlierFactor, NeighborIndex
 
@@ -285,12 +285,6 @@ def test_query_k_too_large():
         index.query(np.ones((1, 2)), 4)
     with pytest.raises(KTooLarge):
         index.query(np.ones((1, 2)), 0)
-
-
-def test_query_width_mismatch():
-    index = NeighborIndex(np.ones((3, 2)))
-    with pytest.raises(WrongWidth):
-        index.query(np.ones((1, 3)), 1)
 
 
 def test_empty_reference_matrix():

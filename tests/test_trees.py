@@ -33,7 +33,7 @@ from canids.trees import (
 from canids import trees
 from canids.trees import _log_loss, _Presorted
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "gain")
+TREE_ARRAYS = ("feature", "threshold", "value", "gain")
 
 
 def fit_on(det, X, y):
@@ -44,6 +44,26 @@ def fit_on(det, X, y):
 def is_leaf(tree):
     """Whether tree is one leaf."""
     return tree.feature.tolist() == [-1]
+
+
+def ref_children(tree):
+    """Each node's left and right child indices (-1 for a leaf's), found
+    by walking tree's pre-order, left subtree first, node by node: a
+    split's left child is the next node and its right child the node after
+    its left subtree. The walk must end at the last node."""
+    left = np.full(tree.feature.size, -1)
+    right = np.full(tree.feature.size, -1)
+
+    def walk(i):
+        """The index just past the subtree rooted at node i."""
+        if tree.feature[i] < 0:
+            return i + 1
+        left[i] = i + 1
+        right[i] = walk(i + 1)
+        return walk(right[i])
+
+    assert walk(0) == tree.feature.size
+    return left, right
 
 
 # --- exact-rational CART oracle ------------------------------------------------
@@ -105,7 +125,7 @@ def test_split_between_adjacent_floats_separates_them(lo):
     X, y = np.array([[lo], [hi]]), np.array([0, 1])
     tree = fit_cart(X, y, max_depth=1)
     assert (tree.feature[0], tree.threshold[0]) == (0, lo)
-    assert tree.route(X).tolist() == [0.0, 1.0]
+    assert route_trees([tree], X)[0].tolist() == [0.0, 1.0]
     gbt = fit_on(GbtDetector(rounds=1, max_depth=1, lam=0.0,
                              min_child_weight=0.0), X, y)
     low, high = gbt.score(X)
@@ -123,7 +143,8 @@ def test_root_split_on_separable_1d():
     tree = fit_cart(X, y, max_depth=3)
     assert tree.feature.tolist() == [0, -1, -1]
     assert tree.threshold[0] == 5.0
-    assert (tree.left[0], tree.right[0]) == (1, 2)
+    left, right = ref_children(tree)
+    assert (left[0], right[0]) == (1, 2)
     assert tree.value[1] == 0.0 and tree.value[2] == 1.0
     # root gini before split is 0.5 and the split is exhaustively optimal
     gain, argmax = exhaustive_best_split(X, y)
@@ -191,9 +212,10 @@ def test_cart_tie_breaks_to_lowest_feature():
 
 
 def max_depth(tree):
+    left, right = ref_children(tree)
     depth = np.zeros(tree.feature.size, dtype=np.int64)
     for i in np.flatnonzero(tree.feature >= 0):  # parents before children
-        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        depth[[left[i], right[i]]] = depth[i] + 1
     return int(depth.max())
 
 
@@ -203,8 +225,8 @@ def test_cart_respects_min_samples_leaf():
     tree = fit_cart(X, y, max_depth=4, min_samples_leaf=2)
     # route every row to its leaf's index: each leaf holds two rows or more
     nodes = np.arange(tree.feature.size, dtype=np.float64)
-    leaf_of = FlatTree(tree.feature, tree.threshold, tree.left, tree.right,
-                       nodes, tree.gain).route(X).astype(np.int64)
+    leaf_of = route_trees([FlatTree(tree.feature, tree.threshold, nodes,
+                                    tree.gain)], X)[0].astype(np.int64)
     assert np.bincount(leaf_of)[np.unique(leaf_of)].min() >= 2
     # depth limit also respected
     assert max_depth(fit_cart(X, y, max_depth=1)) <= 1
@@ -308,15 +330,8 @@ def test_flat_tree_payload_round_trip():
     assert_same_trees(got, _flat_trees())
     assert ([t.feature.size for t in got]
             == _flat_payload()["sizes"] == [t.feature.size for t in _flat_trees()])
-    assert got[0].route(X).tobytes() == fit_cart(X, y).route(X).tobytes()
-
-
-def test_trees_to_payload_refuses_a_tree_out_of_pre_order():
-    tree = fit_cart(*_cart_data())
-    swapped = FlatTree(tree.feature, tree.threshold, tree.right, tree.left,
-                       tree.value, tree.gain)
-    with pytest.raises(ValueError, match="pre-order"):
-        trees_to_payload([swapped])
+    assert (route_trees(got[:1], X).tobytes()
+            == route_trees([fit_cart(X, y)], X).tobytes())
 
 
 def _set(key, i, v):
@@ -453,6 +468,7 @@ def test_flat_tree_payload_is_checked(corrupt, match):
 def ref_route(tree, X):
     """The leaf value each row of X reaches in tree, routing the rows that
     are not yet on a leaf one level at a time."""
+    left, right = ref_children(tree)
     node = np.zeros(X.shape[0], dtype=np.int64)
     while True:
         feats = tree.feature[node]
@@ -461,8 +477,7 @@ def ref_route(tree, X):
             return tree.value[node]
         rows = np.flatnonzero(internal)
         go_left = X[rows, feats[rows]] <= tree.threshold[node[rows]]
-        node[rows] = np.where(go_left, tree.left[node[rows]],
-                              tree.right[node[rows]])
+        node[rows] = np.where(go_left, left[node[rows]], right[node[rows]])
 
 
 _THRESHOLDS = [0.0, -0.0, 0.5, 1.0, -3.25, 1e300, 5e-324, np.inf, -np.inf,
@@ -483,16 +498,13 @@ def preorder_trees(draw, width):
     nodes = []
 
     def build(depth):
-        i = len(nodes)
         if depth < 5 and draw(st.booleans()):
             nodes.append([draw(st.integers(0, width - 1)),
-                          draw(_ROUTE_VALUES), -1, -1, 0.0,
-                          draw(st.floats(0, 10))])
-            nodes[i][2] = build(depth + 1)
-            nodes[i][3] = build(depth + 1)
+                          draw(_ROUTE_VALUES), 0.0, draw(st.floats(0, 10))])
+            build(depth + 1)
+            build(depth + 1)
         else:
-            nodes.append([-1, 0.0, -1, -1, draw(_LEAF_VALUES), 0.0])
-        return i
+            nodes.append([-1, 0.0, draw(_LEAF_VALUES), 0.0])
 
     build(0)
     return FlatTree.of_rows(nodes)
@@ -788,12 +800,14 @@ def _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg):
     return best
 
 
-def _ref_route(tree, x):
-    """Leaf value reached by one row, walking the nodes one at a time."""
+def _ref_route(tree, children, x):
+    """Leaf value reached by one row, walking the nodes one at a time;
+    children is ref_children(tree)."""
+    left, right = children
     i = 0
     while tree.feature[i] >= 0:
         go_left = x[tree.feature[i]] <= tree.threshold[i]
-        i = tree.left[i] if go_left else tree.right[i]
+        i = left[i] if go_left else right[i]
     return tree.value[i]
 
 
@@ -811,11 +825,11 @@ def ref_fit_cart(X, y, max_depth=12, min_samples_leaf=1, rng=None,
     def grow(idx, depth):
         i = len(nodes)
         pos = float(y[idx].sum())
-        nodes.append([-1, 0.0, -1, -1, pos / idx.size, 0.0])  # a leaf
+        nodes.append([-1, 0.0, pos / idx.size, 0.0])  # a leaf
         if pos == 0 or pos == idx.size or depth >= max_depth:
-            return i
+            return
         if idx.size < 2 * min_samples_leaf:
-            return i
+            return
         if features_per_split is not None and features_per_split < X.shape[1]:
             cand = np.sort(rng.choice(all_feats, size=features_per_split,
                                       replace=False))
@@ -823,13 +837,12 @@ def ref_fit_cart(X, y, max_depth=12, min_samples_leaf=1, rng=None,
             cand = all_feats
         split = _ref_best_split_gini(X, y, idx, cand, is_binary, min_samples_leaf)
         if split is None:
-            return i
+            return
         f, thr, gain = split
         go_left = X[idx, f] <= thr
-        nodes[i] = [int(f), float(thr), -1, -1, 0.0, float(gain)]
-        nodes[i][2] = grow(idx[go_left], depth + 1)
-        nodes[i][3] = grow(idx[~go_left], depth + 1)
-        return i
+        nodes[i] = [int(f), float(thr), 0.0, float(gain)]
+        grow(idx[go_left], depth + 1)
+        grow(idx[~go_left], depth + 1)
 
     grow(np.arange(len(y)), 0)
     return FlatTree.of_rows(nodes)
@@ -857,18 +870,17 @@ def ref_fit_gbt(X, y, cfg):
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         value = -G / (H + cfg.lam) if H + cfg.lam > 0 else 0.0
-        nodes.append([-1, 0.0, -1, -1, value, 0.0])  # a leaf
+        nodes.append([-1, 0.0, value, 0.0])  # a leaf
         if depth >= cfg.max_depth or idx.size < 2:
-            return i
+            return
         split = _ref_best_split_gh(X, g, h, idx, candidates, is_binary, cfg)
         if split is None:
-            return i
+            return
         f, thr, gain = split
         go_left = X[idx, f] <= thr
-        nodes[i] = [int(f), float(thr), -1, -1, 0.0, float(gain)]
-        nodes[i][2] = grow(nodes, g, h, idx[go_left], candidates, depth + 1)
-        nodes[i][3] = grow(nodes, g, h, idx[~go_left], candidates, depth + 1)
-        return i
+        nodes[i] = [int(f), float(thr), 0.0, float(gain)]
+        grow(nodes, g, h, idx[go_left], candidates, depth + 1)
+        grow(nodes, g, h, idx[~go_left], candidates, depth + 1)
 
     margin = np.full(n, np.log(cfg.base_score / (1.0 - cfg.base_score)))
     trees = []
@@ -887,7 +899,8 @@ def ref_fit_gbt(X, y, cfg):
         nodes = []
         grow(nodes, g, h, rows, cand, 0)
         trees.append(FlatTree.of_rows(nodes))
-        margin += cfg.learning_rate * np.array([_ref_route(trees[-1], x)
+        kids = ref_children(trees[-1])
+        margin += cfg.learning_rate * np.array([_ref_route(trees[-1], kids, x)
                                                 for x in X])
     return trees
 
@@ -937,7 +950,7 @@ def _rare_three(n=60, seed=5):
 
 
 def assert_same_trees(got, want):
-    """got and want hold the same trees: all six arrays, byte for byte."""
+    """got and want hold the same trees: all four arrays, byte for byte."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         for name in TREE_ARRAYS:
@@ -1013,6 +1026,7 @@ def test_histogram_and_scan_columns_grow_the_same_trees(data, name):
 def _node_sizes(tree, X):
     """The number of rows of X that reach each node, and each node's
     depth."""
+    left, right = ref_children(tree)
     sizes = np.zeros(tree.feature.size, dtype=np.int64)
     depth = np.zeros(tree.feature.size, dtype=np.int64)
     stack = [(0, np.arange(X.shape[0]), 0)]
@@ -1021,8 +1035,8 @@ def _node_sizes(tree, X):
         sizes[i], depth[i] = rows.size, d
         if tree.feature[i] >= 0:
             go = X[rows, tree.feature[i]] <= tree.threshold[i]
-            stack += [(tree.left[i], rows[go], d + 1),
-                      (tree.right[i], rows[~go], d + 1)]
+            stack += [(left[i], rows[go], d + 1),
+                      (right[i], rows[~go], d + 1)]
     return sizes, depth
 
 
@@ -1045,9 +1059,10 @@ def test_gbt_sums_only_the_smaller_child_of_each_split():
     want = []
     for tree in fitted:
         sizes, depth = _node_sizes(tree, X)
+        left, right = ref_children(tree)
         want.append(X.shape[0])
         for i in np.flatnonzero(tree.feature >= 0):
-            kids = sizes[[tree.left[i], tree.right[i]]]
+            kids = sizes[[left[i], right[i]]]
             assert kids.sum() == sizes[i]
             if depth[i] + 1 < max_depth and kids.max() >= 2:
                 want.append(int(kids.min()))

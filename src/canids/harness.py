@@ -250,9 +250,14 @@ class ExperimentConfig:
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from None
         # a grid value is checked when its point is fitted, and loses there;
-        # a dict grid lists each param's values
+        # a dict grid lists each param's values, a list grid its points
         for name, grid in self.grids.items():
             points = [grid] if isinstance(grid, dict) else grid
+            if not (isinstance(points, (list, tuple)) and points
+                    and all(isinstance(p, dict) for p in points)):
+                raise ConfigError(f"{name} grid needs an object of param "
+                                  f"values or a non-empty list of objects, "
+                                  f"not {grid!r}")
             check_param_names(name, [k for point in points for k in point],
                               "grid param")
             if not isinstance(grid, dict):

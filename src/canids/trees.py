@@ -38,12 +38,21 @@ Since every sum is exact, none of this changes a sum: the trees are bit
 for bit those of a search that gathers and sorts at each node, whichever
 columns take histograms.
 
-A forest tree grows on the distinct rows of its bootstrap sample, each
-weighted by the number of times it was drawn: CART sums (label * weight,
-weight) where a tree on the resampled copy X[rows] sums (label, 1). The
-Gini sums are integers below 2**53, exact in any order, so the trees are
-bit for bit those grown on X[rows], also where a column is 0/1 only within
-the sample: both searches give it the one threshold 0.5. Every node sums
+Every fit grows on the distinct rows of its matrix, each weighted by its
+number of copies, as XGBoost's instance weights do (Chen & Guestrin, KDD
+2016): where a search on X sums (label, 1) or (g, h) per row, it sums
+each distinct row's totals over its copies, counting only the copies a
+forest's bootstrap drew or a boosting round sampled. No tree changes, for
+three reasons. Every sum is exact, so a distinct row's totals sum like
+its copies. The count a histogram holds per side only tells an empty side
+from one that is not. And a node that holds one distinct row has no
+valid split, so boosting may count distinct rows where it refuses nodes
+of fewer than two rows. Rows merge only when they are equal in the bytes
+of every column that is not 0/1, so the search reads the same values and
+takes the same thresholds; a 0/1 column's one threshold 0.5 sends -0.0
+and 0.0 alike. A forest tree is thus bit for bit the one grown on its
+resample X[rows], also where a column is 0/1 only within the sample: both
+searches give it the one threshold 0.5. Every node of a forest tree sums
 the histograms of all columns, since its children subtract them, and
 masks the candidates of the features it did not sample.
 
@@ -102,9 +111,10 @@ def _split_value(lo: float, hi: float) -> float:
 
 
 class _Gini:
-    """CART: S1 sums the rows' labels times their weights and S2 the
-    weights, which are 1 or bootstrap multiplicities; leaves hold the
-    positive fraction and each side needs a weight of min_samples_leaf."""
+    """CART: per distinct row, S1 sums the labels of its copies and S2
+    counts them (for a forest tree, the copies its bootstrap drew); leaves
+    hold the positive fraction and each side needs min_samples_leaf
+    copies."""
 
     def __init__(self, min_samples_leaf: int):
         self.min_weight = min_samples_leaf
@@ -134,8 +144,9 @@ class _Newton:
         return -G / (H + self.lam) if H + self.lam > 0 else 0.0
 
     def is_final(self, G, H, rows):
-        # the sides' exact hessian sums add up to H, so below this no split
-        # can give both sides min_child_weight
+        # rows counts distinct rows, and one distinct row has no split; the
+        # sides' exact hessian sums add up to H, so below 2 * min_weight no
+        # split can give both sides min_child_weight
         return rows < 2 or H < 2 * self.min_weight
 
     def gains(self, G, H, GL, HL, GR, HR):
@@ -151,38 +162,91 @@ _HIST_VALUES = 256
 _BLOCK_ROWS = 1024  # rows per matrix product over the 0/1 block
 
 
+def _distinct_rows(keys: list[np.ndarray], n: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Groups n rows by their values in keys, one array of n per key:
+    index[i] is row i's group and rows[j] the first row of group j, with
+    groups numbered in the order of their first rows."""
+    order = np.lexsort(keys)  # stable: a group's first row leads it
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    firsts = order[new]
+    is_first = np.zeros(n, dtype=bool)
+    is_first[firsts] = True
+    number = np.cumsum(is_first) - 1  # a first row's group, in row order
+    index = np.empty(n, dtype=np.int64)
+    index[order] = number[firsts][np.cumsum(new) - 1]
+    return index, np.flatnonzero(is_first)
+
+
 class _Presorted:
-    """One fit's split-search data, shared by every tree of a forest: the
-    0/1 histogram columns as one uint8 block, the other histogram columns
-    as offset value codes, and a contiguous copy and a stable argsort of
-    every scan column. A tree may grow on any ascending subset of the
-    rows."""
+    """One fit's split-search data over the distinct rows of X, shared by
+    every tree of a forest: index maps each row of X to its distinct row
+    and rows gives each distinct row's first row in X, so distinct rows
+    keep the order of their first copies. Over the distinct rows it holds
+    the 0/1 histogram columns as one uint8 block, the other histogram
+    columns as offset value codes, and a contiguous copy and a stable
+    argsort of every scan column. A tree may grow on any ascending subset
+    of the distinct rows, summing each one's copies (see sums).
+
+    Two rows are merged when they are equal in the bytes of every column
+    that is not 0/1, so that every value the search reads from a distinct
+    row is the value of each of its copies; a 0/1 column only has the
+    threshold 0.5, so there -0.0 and 0.0 may merge."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
+        n = X.shape[0]
         zero, one = X == 0.0, X == 1.0
         is01 = np.all(zero | one, axis=0)
         n01 = zero.any(axis=0) + one.any(axis=0).astype(np.int64)
         del zero, one
         self.bits = np.flatnonzero(is01 & (n01 <= _HIST_VALUES))
-        self.block = np.empty((X.shape[0], self.bits.size), dtype=np.uint8)
-        for lo in range(0, X.shape[0], _BLOCK_ROWS):  # no float64 copy
-            self.block[lo:lo + _BLOCK_ROWS] = X[lo:lo + _BLOCK_ROWS, self.bits]
-        codes, values, feats = [], [], []
-        self.cols, self.orders = {}, {}
+        block = np.empty((n, self.bits.size), dtype=np.uint8)
+        for lo in range(0, n, _BLOCK_ROWS):  # no float64 copy
+            block[lo:lo + _BLOCK_ROWS] = X[lo:lo + _BLOCK_ROWS, self.bits]
+        # the grouping keys: the 0/1 block packed into 64-bit words, then
+        # per other column its value rank (every NaN its own) and, where
+        # it holds -0.0, its sign bit at zero
+        packed = np.packbits(block, axis=1)
+        words = np.zeros((n, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        keys = list(words.view(np.uint64).T)
+        codes, values, feats, scans = [], [], [], {}
         for f in np.flatnonzero(~is01 | (n01 > _HIST_VALUES)).tolist():
             v = np.ascontiguousarray(X[:, f])
             order = np.argsort(v, kind="stable")
             sv = v[order]
             first = np.r_[True, sv[1:] != sv[:-1]]  # first row of each value
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.cumsum(first) - 1
+            keys.append(rank)
+            negative_zero = (v == 0.0) & np.signbit(v)
+            if negative_zero.any():
+                keys.append(negative_zero)
             if np.count_nonzero(first) <= _HIST_VALUES:
-                code = np.empty(v.size, dtype=np.int64)
-                code[order] = np.cumsum(first) - 1
-                codes.append(code)
+                codes.append(rank)
                 values.append(sv[first])
                 feats.append(f)
             else:
-                self.cols[f], self.orders[f] = v, order
+                scans[f] = order
+        self.index, self.rows = _distinct_rows(keys, n)
+        self.n = self.rows.size
+        self.block = np.take(block, self.rows, axis=0)
+        del block, packed, words, keys
+        # a distinct row's first copy comes first among its copies in each
+        # stable order, and distinct rows are in the order of their first
+        # copies, so keeping only first copies gives the distinct rows'
+        # stable orders
+        is_first = np.zeros(n, dtype=bool)
+        is_first[self.rows] = True
+        self.cols, self.orders = {}, {}
+        for f, order in scans.items():
+            self.cols[f] = X[self.rows, f]
+            self.orders[f] = self.index[order[is_first[order]]]
         # code column j owns bins j*width .. j*width + width - 1, one per
         # value in ascending order; bins past a column's values stay empty
         self.width = max(map(len, values), default=0)
@@ -192,14 +256,22 @@ class _Presorted:
         self.values = self.values.ravel()
         self.code_feats = np.array(feats, dtype=np.int64)
         offsets = np.arange(len(codes)) * self.width
-        self.codes = (np.column_stack(codes) + offsets).astype(
+        self.codes = (np.column_stack(codes)[self.rows] + offsets).astype(
             np.min_scalar_type(max(self.values.size - 1, 0))) if codes else None
-        self.mask = np.zeros(X.shape[0], dtype=bool)  # scratch: rows going left
+        self.mask = np.zeros(self.n, dtype=bool)  # scratch: rows going left
+
+    def sums(self, weights=None) -> np.ndarray:
+        """Per distinct row, the sum of weights (one per row of X) over its
+        copies, or the number of its copies if weights is None."""
+        return np.bincount(self.index, weights, self.n).astype(np.float64,
+                                                               copy=False)
 
     def histogram(self, idx, a, b) -> np.ndarray:
-        """The (count, S1, S2) sums over the rows idx as a (3, bits + bins)
-        array: per 0/1 column the sums over its rows that hold 1, then per
-        bin of a code column the sums over its rows with that value."""
+        """The (count, S1, S2) sums over the distinct rows idx as a (3, bits
+        + bins) array: per 0/1 column the sums over its rows that hold 1,
+        then per bin of a code column the sums over its rows with that
+        value. count counts distinct rows, so it only tells an empty side
+        from one that is not."""
         nb = self.bits.size
         out = np.empty((3, nb + self.values.size))
         ai, bi = a[idx], b[idx]
@@ -223,13 +295,14 @@ class _Presorted:
 
     def grow(self, crit, a, b, rows, feats, max_depth, sample=None,
              leaves=None) -> FlatTree:
-        """One tree on the ascending row indices rows, summing (a, b).
-        Every node searches feats, or the sorted subset sample() draws from
-        feats; nodes grow depth first, so sample() is called in pre-order.
-        If leaves is given, leaves[i] is set to the value of the
-        leaf that row i of rows reaches, the value route_trees gives it."""
+        """One tree on the ascending distinct rows rows, summing (a, b),
+        which hold one entry per distinct row. Every node searches feats,
+        or the sorted subset sample() draws from feats; nodes grow depth
+        first, so sample() is called in pre-order. If leaves is given,
+        leaves[i] is set to the value of the leaf that distinct row i of
+        rows reaches, the value route_trees gives its copies."""
         X, mask = self.X, self.mask
-        member = np.zeros(X.shape[0], dtype=bool)
+        member = np.zeros(self.n, dtype=bool)
         member[rows] = True
         orders = {f: o[member[o]] for f, o in self.orders.items() if f in feats}
         nodes: list[list] = []  # FlatTree.of_rows rows, in pre-order
@@ -252,7 +325,7 @@ class _Presorted:
                 return
             f, thr, gain = split
             nodes.append([f, float(thr), 0.0, float(gain)])
-            go_left = X[idx, f] <= thr
+            go_left = X[self.rows[idx], f] <= thr
             mask[idx] = go_left
             halves = {}, {}
             for g, s in orders.items():
@@ -355,8 +428,8 @@ def fit_cart(X: np.ndarray, y: np.ndarray, max_depth: int = 12,
     store the positive-class fraction."""
     data = _Presorted(X)
     all_feats = np.arange(X.shape[1])
-    return data.grow(_Gini(min_samples_leaf), y.astype(np.float64),
-                     np.ones(len(y)), np.arange(len(y)), all_feats, max_depth)
+    return data.grow(_Gini(min_samples_leaf), data.sums(y), data.sums(),
+                     np.arange(data.n), all_feats, max_depth)
 
 
 def _sampler(rng: np.random.Generator, feats: np.ndarray, k: int):
@@ -546,9 +619,9 @@ def fit_random_forest(X, y, det: RandomForestDetector) -> list[FlatTree]:
     samples features_per_split candidate features at every node.
 
     All trees share one _Presorted of X. A tree grows on the distinct rows
-    it drew, weighted by how often it drew them, and equals the CART grown
-    on the resample X[rows], y[rows] with the same per-node feature
-    samples."""
+    of X it drew, weighted by how often it drew their copies, and equals
+    the CART grown on the resample X[rows], y[rows] with the same per-node
+    feature samples."""
     n, width = X.shape
     k = det.features_per_split
     if k is None:
@@ -562,12 +635,11 @@ def fit_random_forest(X, y, det: RandomForestDetector) -> list[FlatTree]:
     trees = []
     for stream in np.random.SeedSequence(det.seed).spawn(det.n_trees):
         rng = np.random.default_rng(stream)
-        w = np.bincount(rng.integers(0, n, size=sample_size), minlength=n)
-        rows = np.flatnonzero(w)
-        w = w.astype(np.float64)
+        drawn = np.bincount(rng.integers(0, n, size=sample_size), minlength=n)
+        w = data.sums(drawn)
         sample = None if k == width else _sampler(rng, all_feats, k)
-        trees.append(data.grow(crit, y * w, w, rows, all_feats, det.max_depth,
-                               sample))
+        trees.append(data.grow(crit, data.sums(y * drawn), w, np.flatnonzero(w),
+                               all_feats, det.max_depth, sample))
     return trees
 
 
@@ -604,43 +676,53 @@ def fit_gbt(X, y, det: GbtDetector) -> tuple[list[FlatTree], list[float]]:
     one tree grown on (g, h); leaf weights -G/(H+lam) added to the
     margins scaled by the learning rate. loss_trace[0] is the loss at the
     base score, one entry per round follows.
+
+    Copies of a row reach the same leaves, so margins and leaf values are
+    kept per distinct row of X and the tree grows on each distinct row's
+    sums of g and h over its copies in the round's sample.
     """
     y = y.astype(np.float64)
     n, n_features = X.shape
     s = 53 - n.bit_length()  # n.bit_length() == ceil(log2(n + 1))
     data = _Presorted(X)
+    index = data.index
     crit = _Newton(det)
-    margin = np.full(n, _base_margin(det.base_score))
+    margin = np.full(data.n, _base_margin(det.base_score))
     trees = []
-    loss_trace = [_log_loss(margin, y)]
+    loss_trace = [_log_loss(margin[index], y)]
     streams = np.random.SeedSequence(det.seed).spawn(det.rounds)
     all_feats = np.arange(n_features)
-    leaves = np.empty(n)  # each row's leaf value in the round's tree
+    every_row = np.ones(n)
+    leaves = np.empty(data.n)  # each distinct row's leaf value this round
 
     for r in range(det.rounds):
         rng = np.random.default_rng(streams[r])
         p = sigmoid(margin)
-        g = _on_grid(p - y, s)
-        h = _on_grid(p * (1.0 - p), s)
+        g = _on_grid(p[index] - y, s)  # per row: copies may differ in y
+        h = _on_grid(p * (1.0 - p), s)  # per distinct row
         if det.subsample < 1.0:
             m = max(1, round(det.subsample * n))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
+            sampled = np.bincount(rng.choice(n, size=m, replace=False),
+                                  minlength=n)
         else:
-            rows = np.arange(n)
+            sampled = every_row
         if det.colsample < 1.0:
             k = max(1, round(det.colsample * n_features))
             candidates = np.sort(rng.choice(all_feats, size=k, replace=False))
         else:
             candidates = all_feats
-        tree = data.grow(crit, g, h, rows, candidates, det.max_depth,
-                         leaves=leaves)
+        count = data.sums(sampled)
+        rows = np.flatnonzero(count)
+        # count * h sums h over the sampled copies, exactly like adding them
+        tree = data.grow(crit, data.sums(g * sampled), count * h, rows,
+                         candidates, det.max_depth, leaves=leaves)
         trees.append(tree)
-        if rows.size < n:  # rows the tree was not grown on
-            out = np.ones(n, dtype=bool)
+        if rows.size < data.n:  # distinct rows the tree was not grown on
+            out = np.ones(data.n, dtype=bool)
             out[rows] = False
-            leaves[out] = route_trees([tree], X[out])[0]
+            leaves[out] = route_trees([tree], X[data.rows[out]])[0]
         margin += det.learning_rate * leaves
-        loss_trace.append(_log_loss(margin, y))
+        loss_trace.append(_log_loss(margin[index], y))
     return trees, loss_trace
 
 

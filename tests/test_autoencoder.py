@@ -2,6 +2,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from canids import autoencoder
 from canids.autoencoder import (
@@ -17,6 +20,7 @@ from canids.autoencoder import (
     net_from_payload,
     net_to_payload,
     reconstruction_losses,
+    sigmoid,
     train,
 )
 from canids.errors import (
@@ -135,6 +139,34 @@ def linear_net(scale: float, width: int = 2) -> AutoencoderNet:
         [DenseLayer(scale * np.eye(width), np.zeros(width), "identity")],
         [DenseLayer(np.eye(width), np.zeros(width), "identity")],
     )
+
+
+def masked_sigmoid(z):
+    """Oracle: 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z)) elsewhere,
+    each branch on its own rows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, -2.2250738585072014e-308,
+                   709.8, -709.8, 745.2, -745.2, 37.0, -37.0, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3)),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(_EDGES.reshape(-1, 1))
+def test_sigmoid_keeps_the_masked_formula_bits(z):
+    got, want = sigmoid(z), masked_sigmoid(z)
+    nan = np.isnan(z)
+    assert got.shape == z.shape and got.dtype == np.float64
+    assert np.isnan(got[nan]).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_reconstruction_losses_cases():

@@ -536,6 +536,21 @@ def test_config_refuses_a_grid_param_that_is_not_a_list_of_values(
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("grid", [[], [1], ["ab"], [{"max_depth": 3}, 4],
+                                  "ab", 5],
+                         ids=["empty-list", "list-of-number",
+                              "list-of-string", "list-with-a-number",
+                              "string", "number"])
+def test_config_refuses_a_grid_that_is_not_a_list_of_points(tmp_path, grid):
+    match = "dt grid needs an object of param values or a non-empty list"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(models=("dt",), grids={"dt": grid})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"models": ["dt"], "grids": {"dt": grid}}))
+    with pytest.raises(ConfigError, match=match):
+        load_experiment_config(path)
+
+
 def test_config_keeps_grid_values_that_fail_at_fit():
     # only names are checked at load; a bad value loses its grid point
     grid = {"rounds": [0, 20], "max_depth": [3]}

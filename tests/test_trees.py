@@ -861,6 +861,7 @@ def ref_fit_random_forest(X, y, cfg):
 
 
 def ref_fit_gbt(X, y, cfg):
+    """The trees and the loss trace, with the loss over every row."""
     y = y.astype(np.float64)
     n, d = X.shape
     is_binary = _ref_is_binary(X)
@@ -882,8 +883,12 @@ def ref_fit_gbt(X, y, cfg):
         grow(nodes, g, h, idx[go_left], candidates, depth + 1)
         grow(nodes, g, h, idx[~go_left], candidates, depth + 1)
 
+    def loss(margin):
+        return float(np.mean(np.logaddexp(0.0, margin) - y * margin))
+
     margin = np.full(n, np.log(cfg.base_score / (1.0 - cfg.base_score)))
     trees = []
+    trace = [loss(margin)]
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.rounds):
         rng = np.random.default_rng(stream)
         p = sigmoid(margin)
@@ -902,7 +907,8 @@ def ref_fit_gbt(X, y, cfg):
         kids = ref_children(trees[-1])
         margin += cfg.learning_rate * np.array([_ref_route(trees[-1], kids, x)
                                                 for x in X])
-    return trees
+        trace.append(loss(margin))
+    return trees, trace
 
 
 _COLUMN_VALUES = {
@@ -949,6 +955,24 @@ def _rare_three(n=60, seed=5):
     return X, y
 
 
+def _first66_like(n=2000, seed=0):
+    """Rows drawn from 100 distinct ones over 64 payload bits, a DLC and an
+    ID, with -0.0 beside 0.0 in the bits and the ID and some rows under both
+    labels: the shape of the timing ablation's first66 subset, where the
+    growers merge repeated rows."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 6, size=100)
+    distinct = np.column_stack([
+        rng.random((100, 64)) < np.linspace(0.1, 0.9, 64),
+        (ids % 3) + 6,
+        ids * 16.0,
+    ]).astype(np.float64)
+    X = distinct[rng.integers(0, 100, size=n)]
+    X[(X == 0.0) & (rng.random(X.shape) < 0.3)] = -0.0
+    y = ((X[:, 3] + X[:, 40] > 1) ^ (rng.random(n) < 0.1)).astype(np.int64)
+    return X, y
+
+
 def assert_same_trees(got, want):
     """got and want hold the same trees: all four arrays, byte for byte."""
     assert len(got) == len(want)
@@ -961,6 +985,8 @@ def assert_same_trees(got, want):
 @settings(max_examples=150, deadline=None)
 @given(tree_data(), st.integers(0, 6), st.integers(1, 4))
 @example(_frames_like(), 8, 2)
+@example(_first66_like(), 8, 1)
+@example(_first66_like(), 6, 3)
 def test_cart_matches_gather_and_sort_reference(data, depth, leaf):
     X, y = data
     assert_same_trees([fit_cart(X, y, depth, leaf)],
@@ -975,6 +1001,8 @@ def test_cart_matches_gather_and_sort_reference(data, depth, leaf):
 @example(_frames_like(), 2, 8, None, 0.5, 5)
 @example(_rare_three(), 4, 6, 3, 1.0, 0)
 @example(_rare_three(), 4, 6, 1, 1.0, 0)
+@example(_first66_like(), 2, 8, None, 0.5, 7)
+@example(_first66_like(), 2, 8, None, 1.0, 8)
 def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
                                                   fraction, seed):
     X, y = data
@@ -990,12 +1018,18 @@ def test_forest_matches_gather_and_sort_reference(data, n_trees, depth, k,
        st.sampled_from([0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
 @example(_frames_like(), 3, 5, 1.0, 0.0, 1.0, 0.8, 1.0, 1)
 @example(_frames_like(), 2, 4, 1.0, 0.0, 1.0, 1.0, 0.5, 2)
+@example(_first66_like(), 3, 5, 0.0, 0.0, 0.0, 0.8, 1.0, 3)
+@example(_first66_like(), 3, 5, 1.0, 0.0, 1.0, 1.0, 1.0, 4)
 def test_gbt_matches_gather_and_sort_reference(data, rounds, depth, lam, gamma,
                                                weight, subsample, colsample, seed):
+    # model files store the loss trace, so it must match to the bit too
     X, y = data
     cfg = GbtDetector(rounds, 0.3, depth, lam, gamma, weight, subsample,
                       colsample, 0.5, seed=seed)
-    assert_same_trees(fit_gbt(X, y, cfg)[0], ref_fit_gbt(X, y, cfg))
+    got_trees, got_trace = fit_gbt(X, y, cfg)
+    want_trees, want_trace = ref_fit_gbt(X, y, cfg)
+    assert_same_trees(got_trees, want_trees)
+    assert (np.array(got_trace).tobytes() == np.array(want_trace).tobytes())
 
 
 PATH_FITS = {

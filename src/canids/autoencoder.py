@@ -2,10 +2,8 @@
 
 A symmetric encoder/decoder stack is trained on normal traffic only by
 minimizing per-sample mean squared reconstruction error with plain
-backpropagation; the anomaly threshold is a scaled percentile of normal
-reconstruction losses, optionally fine-tuned on a small labeled
-validation set. Everything runs on numpy; training with a fixed seed is
-bit-reproducible.
+backpropagation; a row's anomaly score is its reconstruction loss.
+Everything runs on numpy; training with a fixed seed is bit-reproducible.
 
 Training and scoring take the float64 2-D arrays that the detectors have
 checked; they do not convert or check them again.
@@ -21,15 +19,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateValidation,
     DivergedTraining,
-    EmptyLosses,
     IoError,
     NonFiniteActivation,
     WrongWidth,
 )
-from .metrics import confusion, f1
-from .model_io import decode_array, decode_float, encode_array, encode_float
+from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
     from .detectors import DaeDetector
@@ -309,87 +304,6 @@ def train(
     return net, trace
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Anomaly threshold = gamma * (p-th percentile of normal losses)."""
-
-    p: float = 95.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.p <= 100:
-            raise ConfigError("percentile must lie in (0, 100]")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
-
-
-DEFAULT_THRESHOLD_GRID = tuple(
-    (p, g)
-    for p in (90.0, 95.0, 99.0, 99.5)
-    for g in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
-)
-
-
-def compute_threshold(losses, tc: ThresholdConfig) -> float:
-    """gamma times the p-th percentile (linear rank interpolation)."""
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyLosses("threshold needs at least one loss value")
-    return float(tc.gamma * np.percentile(arr, tc.p))
-
-
-def fine_tune_threshold(
-    net: AutoencoderNet,
-    validation,
-    grid=DEFAULT_THRESHOLD_GRID,
-) -> tuple[ThresholdConfig, float]:
-    """Pick the (p, gamma) grid point with the best F1 on validation, a
-    labeled FeatureMatrix: tune_threshold on its reconstruction losses."""
-    if validation.labels is None:
-        raise DegenerateValidation("validation needs labels")
-    return tune_threshold(reconstruction_losses(net, validation.values),
-                          validation.labels, grid)
-
-
-def tune_threshold(
-    losses: np.ndarray,
-    labels,
-    grid=DEFAULT_THRESHOLD_GRID,
-) -> tuple[ThresholdConfig, float]:
-    """Pick the (p, gamma) grid point with the best F1 on validation rows
-    with these reconstruction losses and 0/1 labels.
-
-    Percentiles are taken over the validation rows labeled normal, so p
-    and gamma stay interpretable together. Classification is strict:
-    anomaly iff loss > threshold. Ties go to smaller gamma, then smaller
-    p. Returns (config, F1), F1 being -1.0 if every grid point was
-    undefined.
-    """
-    y = np.asarray(labels)
-    if not (np.any(y == 0) and np.any(y == 1)):
-        raise DegenerateValidation("validation needs both classes")
-    grid = list(grid)
-    if not grid:
-        raise DegenerateValidation("threshold grid is empty")
-    normal_losses = losses[y == 0]
-    best_cfg: ThresholdConfig | None = None
-    best_f1 = -1.0
-    for p, gamma in grid:
-        tc = ThresholdConfig(p=p, gamma=gamma)
-        thr = compute_threshold(normal_losses, tc)
-        pred = (losses > thr).astype(np.int8)
-        score = f1(confusion(pred, y))
-        score = -1.0 if score is None else score
-        if best_cfg is None:
-            best_cfg, best_f1 = tc, score
-            continue
-        better = score > best_f1
-        tie = score == best_f1 and (gamma, p) < (best_cfg.gamma, best_cfg.p)
-        if better or tie:
-            best_cfg, best_f1 = tc, score
-    return best_cfg, best_f1
-
-
 # --- serialization -----------------------------------------------------------
 
 def net_to_payload(net: AutoencoderNet) -> dict:
@@ -422,15 +336,3 @@ def net_from_payload(payload: dict) -> AutoencoderNet:
 
     return AutoencoderNet(stack("encoder"), stack("decoder"))
 
-
-def threshold_to_payload(tc: ThresholdConfig, threshold: float) -> dict:
-    return {
-        "p": encode_float(tc.p),
-        "gamma": encode_float(tc.gamma),
-        "threshold": encode_float(threshold),
-    }
-
-
-def threshold_from_payload(obj: dict) -> tuple[ThresholdConfig, float]:
-    tc = ThresholdConfig(p=decode_float(obj["p"]), gamma=decode_float(obj["gamma"]))
-    return tc, decode_float(obj["threshold"])

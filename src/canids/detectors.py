@@ -45,6 +45,7 @@ from .errors import (
     WrongWidth,
 )
 from .features import FeatureMatrix, Standardizer, fit_standardizer
+from .metrics import percentile_cutoff, tune_cutoff
 from .model_io import (
     decode_array,
     decode_float,
@@ -478,10 +479,6 @@ class IsoForestDetector(Detector):
             psi, _load_trees(model, self.n_features, "n_trees", self.n_trees))
 
 
-# without labeled validation the threshold is this percentile of train losses
-_DAE_FALLBACK = ae.ThresholdConfig(p=95.0, gamma=1.0)
-
-
 @dataclass(eq=False)
 class DaeDetector(Detector):
     name = "dae"
@@ -494,7 +491,8 @@ class DaeDetector(Detector):
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     net: ae.AutoencoderNet | None = _fitted()
-    threshold_config: ae.ThresholdConfig | None = _fitted()
+    threshold_p: float | None = _fitted()
+    threshold_gamma: float | None = _fitted()
     threshold: float = _fitted(0.0)
     loss_trace: list[float] = field(default_factory=list, init=False)
 
@@ -517,24 +515,20 @@ class DaeDetector(Detector):
             train.n_cols, self.hidden, self.bottleneck, seed=self.seed
         )
         self.net, self.loss_trace = ae.train(self.net, train.values, self)
-        val_usable = (
-            val is not None and val.labels is not None
-            and np.any(np.asarray(val.labels) == 1)
-            and np.any(np.asarray(val.labels) == 0)
-        )
-        if val_usable:
+        y = np.asarray([] if val is None or val.labels is None else val.labels)
+        if np.any(y == 0) and np.any(y == 1):
             # each row's loss is computed alone, so the normal rows' losses
             # are those a pass over the normal rows alone would give
             val_z = self.standardizer.apply(val)
-            y = np.asarray(val_z.labels)
-            losses = ae.reconstruction_losses(self.net, val_z.values)
-            self.threshold_config, _ = ae.tune_threshold(losses, y)
-            normal_losses = losses[y == 0]
+            (self.threshold_p, self.threshold_gamma), self.threshold, _ = (
+                tune_cutoff(ae.reconstruction_losses(self.net, val_z.values),
+                            y))
         else:
-            self.threshold_config = _DAE_FALLBACK
-            normal_losses = ae.reconstruction_losses(self.net, train.values)
-        self.threshold = ae.compute_threshold(normal_losses,
-                                              self.threshold_config)
+            # without validation holding both classes: the 95th percentile
+            # of the training losses
+            self.threshold_p, self.threshold_gamma = 95.0, 1.0
+            self.threshold = percentile_cutoff(
+                ae.reconstruction_losses(self.net, train.values), 95.0, 1.0)
 
     def _score(self, X):
         return ae.reconstruction_losses(self.net, X)
@@ -544,24 +538,27 @@ class DaeDetector(Detector):
         return (scores > self.threshold).astype(np.int8)
 
     def params(self) -> dict:
-        tc = self.threshold_config
         return {**self._keywords(), "hidden": list(self.hidden),
-                "threshold_p": tc.p if tc else None,
-                "threshold_gamma": tc.gamma if tc else None}
+                "threshold_p": self.threshold_p,
+                "threshold_gamma": self.threshold_gamma}
 
     def _state(self):
         return {"net": ae.net_to_payload(self.net),
-                "threshold": ae.threshold_to_payload(self.threshold_config,
-                                                     self.threshold)}
+                "threshold": {"p": encode_float(self.threshold_p),
+                              "gamma": encode_float(self.threshold_gamma),
+                              "threshold": encode_float(self.threshold)}}
 
     def _restore(self, state):
         self.net = ae.net_from_payload(_object(state["net"], "net"))
         if self.net.input_width != self.n_features:
             raise IoError(f"net takes {self.net.input_width} columns, "
                           f"n_features is {self.n_features}")
-        self.threshold_config, self.threshold = ae.threshold_from_payload(
-            state["threshold"]
-        )
+        t = _object(state["threshold"], "threshold")
+        self.threshold_p, self.threshold_gamma, self.threshold = (
+            decode_float(t[k]) for k in ("p", "gamma", "threshold"))
+        if not 0 < self.threshold_p <= 100 or not self.threshold_gamma >= 0:
+            raise IoError(f"threshold p {self.threshold_p} is not in (0, 100] "
+                          f"or gamma {self.threshold_gamma} is below 0")
 
 
 _REGISTRY: dict[str, type[Detector]] = {

@@ -102,11 +102,12 @@ class DivergedTraining(CanidsError):
 
 
 class EmptyLosses(CanidsError):
-    """Threshold requested over an empty loss sequence."""
+    """A cut-off requested over no normal scores."""
 
 
 class DegenerateValidation(CanidsError):
-    """Threshold fine-tuning needs both classes in the validation set."""
+    """Cut-off tuning needs both classes in the validation set and a
+    non-empty grid."""
 
 
 class MissingLabels(CanidsError):

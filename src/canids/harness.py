@@ -49,7 +49,7 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "lof": {"k": [10, 20, 35]},
     "iforest": {"subsample": [128, 256]},
     "rc": {"support_fraction": [0.75, 0.9, 1.0]},
-    "dae": {},  # threshold grid is internal to the detector
+    "dae": {},  # dae tunes its cut-off on metrics.CUTOFF_GRID
 }
 
 # Where the comparison run departs from the detector defaults, sized so the

@@ -3,6 +3,11 @@
 Ratio metrics return None (never a silent 0) when their denominator is
 zero; reports render that as an em-dash. ROC AUC is the mid-rank
 Mann-Whitney statistic: P(score+ > score-) + 0.5 * P(score+ = score-).
+
+The cut-off rule turns any detector's scores into a decision threshold:
+percentile_cutoff is gamma times the p-th percentile of normal scores, and
+tune_cutoff picks the (p, gamma) point of CUTOFF_GRID with the best F1 on
+labeled validation scores.
 """
 
 from __future__ import annotations
@@ -11,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, LengthMismatch
+from .errors import (
+    DegenerateLabels,
+    DegenerateValidation,
+    EmptyLosses,
+    LengthMismatch,
+)
 
 
 @dataclass(frozen=True)
@@ -70,10 +80,13 @@ def recall(c: ConfusionCounts) -> float | None:
 
 
 def tpr(c: ConfusionCounts) -> float | None:
+    """Recall; acceptance criterion 1 checks the paper's TPR through it."""
     return recall(c)
 
 
 def tnr(c: ConfusionCounts) -> float | None:
+    """tn / (tn + fp); acceptance criterion 1 checks the paper's TNR
+    through it."""
     return _ratio(c.tn, c.tn + c.fp)
 
 
@@ -86,7 +99,8 @@ def f1(c: ConfusionCounts) -> float | None:
 
 
 def f1_from_pr(p: float, r: float) -> float | None:
-    """Harmonic mean of an externally supplied (precision, recall) pair."""
+    """Harmonic mean of an externally supplied (precision, recall) pair;
+    acceptance criterion 1 checks the paper's F1 definition through it."""
     if p + r == 0:
         return None
     return 2 * p * r / (p + r)
@@ -115,6 +129,42 @@ def roc_auc(scored: ScoredLabels) -> float:
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum_pos = float(np.sum(ranks[truth == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# (p, gamma) points, gamma-major, so that the first best point is the one
+# with the smallest gamma, then the smallest p
+CUTOFF_GRID = tuple((p, g) for g in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+                    for p in (90.0, 95.0, 99.0, 99.5))
+
+
+def percentile_cutoff(normal_scores, p: float, gamma: float) -> float:
+    """gamma times the p-th percentile (linear rank interpolation) of the
+    scores of normal rows."""
+    arr = np.asarray(normal_scores, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyLosses("a cut-off needs at least one normal score")
+    return float(gamma * np.percentile(arr, p))
+
+
+def tune_cutoff(scores, labels, grid=CUTOFF_GRID
+                ) -> tuple[tuple[float, float], float, float]:
+    """The (p, gamma) point of grid whose cut-off gives the best F1 on
+    validation rows with these scores and 0/1 labels, that cut-off and
+    that F1. Percentiles are taken over the rows labeled normal, a row is
+    an anomaly iff its score > the cut-off, an undefined F1 counts as
+    -1.0, and ties go to the smaller gamma, then the smaller p."""
+    scores, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if not (np.any(y == 0) and np.any(y == 1)):
+        raise DegenerateValidation("validation needs both classes")
+    grid = sorted(grid, key=lambda pg: (pg[1], pg[0]))
+    if not grid:
+        raise DegenerateValidation("cut-off grid is empty")
+    normal, rated = scores[y == 0], []
+    for p, gamma in grid:
+        cut = percentile_cutoff(normal, p, gamma)
+        score = f1(confusion(scores > cut, y))
+        rated.append(((p, gamma), cut, -1.0 if score is None else score))
+    return max(rated, key=lambda r: r[2])  # the first best point
 
 
 def format_metric(value: float | None, places: int = 4) -> str:

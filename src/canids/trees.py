@@ -473,8 +473,12 @@ _SUM_CELLS = 1 << 20
 
 
 def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
-    """The (len(trees), rows) leaf values that the rows of X reach in each
-    tree.
+    """The (len(trees), rows) leaf values the rows of X reach in each tree."""
+    return _router(trees)(X)
+
+
+def _router(trees: list[FlatTree]):
+    """route_trees(trees, ·) as a function of X, its tables built once.
 
     The trees are stacked end to end, their children found by _children,
     and node i becomes the slots 2i, holding its right child's slot, and
@@ -498,30 +502,35 @@ def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
         leaf, np.inf, np.concatenate([t.threshold for t in trees])), 2)
     stop = np.repeat(leaf, 2)
     value = np.concatenate([t.value for t in trees])
-    n, width = X.shape
-    flat_x = np.ascontiguousarray(X).ravel()
-    out = np.empty((n, len(trees)))
-    cells = out.reshape(-1)  # cell c is row c // len(trees), tree c % len(trees)
-    for lo in range(0, cells.size, _ROUTE_CELLS):
-        row, tree = np.divmod(np.arange(lo, min(lo + _ROUTE_CELLS, cells.size)),
-                              len(trees))
-        at = 2 * roots[tree]
-        base = row * width
-        while not stop[at].all():
-            at = child[at + (flat_x[base + column[at]] <= threshold[at])]
-        cells[lo:lo + at.size] = value[at >> 1]
-    return out.T
+
+    def route(X: np.ndarray) -> np.ndarray:
+        n, width = X.shape
+        flat_x = np.ascontiguousarray(X).ravel()
+        out = np.empty((n, len(trees)))
+        cells = out.reshape(-1)  # cell c: row c // len(trees), tree c % len(trees)
+        for lo in range(0, cells.size, _ROUTE_CELLS):
+            row, tree = np.divmod(
+                np.arange(lo, min(lo + _ROUTE_CELLS, cells.size)), len(trees))
+            at = 2 * roots[tree]
+            base = row * width
+            while not stop[at].all():
+                at = child[at + (flat_x[base + column[at]] <= threshold[at])]
+            cells[lo:lo + at.size] = value[at >> 1]
+        return out.T
+
+    return route
 
 
 def _sum_routes(trees: list[FlatTree], X: np.ndarray, start: float,
                 scale: float) -> np.ndarray:
     """start plus scale times the leaf value each row of X reaches in each
     tree, added tree by tree."""
+    route = _router(trees)
     out = np.full(X.shape[0], start)
     step = max(1, _SUM_CELLS // len(trees))
     for lo in range(0, X.shape[0], step):
         acc = out[lo:lo + step]
-        for leaves in route_trees(trees, X[lo:lo + step]):
+        for leaves in route(X[lo:lo + step]):
             acc += scale * leaves
     return out
 

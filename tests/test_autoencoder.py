@@ -10,12 +10,9 @@ from canids import autoencoder
 from canids.autoencoder import (
     AutoencoderNet,
     DenseLayer,
-    ThresholdConfig,
     _activation_grad,
     _grads,
     _views,
-    compute_threshold,
-    fine_tune_threshold,
     make_autoencoder,
     net_from_payload,
     net_to_payload,
@@ -31,6 +28,12 @@ from canids.errors import (
 )
 from canids.detectors import DaeDetector
 from canids.features import FeatureMatrix, Standardizer
+from canids.metrics import percentile_cutoff, tune_cutoff
+from test_metrics import (
+    DEFAULT_THRESHOLD_GRID,
+    ref_compute_threshold,
+    ref_tune_threshold,
+)
 
 
 def straight_line_forward(net, x):
@@ -313,34 +316,32 @@ def test_train_divergence_detected():
 
 def test_compute_threshold_constant_losses():
     for p in (10.0, 50.0, 99.0):
-        assert compute_threshold([3.0] * 7, ThresholdConfig(p=p, gamma=2.0)) == 6.0
+        assert percentile_cutoff([3.0] * 7, p, 2.0) == 6.0
 
 
 def test_compute_threshold_linear_interpolation():
     losses = np.arange(1.0, 101.0)
-    thr = compute_threshold(losses, ThresholdConfig(p=95.0, gamma=1.0))
+    thr = percentile_cutoff(losses, 95.0, 1.0)
     # rank interpolation by hand: 95 + 0.05 * (96 - 95)
     assert thr == pytest.approx(95.05)
 
 
 def test_compute_threshold_gamma_zero():
-    assert compute_threshold([5.0, 6.0], ThresholdConfig(p=95.0, gamma=0.0)) == 0.0
+    assert percentile_cutoff([5.0, 6.0], 95.0, 0.0) == 0.0
 
 
 def test_compute_threshold_monotone_in_p_and_gamma():
     rng = np.random.default_rng(7)
     losses = rng.random(200)
-    thr = [compute_threshold(losses, ThresholdConfig(p=p, gamma=1.0))
-           for p in (50.0, 75.0, 90.0, 99.0)]
+    thr = [percentile_cutoff(losses, p, 1.0) for p in (50.0, 75.0, 90.0, 99.0)]
     assert thr == sorted(thr)
-    thr_g = [compute_threshold(losses, ThresholdConfig(p=90.0, gamma=g))
-             for g in (0.5, 1.0, 1.5)]
+    thr_g = [percentile_cutoff(losses, 90.0, g) for g in (0.5, 1.0, 1.5)]
     assert thr_g == sorted(thr_g)
 
 
 def test_compute_threshold_empty():
     with pytest.raises(EmptyLosses):
-        compute_threshold([], ThresholdConfig())
+        percentile_cutoff([], 95.0, 1.0)
 
 
 def _separable_validation(seed=0):
@@ -352,11 +353,21 @@ def _separable_validation(seed=0):
     return FeatureMatrix(values, labels, tuple(range(4)))
 
 
+def fine_tune_threshold(net, validation, grid=DEFAULT_THRESHOLD_GRID):
+    """Oracle: the old rule, ref_tune_threshold, on the reconstruction
+    losses of validation, a labeled FeatureMatrix."""
+    if validation.labels is None:
+        raise DegenerateValidation("validation needs labels")
+    return ref_tune_threshold(reconstruction_losses(net, validation.values),
+                              validation.labels, grid)
+
+
 def test_fine_tune_single_point_grid():
     net = make_autoencoder(4, hidden=(), bottleneck=2, seed=11)
     val = _separable_validation()
-    tc, _ = fine_tune_threshold(net, val, grid=[(95.0, 1.25)])
-    assert tc == ThresholdConfig(p=95.0, gamma=1.25)
+    point, _, _ = tune_cutoff(reconstruction_losses(net, val.values),
+                              val.labels, grid=[(95.0, 1.25)])
+    assert point == (95.0, 1.25)
 
 
 def test_fine_tune_perfect_separation_reaches_f1_one():
@@ -366,7 +377,7 @@ def test_fine_tune_perfect_separation_reaches_f1_one():
                    DaeDetector(epochs=60, batch_size=16, seed=2))
     losses = reconstruction_losses(net, val.values)
     assert losses[val.labels == 1].min() > losses[val.labels == 0].max()
-    _, best_f1 = fine_tune_threshold(net, val)
+    _, _, best_f1 = tune_cutoff(losses, val.labels)
     assert best_f1 == 1.0
 
 
@@ -375,26 +386,26 @@ def test_fine_tune_matches_exhaustive_oracle():
     net = make_autoencoder(4, hidden=(), bottleneck=2, seed=5)
     val = _separable_validation(seed=3)
     grid = [(50.0, 0.5), (90.0, 1.0), (99.0, 2.0), (75.0, 0.75)]
-    tc, best = fine_tune_threshold(net, val, grid=grid)
-
     losses = reconstruction_losses(net, val.values)
+    (p, gamma), _, best = tune_cutoff(losses, val.labels, grid=grid)
+
     normal_losses = losses[val.labels == 0]
     oracle = []
-    for p, g in grid:
-        thr = g * np.percentile(normal_losses, p)
+    for p_, g in grid:
+        thr = g * np.percentile(normal_losses, p_)
         score = f1_metric(confusion((losses > thr).astype(int), val.labels))
-        oracle.append((-1.0 if score is None else score, g, p))
+        oracle.append((-1.0 if score is None else score, g, p_))
     want = max(oracle, key=lambda t: (t[0], -t[1], -t[2]))
     assert best == want[0]
-    assert (tc.gamma, tc.p) == (want[1], want[2])
+    assert (gamma, p) == (want[1], want[2])
 
 
 def test_fine_tune_degenerate_validation():
     net = make_autoencoder(4, hidden=(), bottleneck=2, seed=0)
     values = np.ones((5, 4))
-    single = FeatureMatrix(values, np.zeros(5, dtype=np.int8), tuple(range(4)))
     with pytest.raises(DegenerateValidation):
-        fine_tune_threshold(net, single)
+        tune_cutoff(reconstruction_losses(net, values),
+                    np.zeros(5, dtype=np.int8))
 
 
 def test_dae_threshold_reuses_the_validation_losses():
@@ -412,8 +423,9 @@ def test_dae_threshold_reuses_the_validation_losses():
     val_z = det.standardizer.apply(val)
     want_cfg, _ = fine_tune_threshold(det.net, val_z)
     normal = reconstruction_losses(det.net, val_z.values[labels == 0])
-    assert det.threshold_config == want_cfg
-    assert det.threshold == compute_threshold(normal, want_cfg)
+    assert (det.threshold_p, det.threshold_gamma) == (want_cfg.p,
+                                                      want_cfg.gamma)
+    assert det.threshold == ref_compute_threshold(normal, want_cfg)
 
 
 def test_dae_decide_boundary_rules():

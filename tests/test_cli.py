@@ -11,7 +11,7 @@ import pytest
 import canids
 from canids.cli import main
 from canids.features import read_features
-from canids.model_io import decode_array, encode_array
+from canids.model_io import decode_array, encode_array, encode_float
 
 SRC = str(Path(canids.__file__).resolve().parents[1])
 
@@ -588,6 +588,22 @@ def dae_threshold_p_number(doc):
     doc["payload"]["state"]["threshold"]["p"] = 95
 
 
+def dae_threshold_p_zero(doc):
+    doc["payload"]["state"]["threshold"]["p"] = encode_float(0.0)
+
+
+def dae_threshold_p_150(doc):
+    doc["payload"]["state"]["threshold"]["p"] = encode_float(150.0)
+
+
+def dae_threshold_gamma_negative(doc):
+    doc["payload"]["state"]["threshold"]["gamma"] = encode_float(-1.0)
+
+
+def dae_threshold_list(doc):
+    doc["payload"]["state"]["threshold"] = [1]
+
+
 def rc_mean_three_wide(doc):
     doc["payload"]["state"]["mean"] = encode_array(np.zeros(3))
 
@@ -602,7 +618,9 @@ def rc_mean_three_wide(doc):
     knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
     knn_refs_choice_short, knn_state_list,
-    rc_cutoff_number, dae_threshold_p_number, rc_mean_three_wide,
+    rc_cutoff_number, dae_threshold_p_number, dae_threshold_p_zero,
+    dae_threshold_p_150, dae_threshold_gamma_negative, dae_threshold_list,
+    rc_mean_three_wide,
     dae_first_layer_narrow, dae_encoder_empty, dae_encoder_number,
     dae_decoder_layer_list, dae_net_wide,
 ], ids=lambda f: f.__name__)

@@ -191,7 +191,7 @@ def test_dae_threshold_fallback_without_validation():
     det = make_detector("dae", FAST_PARAMS["dae"])
     det.fit(normal)  # no val: falls back to train percentile
     assert det.threshold > 0
-    assert det.threshold_config.p == 95.0
+    assert det.threshold_p == 95.0
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

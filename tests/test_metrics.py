@@ -1,8 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canids.errors import DegenerateLabels, LengthMismatch
+from canids.errors import (
+    ConfigError,
+    DegenerateLabels,
+    DegenerateValidation,
+    EmptyLosses,
+    LengthMismatch,
+)
 from canids.metrics import (
+    CUTOFF_GRID,
     ConfusionCounts,
     ScoredLabels,
     accuracy,
@@ -10,11 +21,13 @@ from canids.metrics import (
     f1,
     f1_from_pr,
     format_metric,
+    percentile_cutoff,
     precision,
     recall,
     roc_auc,
     tnr,
     tpr,
+    tune_cutoff,
 )
 
 
@@ -191,3 +204,118 @@ def test_scored_labels_length_check():
 def test_format_metric():
     assert format_metric(0.75391) == "0.7539"
     assert format_metric(None) == "—"
+
+
+# --- cut-off rule oracle --------------------------------------------------------
+
+@dataclass(frozen=True)
+class ThresholdConfig:
+    """Anomaly threshold = gamma * (p-th percentile of normal losses)."""
+
+    p: float = 95.0
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.p <= 100:
+            raise ConfigError("percentile must lie in (0, 100]")
+        if self.gamma < 0:
+            raise ConfigError("gamma must be >= 0")
+
+
+DEFAULT_THRESHOLD_GRID = tuple(
+    (p, g)
+    for p in (90.0, 95.0, 99.0, 99.5)
+    for g in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+)
+
+
+def ref_compute_threshold(losses, tc: ThresholdConfig) -> float:
+    """gamma times the p-th percentile (linear rank interpolation)."""
+    arr = np.asarray(losses, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyLosses("threshold needs at least one loss value")
+    return float(tc.gamma * np.percentile(arr, tc.p))
+
+
+def ref_tune_threshold(
+    losses: np.ndarray,
+    labels,
+    grid=DEFAULT_THRESHOLD_GRID,
+) -> tuple[ThresholdConfig, float]:
+    """Oracle: the (p, gamma) grid point with the best F1, every point
+    compared with the best so far. Ties go to smaller gamma, then smaller
+    p. Returns (config, F1), F1 being -1.0 if every grid point was
+    undefined."""
+    y = np.asarray(labels)
+    if not (np.any(y == 0) and np.any(y == 1)):
+        raise DegenerateValidation("validation needs both classes")
+    grid = list(grid)
+    if not grid:
+        raise DegenerateValidation("threshold grid is empty")
+    normal_losses = losses[y == 0]
+    best_cfg: ThresholdConfig | None = None
+    best_f1 = -1.0
+    for p, gamma in grid:
+        tc = ThresholdConfig(p=p, gamma=gamma)
+        thr = ref_compute_threshold(normal_losses, tc)
+        pred = (losses > thr).astype(np.int8)
+        score = f1(confusion(pred, y))
+        score = -1.0 if score is None else score
+        if best_cfg is None:
+            best_cfg, best_f1 = tc, score
+            continue
+        better = score > best_f1
+        tie = score == best_f1 and (gamma, p) < (best_cfg.gamma, best_cfg.p)
+        if better or tie:
+            best_cfg, best_f1 = tc, score
+    return best_cfg, best_f1
+
+
+@st.composite
+def labeled_scores(draw):
+    """(scores, 0/1 labels) holding both classes: floats of any sign, or
+    small integers that tie heavily."""
+    n = draw(st.integers(2, 60))
+    values = draw(st.one_of(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    order = draw(st.permutations(range(n)))
+    return np.array(values), np.array(labels, dtype=np.int8)[order]
+
+
+_GRIDS = st.one_of(
+    st.just(CUTOFF_GRID),
+    st.permutations(CUTOFF_GRID),
+    st.lists(st.tuples(st.sampled_from([50.0, 90.0, 95.0, 99.5, 100.0]),
+                       st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0])),
+             min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_scores(), _GRIDS)
+def test_tune_cutoff_matches_the_old_rule(data, grid):
+    scores, labels = data
+    want, want_f1 = ref_tune_threshold(scores, labels, grid)
+    want_cut = ref_compute_threshold(scores[labels == 0], want)
+    point, cut, got_f1 = tune_cutoff(scores, labels, grid)
+    assert point == (want.p, want.gamma)
+    assert np.float64(cut).tobytes() == np.float64(want_cut).tobytes()
+    assert got_f1 == want_f1
+
+
+def test_cutoff_grid_is_the_old_grid_gamma_major():
+    assert CUTOFF_GRID == tuple(sorted(DEFAULT_THRESHOLD_GRID,
+                                       key=lambda pg: (pg[1], pg[0])))
+
+
+def test_cutoff_errors():
+    scores = np.array([0.1, 0.2, 0.3])
+    for labels in ([0, 0, 0], [1, 1, 1]):
+        with pytest.raises(DegenerateValidation):
+            tune_cutoff(scores, labels)
+    with pytest.raises(DegenerateValidation):
+        tune_cutoff(scores, [0, 1, 0], grid=[])
+    with pytest.raises(EmptyLosses):
+        percentile_cutoff([], 95.0, 1.0)

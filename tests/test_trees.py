@@ -542,9 +542,12 @@ def test_route_trees_matches_per_tree_routing(forest, rows, seed, cells):
     with np.errstate(invalid="ignore"):  # leaf values inf and -inf
         for tree in forest_trees:
             acc += ref_route(tree, X)
-        with mock.patch.object(trees, "_SUM_CELLS", cells):
+        with (mock.patch.object(trees, "_SUM_CELLS", cells),
+              mock.patch.object(trees, "_children",
+                                wraps=trees._children) as children):
             mean = mean_route(forest_trees, X)
     assert mean.tobytes() == (acc / len(forest_trees)).tobytes()
+    assert children.call_count == 1  # the tables are built once per call
 
 
 @settings(max_examples=60, deadline=None)

@@ -429,14 +429,12 @@ class LofDetector(Detector):
     def _state(self):
         return {"refs": encode_array(self.lof.index.refs),
                 "ref_kdist": encode_array(self.lof.ref_kdist),
-                "ref_lrd": encode_array(self.lof.ref_lrd),
-                "ref_lof": encode_array(self.lof.ref_lof)}
+                "ref_lrd": encode_array(self.lof.ref_lrd)}
 
     def _restore(self, state):
         self.lof = LocalOutlierFactor.from_state(
             self.k, decode_array(state["refs"]),
             decode_array(state["ref_kdist"]), decode_array(state["ref_lrd"]),
-            decode_array(state["ref_lof"]),
         )
         _check_refs_width(self.lof.index, self.n_features)
 

@@ -210,37 +210,42 @@ _BYTE_CLASS[ord(",")] = 1
 
 
 def _word_run(values: np.ndarray):
-    """The text of rows a..b of value columns that hold only +0.0 and 1.0:
-    the word "0.0," or "1.0," per value."""
+    """The part for value columns that hold only +0.0 and 1.0: the word
+    "0.0," or "1.0," per value."""
     step = _ONE_WORD - _ZERO_WORD  # faster than np.where between the two
-    return lambda a, b: (((values[a:b] == 1.0) * step + _ZERO_WORD)
-                         .view(np.uint8), None)
+
+    def fill(a, b, image, mask):
+        image[...] = ((values[a:b] == 1.0) * step + _ZERO_WORD).view(np.uint8)
+    return 4 * values.shape[1], False, fill
 
 
 def _text_column(col: np.ndarray, text, sep: str):
-    """The text of rows a..b of col, and each row's byte count if texts
-    differ in width, from a table of text(v) + sep. The table has a row per
-    distinct bit pattern, so text runs once per pattern and -0.0 and 0.0
-    stay apart."""
+    """The part for col, from a table of text(v) + sep. The table has a row
+    per distinct bit pattern, so text runs once per pattern and -0.0 and 0.0
+    stay apart. If texts differ in width, the part is varied: it also marks
+    each row's bytes in the mask."""
     bits = col.view(f"u{col.itemsize}")
     keys = np.sort(bits)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     strings = [text(v) + sep for v in keys.view(col.dtype).tolist()]
     lengths = np.fromiter(map(len, strings), np.intp, len(strings))
     table = np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+    width = table.shape[1]
     varied = lengths.min() != lengths.max()
 
-    def rows(a, b):
+    def fill(a, b, image, mask):
         codes = np.searchsorted(keys, bits[a:b])
-        return np.take(table, codes, axis=0), lengths[codes] if varied else None
-    return rows
+        image[...] = table[codes]
+        if varied:
+            mask[...] = lengths[codes, None] > np.arange(width)
+    return width, varied, fill
 
 
 def _parts(values: np.ndarray, labels: np.ndarray | None) -> list:
-    """The parts that render each row of values (and labels): word runs of
-    the columns whose bit patterns are all +0.0 or 1.0, found by
-    comparisons over row blocks, and a text column for every other one.
-    The last column ends the line, so it is never in a run."""
+    """The (width, varied, fill) parts that render each row of values (and
+    labels): word runs of the columns whose bit patterns are all +0.0 or
+    1.0, found by comparisons over row blocks, and a text column for every
+    other one. The last column ends the line, so it is never in a run."""
     bits = values.view(np.uint64)
     in_run = np.ones(values.shape[1], dtype=bool)
     for a in range(0, len(bits), _BLOCK_ROWS):
@@ -261,16 +266,20 @@ def _parts(values: np.ndarray, labels: np.ndarray | None) -> list:
     return parts
 
 
-def _render(parts: list, a: int, b: int) -> np.ndarray:
-    """The text of rows a..b as bytes: each part fills its columns of a row
-    image, and one mask drops the padding of variable-width text."""
-    texts = [part(a, b) for part in parts]
-    image = np.hstack([t for t, _ in texts])
-    if all(lengths is None for _, lengths in texts):
-        return image
-    return image[np.hstack([np.ones(t.shape, bool) if lengths is None
-                            else lengths[:, None] > np.arange(t.shape[1])
-                            for t, lengths in texts])]
+def _render(parts: list, image: np.ndarray, mask: np.ndarray,
+            a: int, b: int) -> np.ndarray:
+    """The text of rows a..b as bytes: each part fills its columns of the
+    row image in place, and a varied part its columns of the mask, which
+    drops the padding of variable-width text. The other mask columns stay
+    True."""
+    image, mask = image[:b - a], mask[:b - a]
+    start = 0
+    for width, _, fill in parts:
+        fill(a, b, image[:, start:start + width], mask[:, start:start + width])
+        start += width
+    if any(varied for _, varied, _ in parts):
+        return image[mask]
+    return image
 
 
 def write_features(path, m: FeatureMatrix) -> None:
@@ -281,7 +290,7 @@ def write_features(path, m: FeatureMatrix) -> None:
     integers is added when labels are present. repr runs once per distinct
     value of a column, not once per value: each block of _BLOCK_ROWS rows
     is rendered from 0/1 word runs and per-column text tables into one
-    byte image."""
+    byte image, allocated once with its mask."""
     names = list(m.column_names())
     values = np.asarray(m.values, dtype=np.float64)
     labels = None if m.labels is None else np.asarray(m.labels)
@@ -292,8 +301,11 @@ def write_features(path, m: FeatureMatrix) -> None:
         if not names or m.n_rows == 0:
             return
         parts = _parts(values, labels)
+        shape = (min(_BLOCK_ROWS, m.n_rows), sum(w for w, _, _ in parts))
+        image, mask = np.empty(shape, np.uint8), np.ones(shape, bool)
         for a in range(0, m.n_rows, _BLOCK_ROWS):
-            fh.write(_render(parts, a, min(a + _BLOCK_ROWS, m.n_rows)))
+            fh.write(_render(parts, image, mask, a,
+                             min(a + _BLOCK_ROWS, m.n_rows)))
 
 
 def _text_lines(data: bytes, encoding: str = "utf-8") -> list[str]:

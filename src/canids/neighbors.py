@@ -431,19 +431,20 @@ class LocalOutlierFactor:
         return self
 
     @classmethod
-    def from_state(cls, k: int, refs, kdist: np.ndarray, lrd: np.ndarray,
-                   lof: np.ndarray) -> "LocalOutlierFactor":
-        """A fitted LOF rebuilt from what fit computed: the references and
-        their k-distances, lrd and LOF. No neighbour search is run."""
+    def from_state(cls, k: int, refs, kdist: np.ndarray,
+                   lrd: np.ndarray) -> "LocalOutlierFactor":
+        """A fitted LOF rebuilt from what scoring reads: the references and
+        their k-distances and lrd. No neighbour search is run, and ref_lof
+        stays None."""
         self = cls(k)
         self.index = NeighborIndex(refs)
         if self.k >= self.index.n:
             raise KTooLarge(f"k={self.k} needs more than {self.index.n} points")
-        for name, a in (("k-distances", kdist), ("lrd", lrd), ("lof", lof)):
+        for name, a in (("k-distances", kdist), ("lrd", lrd)):
             if a.shape != (self.index.n,):
                 raise WrongWidth(f"{name} shape {a.shape} != "
                                     f"({self.index.n},) references")
-        self.ref_kdist, self.ref_lrd, self.ref_lof = kdist, lrd, lof
+        self.ref_kdist, self.ref_lrd = kdist, lrd
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

@@ -523,10 +523,10 @@ def dae_std_long(doc):
     _resize_standardizer(doc, "std", 1)
 
 
-def knn_refs_choice_short(doc):
+def knn_refs_planes_short(doc):
     refs = doc["payload"]["state"]["refs"]
-    refs["choice"] = base64.b64encode(
-        base64.b64decode(refs["choice"])[:-1]).decode("ascii")
+    refs["planes"] = base64.b64encode(
+        base64.b64decode(refs["planes"])[:-1]).decode("ascii")
 
 
 def knn_state_list(doc):
@@ -617,7 +617,7 @@ def rc_mean_three_wide(doc):
     knn_labels_300, knn_labels_one_true, knn_labels_one_float,
     knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
-    knn_refs_choice_short, knn_state_list,
+    knn_refs_planes_short, knn_state_list,
     rc_cutoff_number, dae_threshold_p_number, dae_threshold_p_zero,
     dae_threshold_p_150, dae_threshold_gamma_negative, dae_threshold_list,
     rc_mean_three_wide,

@@ -7,12 +7,13 @@ standardizer on their training rows; tree models consume raw features.
 
 Each detector is a dataclass whose init fields are its constructor
 keywords. make_detector, params(), the fit and the model file all read that
-one declaration, and one _check_params per detector refuses bad values, at
-construction and again at fit. Only fit and score check and convert input;
-the model layers take float64 2-D arrays and 0/1 labels as given. A model
-file holds the params, the seed, the fitted width and the fitted state, and
-load_detector rebuilds the detector through make_detector before it
-restores the state.
+one declaration. At construction and again at fit, the base class refuses
+a keyword declared int or float that holds no number, and one
+_check_params per detector refuses the values it cannot take. Only fit
+and score check and convert input; the model layers take float64 2-D
+arrays and 0/1 labels as given. A model file holds the params, the seed,
+the fitted width and the fitted state, and load_detector rebuilds the
+detector through make_detector before it restores the state.
 
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
 factories.
@@ -20,6 +21,7 @@ factories.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, field, fields, replace
 
@@ -123,20 +125,34 @@ class Detector:
     seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
-        self._check_params()
+        self._check()
         self.fitted = False
         self.n_features = 0
         self.standardizer: Standardizer | None = None
 
+    def _check(self) -> None:
+        """ConfigError for a keyword declared int or float (either possibly
+        | None) that holds anything else, a bool or a string included, then
+        for a value the detector refuses; run when the detector is made and
+        again by fit, so a field set later is checked too."""
+        for f in fields(self):
+            kind, value = f.type.removesuffix(" | None"), getattr(self, f.name)
+            if not f.init or kind not in ("int", "float"):
+                continue
+            if value is None and kind != f.type:  # declared "int | None"
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{self.name} param {f.name} must be a "
+                                  f"number, not {value!r}")
+        self._check_params()
+
     def _check_params(self) -> None:
-        """ConfigError for a param value the detector refuses; run when the
-        detector is made and again by fit, so a field set later is checked
-        too."""
+        """ConfigError for a param value the detector refuses."""
 
     def fit(self, train: FeatureMatrix, val: FeatureMatrix | None = None):
         """Fit on train, refused without rows or columns, as float64; val,
         if given, must have train's width."""
-        self._check_params()
+        self._check()
         if train.values.size == 0:
             raise EmptyData(f"{self.name}: empty training matrix")
         if val is not None and val.n_cols != train.n_cols:

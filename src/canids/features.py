@@ -154,6 +154,28 @@ def select_subset(m: FeatureMatrix, subset: str) -> FeatureMatrix:
     )
 
 
+def distinct_rows(keys: list[np.ndarray], n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Groups n rows by their values in keys, one array of n per key:
+    index[i] is row i's group and rows[j] the first row of group j, with
+    groups numbered in the order of their first rows. With no key, all n
+    rows are one group."""
+    # stable: a group's first row leads it
+    order = np.lexsort(keys) if keys else np.arange(n)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    firsts = order[new]
+    is_first = np.zeros(n, dtype=bool)
+    is_first[firsts] = True
+    number = np.cumsum(is_first) - 1  # a first row's group, in row order
+    index = np.empty(n, dtype=np.int64)
+    index[order] = number[firsts][np.cumsum(new) - 1]
+    return index, np.flatnonzero(is_first)
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Column-wise z-score transform fitted on training rows.

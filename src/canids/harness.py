@@ -12,7 +12,7 @@ import json
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +273,17 @@ class ExperimentConfig:
         return {**DEFAULT_PARAMS.get(name, {}), **self.params.get(name, {})}
 
 
+# The metrics a row's confusion counts give, in report order: each is the
+# EvalRow field of its name, and roc_auc, which needs the scores, follows.
+COUNT_METRICS = {"accuracy": mx.accuracy, "precision": mx.precision,
+                 "recall": mx.recall, "f1": mx.f1}
+
+
 @dataclass
 class EvalRow:
+    """One model's report row; its fields but scored, in order, are the
+    row's keys in the JSON report."""
+
     model: str
     params: dict = field(default_factory=dict)
     policy: str | None = None
@@ -364,12 +373,10 @@ def evaluate(det: Detector, test: FeatureMatrix) -> EvalRow:
         auc = roc_auc(scored)
     except DegenerateLabels:
         auc = None
-    return EvalRow(
-        model=det.name, params=det.params(), counts=counts,
-        accuracy=mx.accuracy(counts), precision=mx.precision(counts),
-        recall=mx.recall(counts), f1=mx.f1(counts), roc_auc=auc,
-        scored=scored,
-    )
+    return EvalRow(model=det.name, params=det.params(), counts=counts,
+                   roc_auc=auc, scored=scored,
+                   **{key: metric(counts)
+                      for key, metric in COUNT_METRICS.items()})
 
 
 def _run_model(
@@ -398,6 +405,21 @@ def _run_model(
         return row, None
 
 
+def _start(cfg: ExperimentConfig, key: str, value
+           ) -> tuple[EvalReport, tuple[FeatureMatrix, ...]]:
+    """The run's empty report, whose meta records the policy, the data,
+    key: value and the split sizes, and its (train, val, test), refused if
+    train and test share a source row."""
+    train, val, test = parts = prepare_features(cfg)
+    if train.row_index is not None and test.row_index is not None:
+        if np.intersect1d(train.row_index, test.row_index).size:
+            raise ReportInconsistent("train and test share source rows")
+    return EvalReport(seed=cfg.seed, meta={
+        "policy": cfg.policy, "data": vars(cfg.data).copy(), key: value,
+        "sizes": {"train": train.n_rows, "val": val.n_rows, "test": test.n_rows},
+    }), parts
+
+
 def run_comparison(cfg: ExperimentConfig) -> EvalReport:
     """Fit every configured model and evaluate all on the shared test set.
 
@@ -405,34 +427,17 @@ def run_comparison(cfg: ExperimentConfig) -> EvalReport:
     are fitted per the config policy (dae always normal-only). Model
     failures are recorded in their row and the run continues.
     """
-    train, val, test = prepare_features(cfg)
+    report, parts = _start(cfg, "subset", cfg.subset)
     if cfg.subset != "all67":
-        train, val, test = (select_subset(m, cfg.subset)
-                            for m in (train, val, test))
-    _assert_disjoint(train, test)
-    report = EvalReport(seed=cfg.seed, meta={
-        "policy": cfg.policy,
-        "data": vars(cfg.data).copy(),
-        "subset": cfg.subset,
-        "sizes": {"train": train.n_rows, "val": val.n_rows, "test": test.n_rows},
-    })
+        parts = [select_subset(m, cfg.subset) for m in parts]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_run_model, name, cfg, train, val, test)
+            futures = [pool.submit(_run_model, name, cfg, *parts)
                        for name in cfg.models]
             report.rows = [f.result()[0] for f in futures]
     else:
-        report.rows = [_run_model(name, cfg, train, val, test)[0]
-                       for name in cfg.models]
+        report.rows = [_run_model(name, cfg, *parts)[0] for name in cfg.models]
     return report
-
-
-def _assert_disjoint(train: FeatureMatrix, test: FeatureMatrix) -> None:
-    if train.row_index is None or test.row_index is None:
-        return
-    overlap = np.intersect1d(train.row_index, test.row_index)
-    if overlap.size:
-        raise ReportInconsistent("train and test share source rows")
 
 
 ABLATION_SUBSETS = ("all67", "first66", "last3")
@@ -441,17 +446,11 @@ ABLATION_SUBSETS = ("all67", "first66", "last3")
 def run_ablation(cfg: ExperimentConfig) -> EvalReport:
     """Train the boosted-tree model on each feature subset and report the
     comparison rows plus the full-width gain-importance ranking."""
-    train, val, test = prepare_features(cfg)
-    _assert_disjoint(train, test)
+    report, parts = _start(cfg, "subsets", list(ABLATION_SUBSETS))
     gbt_cfg = replace(cfg, models=("gbt",))
-    report = EvalReport(seed=cfg.seed, meta={
-        "policy": cfg.policy, "data": vars(cfg.data).copy(),
-        "subsets": list(ABLATION_SUBSETS),
-        "sizes": {"train": train.n_rows, "val": val.n_rows, "test": test.n_rows},
-    })
     for subset in ABLATION_SUBSETS:
-        parts = [select_subset(m, subset) for m in (train, val, test)]
-        row, det = _run_model("gbt", gbt_cfg, *parts)
+        row, det = _run_model("gbt", gbt_cfg,
+                              *(select_subset(m, subset) for m in parts))
         row.model = f"gbt_{subset}"
         report.rows.append(row)
         if subset == "all67" and det is not None:
@@ -461,7 +460,7 @@ def run_ablation(cfg: ExperimentConfig) -> EvalReport:
 
 # --- report emission --------------------------------------------------------------
 
-REPORT_COLUMNS = ("model", "accuracy", "precision", "recall", "f1", "roc_auc")
+REPORT_COLUMNS = ("model", *COUNT_METRICS, "roc_auc")
 
 
 def _audit(report: EvalReport) -> None:
@@ -470,17 +469,11 @@ def _audit(report: EvalReport) -> None:
     for row in report.rows:
         if row.error is not None or row.counts is None:
             continue
-        expected = {
-            "accuracy": mx.accuracy(row.counts),
-            "precision": mx.precision(row.counts),
-            "recall": mx.recall(row.counts),
-            "f1": mx.f1(row.counts),
-        }
-        for key, want in expected.items():
+        for key, metric in COUNT_METRICS.items():
+            want = metric(row.counts)
             if getattr(row, key) != want:
                 raise ReportInconsistent(
-                    f"{row.model}.{key} stored {getattr(row, key)} != {want}"
-                )
+                    f"{row.model}.{key} stored {getattr(row, key)} != {want}")
         if row.scored is not None and row.roc_auc is not None:
             if roc_auc(row.scored) != row.roc_auc:
                 raise ReportInconsistent(f"{row.model}.roc_auc does not recompute")
@@ -490,6 +483,12 @@ def _float_repr(value: float | None) -> str:
     return "—" if value is None else repr(float(value))
 
 
+def _cells(row: EvalRow, render) -> list[str]:
+    """The row's model, then its metric columns rendered by render."""
+    return [row.model, *(render(getattr(row, key))
+                         for key in REPORT_COLUMNS[1:])]
+
+
 def emit_csv(report: EvalReport) -> str:
     """Metric rows at full float precision so the CSV round-trips exactly;
     undefined metrics render as an em-dash."""
@@ -497,100 +496,81 @@ def emit_csv(report: EvalReport) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for row in report.rows:
         if row.error is not None:
-            lines.append(f"{row.model},FAILED,,,,")
-            continue
-        lines.append(",".join([
-            row.model,
-            _float_repr(row.accuracy), _float_repr(row.precision),
-            _float_repr(row.recall), _float_repr(row.f1),
-            _float_repr(row.roc_auc),
-        ]))
+            lines.append(",".join([row.model, "FAILED",
+                                   *[""] * (len(REPORT_COLUMNS) - 2)]))
+        else:
+            lines.append(",".join(_cells(row, _float_repr)))
     return "\n".join(lines) + "\n"
 
 
 def emit_text(report: EvalReport) -> str:
     """Aligned table, 4-decimal metrics, plus per-model confusion counts."""
     _audit(report)
-    widths = [10, 9, 10, 7, 7, 8]
-    header = ["model", "accuracy", "precision", "recall", "f1", "roc_auc"]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+    widths = [10, *(max(len(key), 6) + 1 for key in REPORT_COLUMNS[1:])]
+    out = ["  ".join(h.ljust(w) for h, w in zip(REPORT_COLUMNS, widths))]
     for row in report.rows:
         if row.error is not None:
             out.append(f"{row.model.ljust(10)}  FAILED: {row.error}")
-            continue
-        cells = [row.model, mx.format_metric(row.accuracy),
-                 mx.format_metric(row.precision), mx.format_metric(row.recall),
-                 mx.format_metric(row.f1), mx.format_metric(row.roc_auc)]
-        out.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        else:
+            out.append("  ".join(c.ljust(w) for c, w in zip(
+                _cells(row, mx.format_metric), widths)))
     out.append("")
     for row in report.rows:
         if row.counts is not None:
             c = row.counts
             out.append(f"{row.model}: tp={c.tp} tn={c.tn} fp={c.fp} fn={c.fn}")
     if report.importance is not None:
-        ranked = np.argsort(report.importance)[::-1][:10]
-        out.append("")
-        out.append("top feature importances (gain):")
+        out += ["", "top feature importances (gain):"]
         from .features import FEATURE_NAMES
-        for i in ranked:
+        for i in np.argsort(report.importance)[::-1][:10]:
             out.append(f"  {FEATURE_NAMES[i]}: {report.importance[i]:.4f}")
     return "\n".join(out) + "\n"
 
 
 def emit_json(report: EvalReport) -> str:
     _audit(report)
-    doc = {
-        "seed": report.seed,
-        "meta": report.meta,
-        "importance": report.importance,
-        "rows": [
-            {
-                "model": r.model,
-                "params": r.params,
-                "policy": r.policy,
-                "counts": None if r.counts is None else
-                {"tp": r.counts.tp, "tn": r.counts.tn,
-                 "fp": r.counts.fp, "fn": r.counts.fn},
-                "accuracy": r.accuracy, "precision": r.precision,
-                "recall": r.recall, "f1": r.f1, "roc_auc": r.roc_auc,
-                "wall_clock": r.wall_clock,
-                "error": r.error,
-            }
-            for r in report.rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # each row's fields but the transient scored, its counts as an object
+    rows = [{key: value for key, value in asdict(replace(r, scored=None)).items()
+             if key != "scored"} for r in report.rows]
+    return json.dumps({"seed": report.seed, "meta": report.meta,
+                       "importance": report.importance, "rows": rows},
+                      indent=2) + "\n"
 
 
 def read_report_json(text: str) -> EvalReport:
+    """The report a JSON report holds; IoError unless it is an object whose
+    rows are a list of objects, each with a model and with counts that are
+    null or exactly tp, tn, fp and fn, each an integer."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IoError(f"bad report JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows", []), list):
+        raise IoError("a report is a JSON object whose rows are a list")
     report = EvalReport(seed=doc.get("seed", 0), meta=doc.get("meta", {}),
                         importance=doc.get("importance"))
+    keys = [f.name for f in fields(EvalRow) if f.name != "scored"]
+    tallies = [f.name for f in fields(ConfusionCounts)]
     for r in doc.get("rows", []):
-        counts = r.get("counts")
-        report.rows.append(EvalRow(
-            model=r["model"], params=r.get("params", {}),
-            policy=r.get("policy"),
-            counts=None if counts is None else ConfusionCounts(**counts),
-            accuracy=r.get("accuracy"), precision=r.get("precision"),
-            recall=r.get("recall"), f1=r.get("f1"), roc_auc=r.get("roc_auc"),
-            wall_clock=r.get("wall_clock", 0.0), error=r.get("error"),
-        ))
+        if not isinstance(r, dict) or "model" not in r:
+            raise IoError(f"report row {r!r} is not an object with a model")
+        row = EvalRow(**{key: r[key] for key in keys if key in r})
+        c = row.counts
+        if c is not None:
+            if not (isinstance(c, dict) and sorted(c) == sorted(tallies)
+                    and all(type(v) is int for v in c.values())):
+                raise IoError(f"{row.model} counts {c!r} are not the "
+                              f"integers {', '.join(tallies)}")
+            row.counts = ConfusionCounts(**c)
+        report.rows.append(row)
     return report
 
 
 def emit_report(report: EvalReport, fmt: str, path: str | Path | None = None) -> str:
-    if fmt == "csv":
-        text = emit_csv(report)
-    elif fmt == "text":
-        text = emit_text(report)
-    elif fmt == "json":
-        text = emit_json(report)
-    else:
+    emitters = {"csv": emit_csv, "text": emit_text, "json": emit_json}
+    if fmt not in emitters:
         raise ValueError(f"unknown report format {fmt!r}")
+    text = emitters[fmt](report)
     if path is not None:
         try:
             Path(path).write_text(text, encoding="utf-8")

@@ -3,11 +3,12 @@ one shared index that searches over prefix groups.
 
 CAN traffic repeats the same frames, and its feature rows differ mostly in
 their last column, the interval: the payload bits, DLC and ID before it
-take few distinct values. When the index is built, one sort of the
-reference rows by the bytes of their first d - 1 columns, then by the last
-value and its bytes, puts the rows identical in their bytes side by side
-and splits the distinct rows into prefix groups: the distinct rows that
-share their first d - 1 columns, ascending in the last.
+take few distinct values. When the index is built, the reference rows are
+grouped by the bytes of their first d - 1 columns, and one sort by group,
+then by the last value and its bytes, puts the rows identical in their
+bytes side by side and splits the distinct rows into prefix groups: the
+distinct rows that share their first d - 1 columns, ascending in the
+last.
 
 The exact squared distance of a query q to a reference r is (q - r) ** 2
 summed over the columns left to right, so it is fl(P + t): P, the sum over
@@ -55,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyData, KTooLarge, WrongWidth
+from .features import distinct_rows
 
 # Bytes that one query may hold in temporaries, beyond its inputs and
 # outputs: a block's expansion, its partition and its sampled upper bounds,
@@ -91,29 +93,16 @@ class NeighborIndex:
             raise EmptyData("reference matrix must be a non-empty 2-D array")
         self.refs = refs
         self.n, self.width = refs.shape
-        # one sort by the prefix bytes, the last value, then its bytes: each
-        # prefix group ascends in its last column, and rows identical in
-        # their bytes lie side by side, by id
-        bits = refs.view(np.uint64)
-        order = np.lexsort((bits[:, -1], refs[:, -1], *bits[:, :-1].T))
-        new_group = np.zeros(self.n, dtype=bool)  # first of its prefix group
-        new_group[0] = True
-        for col in bits[:, :-1].T:  # one column at a time keeps this O(n) bytes
-            col = col[order]
-            new_group[1:] |= col[1:] != col[:-1]
-        # the groups moved into the order of their lowest ids, so that when
+        # prefix groups, numbered by their first and so lowest ids: when
         # every row is its own group the prefixes are a view of refs
-        head = np.flatnonzero(new_group)
-        size = np.diff(np.append(head, self.n))
-        by_id = np.argsort(np.minimum.reduceat(order, head))
-        start = np.empty_like(head)
-        start[by_id] = np.cumsum(size[by_id]) - size[by_id]
-        g = np.cumsum(new_group) - 1
-        moved = np.empty_like(order)
-        moved[start[g] + np.arange(self.n) - head[g]] = order
-        order = moved
-        new_group[:] = False
-        new_group[start] = True
+        bits = refs.view(np.uint64)
+        group, _ = distinct_rows(list(bits[:, :-1].T), self.n)
+        # one sort by group, the last value, then its bytes: each prefix group
+        # ascends in its last column, and rows identical in their bytes lie
+        # side by side, by id
+        order = np.lexsort((bits[:, -1], refs[:, -1], group))
+        group = group[order]
+        new_group = np.r_[True, group[1:] != group[:-1]]  # first of its group
         col = bits[order, -1]
         new_row = new_group.copy()  # first of its distinct row
         new_row[1:] |= col[1:] != col[:-1]

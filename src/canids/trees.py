@@ -79,6 +79,7 @@ import numpy as np
 
 from .autoencoder import sigmoid
 from .errors import IoError
+from .features import distinct_rows
 from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
@@ -162,26 +163,6 @@ _HIST_VALUES = 256
 _BLOCK_ROWS = 1024  # rows per matrix product over the 0/1 block
 
 
-def _distinct_rows(keys: list[np.ndarray], n: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Groups n rows by their values in keys, one array of n per key:
-    index[i] is row i's group and rows[j] the first row of group j, with
-    groups numbered in the order of their first rows."""
-    order = np.lexsort(keys)  # stable: a group's first row leads it
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for k in keys:
-        k = k[order]
-        new[1:] |= k[1:] != k[:-1]
-    firsts = order[new]
-    is_first = np.zeros(n, dtype=bool)
-    is_first[firsts] = True
-    number = np.cumsum(is_first) - 1  # a first row's group, in row order
-    index = np.empty(n, dtype=np.int64)
-    index[order] = number[firsts][np.cumsum(new) - 1]
-    return index, np.flatnonzero(is_first)
-
-
 class _Presorted:
     """One fit's split-search data over the distinct rows of X, shared by
     every tree of a forest: index maps each row of X to its distinct row
@@ -233,7 +214,7 @@ class _Presorted:
                 feats.append(f)
             else:
                 scans[f] = order
-        self.index, self.rows = _distinct_rows(keys, n)
+        self.index, self.rows = distinct_rows(keys, n)
         self.n = self.rows.size
         self.block = np.take(block, self.rows, axis=0)
         del block, packed, words, keys

@@ -176,6 +176,33 @@ def test_report_rerender(tmp_path, capsys):
     assert text.splitlines()[0] == "model,accuracy,precision,recall,f1,roc_auc"
 
 
+_ROW = {"model": "dt", "counts": {"tp": 1, "tn": 1, "fp": 0, "fn": 0},
+        "accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "is a JSON object"),
+    ({"rows": {"model": "dt"}}, "rows are a list"),
+    ({"rows": [["dt"]]}, "not an object with a model"),
+    ({"rows": [{"params": {}}]}, "not an object with a model"),
+    ({"rows": [{**_ROW, "counts": {**_ROW["counts"], "xx": 1}}]},
+     "integers tp, tn, fp, fn"),
+    ({"rows": [{**_ROW, "counts": {"tp": 1, "tn": 1, "fp": 0}}]},
+     "integers tp, tn, fp, fn"),
+    ({"rows": [{**_ROW, "counts": [1, 1, 0, 0]}]}, "integers tp, tn, fp, fn"),
+    ({"rows": [{**_ROW, "counts": {**_ROW["counts"], "tp": "1"}}]},
+     "integers tp, tn, fp, fn"),
+], ids=["not-an-object", "rows-not-a-list", "row-not-an-object",
+        "row-without-model", "counts-extra-key", "counts-missing-key",
+        "counts-not-an-object", "count-not-an-integer"])
+def test_report_malformed_json_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--in", str(path), "--format", "csv") == 2
+    err = capsys.readouterr().err
+    assert "canids: data error: " in err and message in err
+
+
 def test_eval_unlabeled_features_exit_2(feature_csvs, tmp_path):
     from canids.features import FeatureMatrix, write_features
     m = read_features(feature_csvs["test"])
@@ -666,6 +693,33 @@ def test_train_invalid_param_value_exit_2(feature_csvs, tmp_path, capsys,
                    "--out", str(tmp_path / "m.json"), "--params", params)
     assert code == 2
     assert "canids: data error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,params", [("knn", "k=abc"),
+                                          ("dt", "max_depth=x")])
+def test_train_param_of_the_wrong_type_exit_2(feature_csvs, tmp_path, capsys,
+                                              model, params):
+    code = run_cli("train", "--model", model, "--in", str(feature_csvs["train"]),
+                   "--out", str(tmp_path / "m.json"), "--params", params)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    key, _, value = params.partition("=")
+    assert (f"canids: data error: {model} param {key} must be a number, "
+            f"not {value!r}") in err
+
+
+def test_eval_model_file_param_of_the_wrong_type_exit_2(feature_csvs, tmp_path,
+                                                        capsys):
+    model_path = tmp_path / "knn.json"
+    assert run_cli("train", "--model", "knn", "--in", str(feature_csvs["train"]),
+                   "--out", str(model_path)) == 0
+    doc = json.loads(model_path.read_text())
+    doc["payload"]["params"]["k"] = "abc"
+    model_path.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model-file", str(model_path),
+                   "--test", str(feature_csvs["test"])) == 2
+    assert (f"data error: model file {model_path}: knn param k must be a "
+            f"number, not 'abc'" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("attack", [

@@ -290,6 +290,17 @@ REFUSED_PARAMS = [
     ("rc", "cutoff_level", 0, "cutoff_level must lie in (0, 1)"),
     ("rc", "cutoff_level", 1, "cutoff_level must lie in (0, 1)"),
     ("rc", "cutoff_level", 7, "cutoff_level must lie in (0, 1)"),
+    # a keyword declared int or float holds a number, whatever the kind
+    ("knn", "k", "abc", "knn param k must be a number, not 'abc'"),
+    ("dt", "max_depth", "x", "dt param max_depth must be a number, not 'x'"),
+    ("gbt", "learning_rate", True,
+     "gbt param learning_rate must be a number, not True"),
+    ("rf", "features_per_split", "4",
+     "rf param features_per_split must be a number, not '4'"),
+    ("lof", "max_fit_samples", [1],
+     "lof param max_fit_samples must be a number, not [1]"),
+    ("iforest", "subsample", None,
+     "iforest param subsample must be a number, not None"),
 ]
 
 
@@ -297,6 +308,14 @@ REFUSED_PARAMS = [
 def test_refused_param_is_a_config_error_at_make(name, key, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         make_detector(name, {key: value})
+
+
+def test_number_keywords_take_ints_numpy_numbers_and_declared_none():
+    assert make_detector("gbt", {"learning_rate": 1}).learning_rate == 1
+    assert make_detector("rc", {"support_fraction": np.float64(0.8),
+                                "seed": np.int64(3)}).seed == 3
+    assert make_detector("lof", {"max_fit_samples": None}).max_fit_samples is None
+    assert make_detector("rf", {"features_per_split": 4}).features_per_split == 4
 
 
 @pytest.mark.parametrize("name, key, value, message", REFUSED_PARAMS)

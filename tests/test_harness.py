@@ -20,7 +20,10 @@ from canids.harness import (
     EvalRow,
     ExperimentConfig,
     carve_validation,
+    emit_csv,
+    emit_json,
     emit_report,
+    emit_text,
     expand_grid,
     grid_search,
     load_experiment_config,
@@ -403,6 +406,159 @@ def test_audit_catches_tampered_metrics():
 def test_emit_report_unknown_format():
     with pytest.raises(ValueError):
         emit_report(sample_report(), "yaml")
+
+
+def golden_report() -> EvalReport:
+    """A normal row, a FAILED row, a row with undefined metrics and an
+    importance list."""
+    from canids import metrics as mx
+    ok = ConfusionCounts(tp=7, tn=11, fp=2, fn=3)
+    undef = ConfusionCounts(tp=0, tn=20, fp=0, fn=3)
+    rows = [
+        EvalRow(model="gbt", params={"rounds": 10, "learning_rate": 0.3},
+                counts=ok, accuracy=mx.accuracy(ok),
+                precision=mx.precision(ok), recall=mx.recall(ok),
+                f1=mx.f1(ok), roc_auc=0.8125, wall_clock=0.5),
+        EvalRow(model="lof", params={"k": 100000}, policy="normal-only",
+                wall_clock=0.25, error="KTooLarge: k=100000 exceeds 19"),
+        EvalRow(model="rc", params={}, policy="contaminated", counts=undef,
+                accuracy=mx.accuracy(undef), precision=None,
+                recall=mx.recall(undef), f1=None, roc_auc=None,
+                wall_clock=1.0),
+    ]
+    return EvalReport(rows=rows, seed=7,
+                      meta={"policy": "normal-only", "sizes": {"train": 3}},
+                      importance=[0.5 ** i for i in range(12)][::-1])
+
+
+GOLDEN_CSV = (
+    "model,accuracy,precision,recall,f1,roc_auc\n"
+    "gbt,0.782608695652174,0.7777777777777778,0.7,0.7368421052631577,0.8125\n"
+    "lof,FAILED,,,,\n"
+    "rc,0.8695652173913043,—,0.0,—,—\n"
+)
+
+GOLDEN_TEXT = (
+    "model       accuracy   precision   recall   f1       roc_auc \n"
+    "gbt         0.7826     0.7778      0.7000   0.7368   0.8125  \n"
+    "lof         FAILED: KTooLarge: k=100000 exceeds 19\n"
+    "rc          0.8696     —           0.0000   —        —       \n"
+    "\n"
+    "gbt: tp=7 tn=11 fp=2 fn=3\n"
+    "rc: tp=0 tn=20 fp=0 fn=3\n"
+    "\n"
+    "top feature importances (gain):\n"
+    "  bit11: 1.0000\n"
+    "  bit10: 0.5000\n"
+    "  bit09: 0.2500\n"
+    "  bit08: 0.1250\n"
+    "  bit07: 0.0625\n"
+    "  bit06: 0.0312\n"
+    "  bit05: 0.0156\n"
+    "  bit04: 0.0078\n"
+    "  bit03: 0.0039\n"
+    "  bit02: 0.0020\n"
+)
+
+GOLDEN_JSON = """\
+{
+  "seed": 7,
+  "meta": {
+    "policy": "normal-only",
+    "sizes": {
+      "train": 3
+    }
+  },
+  "importance": [
+    0.00048828125,
+    0.0009765625,
+    0.001953125,
+    0.00390625,
+    0.0078125,
+    0.015625,
+    0.03125,
+    0.0625,
+    0.125,
+    0.25,
+    0.5,
+    1.0
+  ],
+  "rows": [
+    {
+      "model": "gbt",
+      "params": {
+        "rounds": 10,
+        "learning_rate": 0.3
+      },
+      "policy": null,
+      "counts": {
+        "tp": 7,
+        "tn": 11,
+        "fp": 2,
+        "fn": 3
+      },
+      "accuracy": 0.782608695652174,
+      "precision": 0.7777777777777778,
+      "recall": 0.7,
+      "f1": 0.7368421052631577,
+      "roc_auc": 0.8125,
+      "wall_clock": 0.5,
+      "error": null
+    },
+    {
+      "model": "lof",
+      "params": {
+        "k": 100000
+      },
+      "policy": "normal-only",
+      "counts": null,
+      "accuracy": null,
+      "precision": null,
+      "recall": null,
+      "f1": null,
+      "roc_auc": null,
+      "wall_clock": 0.25,
+      "error": "KTooLarge: k=100000 exceeds 19"
+    },
+    {
+      "model": "rc",
+      "params": {},
+      "policy": "contaminated",
+      "counts": {
+        "tp": 0,
+        "tn": 20,
+        "fp": 0,
+        "fn": 3
+      },
+      "accuracy": 0.8695652173913043,
+      "precision": null,
+      "recall": 0.0,
+      "f1": null,
+      "roc_auc": null,
+      "wall_clock": 1.0,
+      "error": null
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("emit,golden", [
+    (emit_csv, GOLDEN_CSV), (emit_text, GOLDEN_TEXT), (emit_json, GOLDEN_JSON),
+])
+def test_report_formats_are_byte_stable(emit, golden):
+    assert emit(golden_report()) == golden
+    # the JSON report reads back to a report that emits the same bytes
+    assert emit(read_report_json(GOLDEN_JSON)) == golden
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_text, emit_json])
+@pytest.mark.parametrize("key", ["accuracy", "precision", "recall", "f1"])
+def test_each_emitter_audits_its_rows(emit, key):
+    report = golden_report()
+    setattr(report.rows[0], key, 0.5)
+    with pytest.raises(ReportInconsistent, match=f"gbt.{key}"):
+        emit(report)
 
 
 # --- ablation -----------------------------------------------------------------

@@ -20,11 +20,9 @@ import numpy as np
 from .errors import (
     ConfigError,
     DivergedTraining,
-    IoError,
     NonFiniteActivation,
     WrongWidth,
 )
-from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
     from .detectors import DaeDetector
@@ -302,37 +300,4 @@ def train(
                 raise DivergedTraining(f"loss became {epoch_loss}")
             trace.append(epoch_loss)
     return net, trace
-
-
-# --- serialization -----------------------------------------------------------
-
-def net_to_payload(net: AutoencoderNet) -> dict:
-    def layers(stack):
-        return [
-            {
-                "weights": encode_array(l.weights),
-                "bias": encode_array(l.bias),
-                "activation": l.activation,
-            }
-            for l in stack
-        ]
-
-    return {"encoder": layers(net.encoder), "decoder": layers(net.decoder)}
-
-
-def net_from_payload(payload: dict) -> AutoencoderNet:
-    """The net a payload holds; IoError unless each stack is a list of
-    layer objects, WrongWidth unless the layers chain."""
-    def stack(key):
-        objs = payload[key]
-        if not isinstance(objs, list) or not all(isinstance(o, dict)
-                                                 for o in objs):
-            raise IoError(f"{key} is not a list of layer objects")
-        return [
-            DenseLayer(decode_array(o["weights"]), decode_array(o["bias"]),
-                       o["activation"])
-            for o in objs
-        ]
-
-    return AutoencoderNet(stack("encoder"), stack("decoder"))
 

@@ -247,7 +247,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = read_report_json(Path(args.infile).read_text(encoding="utf-8"))
+    try:
+        report = read_report_json(
+            Path(args.infile).read_text(encoding="utf-8"))
+    except IoError as exc:
+        raise IoError(f"report {args.infile}: {exc}") from exc
     text = emit_report(report, args.format, args.out)
     if not args.out:
         print(text, end="")

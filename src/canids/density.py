@@ -32,7 +32,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
 from .errors import BadSubsample, SingularCovariance, TooFewSamples
-from .trees import FlatTree, mean_route, trees_to_payload
+from .trees import FlatTree, mean_route
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -205,10 +205,6 @@ class IsoForestModel:
 
     def mean_path_length(self, X: np.ndarray) -> np.ndarray:
         return mean_route(self.trees, X)
-
-    def to_payload(self) -> dict:
-        return {"subsample": self.subsample,
-                **trees_to_payload(self.trees)}
 
 
 def fit_isolation_forest(

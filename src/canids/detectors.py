@@ -13,7 +13,8 @@ _check_params per detector refuses the values it cannot take. Only fit
 and score check and convert input; the model layers take float64 2-D
 arrays and 0/1 labels as given. A model file holds the params, the seed,
 the fitted width and the fitted state, and load_detector rebuilds the
-detector through make_detector before it restores the state.
+detector through make_detector before it restores the state. Every
+payload is laid out and checked here; model_io knows no model type.
 
 The registry maps CLI names (dt, knn, rf, gbt, rc, lof, iforest, dae) to
 factories.
@@ -59,6 +60,7 @@ from .model_io import (
 from .neighbors import LocalOutlierFactor, NeighborIndex
 from .trees import (
     FlatTree,
+    children,
     feature_importance,
     fit_cart,
     fit_gbt,
@@ -66,8 +68,6 @@ from .trees import (
     gbt_margins,
     mean_route,
     route_trees,
-    trees_from_payload,
-    trees_to_payload,
 )
 
 SUPERVISED_MODELS = ("dt", "knn", "rf", "gbt")
@@ -91,10 +91,66 @@ def _require_labels(train: FeatureMatrix, name: str) -> np.ndarray:
     return y
 
 
-def _check_refs_width(index: NeighborIndex, n_features: int) -> None:
-    if index.width != n_features:
-        raise WrongWidth(f"refs have {index.width} columns, "
-                         f"n_features is {n_features}")
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise IoError(f"{what} is not an object")
+    return value
+
+
+def _array(obj: dict, key: str, shape: tuple, why: str) -> np.ndarray:
+    """The array encoded at obj[key]; IoError naming key unless its shape
+    is shape, where None matches any size; why names what sets the shape."""
+    a = decode_array(obj[key])
+    if len(a.shape) != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, a.shape)):
+        need = ", ".join("any" if n is None else str(n) for n in shape)
+        raise IoError(f"{key} has shape {list(a.shape)}, {why} needs [{need}]")
+    return a
+
+
+def trees_to_payload(trees: list[FlatTree]) -> dict:
+    """The model file form of trees grown in pre-order, left subtree
+    first: their node counts as "sizes" and their feature, threshold,
+    value and gain arrays end to end as "trees"; the children are implied
+    by the order."""
+
+    def stacked(name):
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    return {"sizes": [t.feature.size for t in trees],
+            "trees": {"feature": stacked("feature").tolist(),
+                      "threshold": encode_array(stacked("threshold")),
+                      "value": encode_array(stacked("value")),
+                      "gain": encode_array(stacked("gain"))}}
+
+
+def trees_from_payload(obj: dict, width: int) -> list[FlatTree]:
+    """The trees trees_to_payload wrote, as views of one array per field,
+    checked so that routing ends and reads only columns below width;
+    IoError otherwise."""
+    sizes, arrays = obj["sizes"], _object(obj["trees"], "trees")
+    if not (isinstance(sizes, list) and sizes
+            and all(type(s) is int and s >= 1 for s in sizes)):
+        raise IoError("tree sizes are not a non-empty list of node counts "
+                      "of at least 1")
+    try:
+        feature = np.array(arrays["feature"])
+    except ValueError as exc:  # nested lists of uneven lengths
+        raise IoError(f"tree feature list is malformed: {exc}") from exc
+    threshold, value, gain = (decode_array(arrays[k])
+                              for k in ("threshold", "value", "gain"))
+    n = sum(sizes)
+    shapes = [a.shape for a in (feature, threshold, value, gain)]
+    if any(s != (n,) for s in shapes) or feature.dtype != np.int64:
+        raise IoError(f"tree arrays have shapes {shapes}, need the {n} nodes "
+                      "the sizes sum to and integer features")
+    if np.any((feature < -1) | (feature >= width)):
+        raise IoError(f"tree split on a feature outside [0, {width})")
+    children(feature, sizes)  # IoError unless the sizes span whole trees
+    parts = feature, threshold, value, gain
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [FlatTree(*(a[lo:lo + m] for a in parts))
+            for lo, m in zip(starts, sizes)]
 
 
 def _load_trees(state: dict, width: int, param: str, count: int
@@ -107,6 +163,30 @@ def _load_trees(state: dict, width: int, param: str, count: int
     return trees
 
 
+def net_to_payload(net: ae.AutoencoderNet) -> dict:
+    def layers(stack):
+        return [{"weights": encode_array(l.weights),
+                 "bias": encode_array(l.bias), "activation": l.activation}
+                for l in stack]
+
+    return {"encoder": layers(net.encoder), "decoder": layers(net.decoder)}
+
+
+def net_from_payload(payload: dict) -> ae.AutoencoderNet:
+    """The net a payload holds; IoError unless each stack is a list of
+    layer objects, WrongWidth unless the layers chain."""
+    def stack(key):
+        objs = payload[key]
+        if not isinstance(objs, list) or not all(isinstance(o, dict)
+                                                 for o in objs):
+            raise IoError(f"{key} is not a list of layer objects")
+        return [ae.DenseLayer(decode_array(o["weights"]),
+                              decode_array(o["bias"]), o["activation"])
+                for o in objs]
+
+    return ae.AutoencoderNet(stack("encoder"), stack("decoder"))
+
+
 def _fitted(default=None):
     """A fitted attribute: not a constructor keyword, set by fit or load."""
     return field(default=default, init=False)
@@ -115,8 +195,9 @@ def _fitted(default=None):
 @dataclass(eq=False)
 class Detector:
     """Base contract; subclasses set name/supervised/standardized and
-    implement _fit, _score and decide, plus _state/_restore to persist.
-    predict defaults to thresholding score."""
+    implement _fit, _score and decide, plus _state and _restore, which
+    write and check the fitted state of a model file. predict defaults to
+    thresholding score."""
 
     name = "base"
     supervised = False
@@ -198,13 +279,6 @@ class Detector:
         if not self.fitted:
             raise UnfitModel(f"{self.name} is not fitted")
 
-    # fitted state as JSON-ready values; detectors with model files override
-    def _state(self) -> dict:
-        raise NotImplementedError(f"{self.name} does not serialize")
-
-    def _restore(self, state: dict) -> None:
-        raise NotImplementedError(f"{self.name} does not serialize")
-
 
 @dataclass(eq=False)
 class DecisionTreeDetector(Detector):
@@ -265,8 +339,9 @@ class KnnDetector(Detector):
                 "labels": self.labels.astype(np.int64).tolist()}
 
     def _restore(self, state):
-        self.index = NeighborIndex(decode_array(state["refs"]))
-        _check_refs_width(self.index, self.n_features)
+        n = self.n_features
+        self.index = NeighborIndex(
+            _array(state, "refs", (None, n), f"n_features {n}"))
         labels = state["labels"]
         if not isinstance(labels, list) or len(labels) != self.index.n:
             raise IoError(f"labels must be a list of {self.index.n} entries, "
@@ -403,14 +478,12 @@ class RcDetector(Detector):
 
     def _restore(self, state):
         n = self.n_features
-        arrays = {key: decode_array(state[key])
-                  for key in ("mean", "cov", "cov_inv")}
-        for key, a in arrays.items():
-            need = (n,) if key == "mean" else (n, n)
-            if a.shape != need:
-                raise IoError(f"{key} has shape {list(a.shape)}, "
-                              f"n_features {n} needs {list(need)}")
-        self.model = GaussianModel(**arrays, cutoff=decode_float(state["cutoff"]))
+        mean, cov, cov_inv = (
+            _array(state, key, shape, f"n_features {n}")
+            for key, shape in (("mean", (n,)), ("cov", (n, n)),
+                               ("cov_inv", (n, n))))
+        self.model = GaussianModel(mean, cov, cov_inv,
+                                   decode_float(state["cutoff"]))
 
 
 @dataclass(eq=False)
@@ -448,11 +521,15 @@ class LofDetector(Detector):
                 "ref_lrd": encode_array(self.lof.ref_lrd)}
 
     def _restore(self, state):
-        self.lof = LocalOutlierFactor.from_state(
-            self.k, decode_array(state["refs"]),
-            decode_array(state["ref_kdist"]), decode_array(state["ref_lrd"]),
-        )
-        _check_refs_width(self.lof.index, self.n_features)
+        # what scoring reads, without a neighbour search; ref_lof stays None
+        n, self.lof = self.n_features, LocalOutlierFactor(self.k)
+        index = self.lof.index = NeighborIndex(
+            _array(state, "refs", (None, n), f"n_features {n}"))
+        if self.k >= index.n:
+            raise IoError(f"k={self.k} needs more than {index.n} references")
+        self.lof.ref_kdist, self.lof.ref_lrd = (
+            _array(state, key, (index.n,), f"refs of {index.n} rows")
+            for key in ("ref_kdist", "ref_lrd"))
 
 
 @dataclass(eq=False)
@@ -482,7 +559,8 @@ class IsoForestDetector(Detector):
         return (scores > self.threshold).astype(np.int8)
 
     def _state(self):
-        return {"model": self.model.to_payload()}
+        return {"model": {"subsample": self.model.subsample,
+                          **trees_to_payload(self.model.trees)}}
 
     def _restore(self, state):
         model = _object(state["model"], "model")
@@ -557,13 +635,13 @@ class DaeDetector(Detector):
                 "threshold_gamma": self.threshold_gamma}
 
     def _state(self):
-        return {"net": ae.net_to_payload(self.net),
+        return {"net": net_to_payload(self.net),
                 "threshold": {"p": encode_float(self.threshold_p),
                               "gamma": encode_float(self.threshold_gamma),
                               "threshold": encode_float(self.threshold)}}
 
     def _restore(self, state):
-        self.net = ae.net_from_payload(_object(state["net"], "net"))
+        self.net = net_from_payload(_object(state["net"], "net"))
         if self.net.input_width != self.n_features:
             raise IoError(f"net takes {self.net.input_width} columns, "
                           f"n_features is {self.n_features}")
@@ -619,12 +697,6 @@ def save_detector(path, det: Detector) -> None:
                                 "n_features": det.n_features, "state": state})
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise IoError(f"{what} is not an object")
-    return value
-
-
 def load_detector(path) -> Detector:
     """The detector a model file holds; IoError naming the file if it names
     an unknown kind or param, lacks a key its kind needs, holds a part that
@@ -638,18 +710,15 @@ def load_detector(path) -> Detector:
         det = make_detector(kind, _object(payload["params"], "params"),
                             payload["seed"])
         state = _object(payload["state"], "state")
-        det.n_features = payload["n_features"]
-        if not isinstance(det.n_features, int) or det.n_features < 1:
-            raise IoError(f"n_features {det.n_features!r} is not a width")
+        n = det.n_features = payload["n_features"]
+        # JSON true equals 1 but is not a width
+        if type(n) is not int or n < 1:
+            raise IoError(f"n_features {n!r} is not a width")
         if det.standardized:
             s = _object(state["standardizer"], "standardizer")
-            mean, std = decode_array(s["mean"]), decode_array(s["std"])
-            for name, a in (("mean", mean), ("std", std)):
-                if a.shape != (det.n_features,):
-                    raise IoError(f"standardizer {name} has shape "
-                                  f"{list(a.shape)}, n_features is "
-                                  f"{det.n_features}")
-            det.standardizer = Standardizer(mean, std)
+            det.standardizer = Standardizer(*(
+                _array(s, key, (n,), f"the standardizer of n_features {n}")
+                for key in ("mean", "std")))
         det._restore(state)
     except KeyError as exc:
         raise IoError(f"model file {path}: {kind} model has no "

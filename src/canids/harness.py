@@ -36,7 +36,8 @@ from .errors import (
     IoError,
     ReportInconsistent,
 )
-from .features import SUBSETS, FeatureMatrix, extract, select_subset
+from .features import (FEATURE_NAMES, SUBSETS, FeatureMatrix, extract,
+                       select_subset)
 from .metrics import ConfusionCounts, ScoredLabels, confusion, roc_auc
 
 # Per-model hyperparameter grids for grid search (exhaustive).
@@ -521,7 +522,6 @@ def emit_text(report: EvalReport) -> str:
             out.append(f"{row.model}: tp={c.tp} tn={c.tn} fp={c.fp} fn={c.fn}")
     if report.importance is not None:
         out += ["", "top feature importances (gain):"]
-        from .features import FEATURE_NAMES
         for i in np.argsort(report.importance)[::-1][:10]:
             out.append(f"  {FEATURE_NAMES[i]}: {report.importance[i]:.4f}")
     return "\n".join(out) + "\n"
@@ -539,8 +539,10 @@ def emit_json(report: EvalReport) -> str:
 
 def read_report_json(text: str) -> EvalReport:
     """The report a JSON report holds; IoError unless it is an object whose
-    rows are a list of objects, each with a model and with counts that are
-    null or exactly tp, tn, fp and fn, each an integer."""
+    rows are a list of objects, each with a model, with counts that are
+    null or exactly tp, tn, fp and fn, each an integer, and with numbers
+    (not bools) or, where the field allows it, null in its float fields;
+    and unless its importance is null or at most one number per feature."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -549,12 +551,23 @@ def read_report_json(text: str) -> EvalReport:
         raise IoError("a report is a JSON object whose rows are a list")
     report = EvalReport(seed=doc.get("seed", 0), meta=doc.get("meta", {}),
                         importance=doc.get("importance"))
+    imp = report.importance
+    if imp is not None and not (
+            isinstance(imp, list) and len(imp) <= len(FEATURE_NAMES)
+            and all(type(v) in (int, float) for v in imp)):
+        raise IoError(f"importance is not a list of at most "
+                      f"{len(FEATURE_NAMES)} numbers, one per feature")
     keys = [f.name for f in fields(EvalRow) if f.name != "scored"]
+    floats = [f for f in fields(EvalRow) if f.type.startswith("float")]
     tallies = [f.name for f in fields(ConfusionCounts)]
     for r in doc.get("rows", []):
         if not isinstance(r, dict) or "model" not in r:
             raise IoError(f"report row {r!r} is not an object with a model")
         row = EvalRow(**{key: r[key] for key in keys if key in r})
+        for f in floats:  # "float | None" fields may be null
+            v = getattr(row, f.name)
+            if not (type(v) in (int, float) or v is None and f.type != "float"):
+                raise IoError(f"{row.model} {f.name} {v!r} is not a number")
         c = row.counts
         if c is not None:
             if not (isinstance(c, dict) and sorted(c) == sorted(tallies)

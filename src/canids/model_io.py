@@ -19,12 +19,10 @@ bytes each; a one-pattern column has no plane). data is the base64 of the
 other columns' little-endian float64 bytes in C order; with no packed
 column the object holds only shape and data.
 Scalars are stored as C99 hex strings (float.hex()). Both round-trip doubles
-exactly, -0.0 and NaN payloads included. Integer arrays, such as the trees'
-split features, are plain JSON integer lists. The trees of every tree
-model are one trees.trees_to_payload object: their node counts and their
-node arrays end to end in pre-order, children implied by the order, never
-nested nodes. Files of any other version (1-7 included) are refused, and so
-is JSON nested too deep to parse.
+exactly, -0.0 and NaN payloads included. Integer arrays are plain JSON
+integer lists. This module knows no model type: detectors lays out and
+checks each model's payload. Files of any other version (1-7 included) are
+refused, and so is JSON nested too deep to parse.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyData, KTooLarge, WrongWidth
+from .errors import EmptyData, KTooLarge
 from .features import distinct_rows
 
 # Bytes that one query may hold in temporaries, beyond its inputs and
@@ -417,23 +417,6 @@ class LocalOutlierFactor:
         reach = np.maximum(self.ref_kdist[ids], dists)
         self.ref_lrd = _safe_lrd(self.k, reach.sum(axis=1))
         self.ref_lof = _lof_ratio(self.ref_lrd[ids].mean(axis=1), self.ref_lrd)
-        return self
-
-    @classmethod
-    def from_state(cls, k: int, refs, kdist: np.ndarray,
-                   lrd: np.ndarray) -> "LocalOutlierFactor":
-        """A fitted LOF rebuilt from what scoring reads: the references and
-        their k-distances and lrd. No neighbour search is run, and ref_lof
-        stays None."""
-        self = cls(k)
-        self.index = NeighborIndex(refs)
-        if self.k >= self.index.n:
-            raise KTooLarge(f"k={self.k} needs more than {self.index.n} points")
-        for name, a in (("k-distances", kdist), ("lrd", lrd)):
-            if a.shape != (self.index.n,):
-                raise WrongWidth(f"{name} shape {a.shape} != "
-                                    f"({self.index.n},) references")
-        self.ref_kdist, self.ref_lrd = kdist, lrd
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

@@ -59,11 +59,11 @@ masks the candidates of the features it did not sample.
 Every tree is a FlatTree: four parallel arrays (feature, threshold,
 value, gain) in pre-order, left subtree first, which the growers append
 to as they go. No child index is stored: the order implies the children,
-and _children alone works them out. Every model, the isolation forest in
-density included, routes rows through route_trees, the one router, which
-takes all of a model's trees in one pass with the one test x <= threshold.
-Model files hold a model's trees as one payload of the four arrays end to
-end, which loading checks with _children.
+and children() alone works them out, refusing arrays that are not whole
+trees. Every model, the isolation forest in density included, routes rows
+through route_trees, the one router, which takes all of a model's trees in
+one pass with the one test x <= threshold. detectors lays out model files
+and checks the trees a file holds with children().
 
 The growers and routers take the float64 2-D arrays and 0/1 labels that
 the detectors have checked; they do not convert or check them again.
@@ -80,7 +80,6 @@ import numpy as np
 from .autoencoder import sigmoid
 from .errors import IoError
 from .features import distinct_rows
-from .model_io import decode_array, encode_array
 
 if TYPE_CHECKING:
     from .detectors import GbtDetector, RandomForestDetector
@@ -425,7 +424,7 @@ class FlatTree:
 
     Node i is a leaf when feature[i] == -1; otherwise x goes to its left
     child, node i + 1, when x[feature[i]] <= threshold[i], else to its
-    right child, the node after its left subtree (_children finds both).
+    right child, the node after its left subtree (children() finds both).
     value holds the leaf outputs: CART fractions, boosting weights or
     isolation path lengths; gain holds each split's gain. An entry a node
     does not use is 0.0 (a split's value, a leaf's threshold and gain, and
@@ -461,7 +460,7 @@ def route_trees(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
 def _router(trees: list[FlatTree]):
     """route_trees(trees, ·) as a function of X, its tables built once.
 
-    The trees are stacked end to end, their children found by _children,
+    The trees are stacked end to end, their children found by children(),
     and node i becomes the slots 2i, holding its right child's slot, and
     2i + 1, holding its left child's, so that one routing step is the take
     child[slot + (x <= threshold)]. A leaf's slots both hold the leaf and
@@ -474,7 +473,7 @@ def _router(trees: list[FlatTree]):
     feature = np.concatenate([t.feature for t in trees])
     leaf = feature < 0
     here = 2 * np.arange(feature.size)
-    left, right = _children(feature, sizes)
+    left, right = children(feature, sizes)
     child = np.empty(2 * feature.size, dtype=np.int64)
     child[0::2] = np.where(leaf, here, 2 * right)
     child[1::2] = np.where(leaf, here, 2 * left)
@@ -522,10 +521,8 @@ def mean_route(trees: list[FlatTree], X: np.ndarray) -> np.ndarray:
     return _sum_routes(trees, X, 0.0, 1.0) / len(trees)
 
 
-# --- model file payload ------------------------------------------------------
-
-def _children(feature: np.ndarray, sizes: list[int]
-              ) -> tuple[np.ndarray, np.ndarray]:
+def children(feature: np.ndarray, sizes: list[int]
+             ) -> tuple[np.ndarray, np.ndarray]:
     """The left and right child indices of the nodes of trees stored end to
     end in pre-order, left subtree first, sizes[t] nodes for tree t, as
     indices into those end-to-end arrays; -1 for a leaf's. IoError unless
@@ -552,53 +549,6 @@ def _children(feature: np.ndarray, sizes: list[int]
     split = feature >= 0
     return (np.where(split, np.arange(1, feature.size + 1), -1),
             np.where(split, after, -1))
-
-
-def trees_to_payload(trees: list[FlatTree]) -> dict:
-    """The model file form of trees grown in pre-order, left subtree
-    first: their node counts as "sizes" and their feature, threshold,
-    value and gain arrays end to end as "trees"; the children are implied
-    by the order."""
-
-    def stacked(name):
-        return np.concatenate([getattr(t, name) for t in trees])
-
-    return {"sizes": [t.feature.size for t in trees],
-            "trees": {"feature": stacked("feature").tolist(),
-                      "threshold": encode_array(stacked("threshold")),
-                      "value": encode_array(stacked("value")),
-                      "gain": encode_array(stacked("gain"))}}
-
-
-def trees_from_payload(obj: dict, width: int) -> list[FlatTree]:
-    """The trees trees_to_payload wrote, as views of one array per field,
-    checked so that routing ends and reads only columns below width;
-    IoError otherwise."""
-    sizes, arrays = obj["sizes"], obj["trees"]
-    if not (isinstance(sizes, list) and sizes
-            and all(type(s) is int and s >= 1 for s in sizes)):
-        raise IoError("tree sizes are not a non-empty list of node counts "
-                      "of at least 1")
-    if not isinstance(arrays, dict):
-        raise IoError("trees is not an object")
-    try:
-        feature = np.array(arrays["feature"])
-    except ValueError as exc:  # nested lists of uneven lengths
-        raise IoError(f"tree feature list is malformed: {exc}") from exc
-    threshold, value, gain = (decode_array(arrays[k])
-                              for k in ("threshold", "value", "gain"))
-    n = sum(sizes)
-    shapes = [a.shape for a in (feature, threshold, value, gain)]
-    if any(s != (n,) for s in shapes) or feature.dtype != np.int64:
-        raise IoError(f"tree arrays have shapes {shapes}, need the {n} nodes "
-                      "the sizes sum to and integer features")
-    if np.any((feature < -1) | (feature >= width)):
-        raise IoError(f"tree split on a feature outside [0, {width})")
-    _children(feature, sizes)  # IoError unless the sizes span whole trees
-    parts = feature, threshold, value, gain
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    return [FlatTree(*(a[lo:lo + m] for a in parts))
-            for lo, m in zip(starts, sizes)]
 
 
 # --- random forest -----------------------------------------------------------

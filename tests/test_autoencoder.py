@@ -14,8 +14,6 @@ from canids.autoencoder import (
     _grads,
     _views,
     make_autoencoder,
-    net_from_payload,
-    net_to_payload,
     reconstruction_losses,
     sigmoid,
     train,
@@ -26,7 +24,7 @@ from canids.errors import (
     DivergedTraining,
     EmptyLosses,
 )
-from canids.detectors import DaeDetector
+from canids.detectors import DaeDetector, net_from_payload, net_to_payload
 from canids.features import FeatureMatrix, Standardizer
 from canids.metrics import percentile_cutoff, tune_cutoff
 from test_metrics import (

@@ -192,15 +192,29 @@ _ROW = {"model": "dt", "counts": {"tp": 1, "tn": 1, "fp": 0, "fn": 0},
     ({"rows": [{**_ROW, "counts": [1, 1, 0, 0]}]}, "integers tp, tn, fp, fn"),
     ({"rows": [{**_ROW, "counts": {**_ROW["counts"], "tp": "1"}}]},
      "integers tp, tn, fp, fn"),
+    ({"rows": [{"model": "dt", "accuracy": "x"}]},
+     "dt accuracy 'x' is not a number"),
+    ({"rows": [{**_ROW, "accuracy": "x"}]}, "dt accuracy 'x' is not a number"),
+    ({"rows": [{**_ROW, "f1": True}]}, "dt f1 True is not a number"),
+    ({"rows": [{**_ROW, "roc_auc": "x"}]}, "dt roc_auc 'x' is not a number"),
+    ({"rows": [{**_ROW, "wall_clock": "x"}]},
+     "dt wall_clock 'x' is not a number"),
+    ({"rows": [{**_ROW, "wall_clock": None}]},
+     "dt wall_clock None is not a number"),
+    ({"importance": ["x"] * 67, "rows": []}, "importance is not a list"),
+    ({"importance": [0.5] * 100, "rows": []}, "importance is not a list"),
 ], ids=["not-an-object", "rows-not-a-list", "row-not-an-object",
         "row-without-model", "counts-extra-key", "counts-missing-key",
-        "counts-not-an-object", "count-not-an-integer"])
+        "counts-not-an-object", "count-not-an-integer",
+        "metric-string-without-counts", "metric-string-with-counts",
+        "metric-bool", "roc-auc-string", "wall-clock-string",
+        "wall-clock-null", "importance-strings", "importance-too-long"])
 def test_report_malformed_json_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(doc))
     assert run_cli("report", "--in", str(path), "--format", "csv") == 2
     err = capsys.readouterr().err
-    assert "canids: data error: " in err and message in err
+    assert f"canids: data error: report {path}: " in err and message in err
 
 
 def test_eval_unlabeled_features_exit_2(feature_csvs, tmp_path):
@@ -536,6 +550,27 @@ def lof_short_lrd(doc):
     state["ref_lrd"] = encode_array(decode_array(state["ref_lrd"])[:3])
 
 
+def lof_short_kdist(doc):
+    state = doc["payload"]["state"]
+    state["ref_kdist"] = encode_array(decode_array(state["ref_kdist"])[:-1])
+
+
+def lof_k_at_refs(doc):
+    # k neighbours other than itself need more than k references
+    doc["payload"]["params"]["k"] = len(
+        decode_array(doc["payload"]["state"]["refs"]))
+
+
+def dt_n_features_true(doc):
+    # a lone leaf reads no column, so nothing but the width refuses the file
+    doc["payload"]["n_features"] = True
+    held = _trees(doc)
+    held["sizes"] = [1]
+    held["trees"] = {"feature": [-1],
+                     **{key: encode_array(np.zeros(1))
+                        for key in ("threshold", "value", "gain")}}
+
+
 def _resize_standardizer(doc, part, by):
     s = doc["payload"]["state"]["standardizer"]
     a = decode_array(s[part])
@@ -642,7 +677,8 @@ def rc_mean_three_wide(doc):
     iforest_zero_size, rf_sizes_short,
     knn_labels_short, knn_labels_long, knn_labels_seven, knn_labels_string,
     knn_labels_300, knn_labels_one_true, knn_labels_one_float,
-    knn_refs_narrow, lof_refs_narrow, lof_short_lrd,
+    knn_refs_narrow, lof_refs_narrow, lof_short_lrd, lof_short_kdist,
+    lof_k_at_refs, dt_n_features_true,
     dae_short_bias, dae_bogus_activation, knn_mean_short, dae_std_long,
     knn_refs_planes_short, knn_state_list,
     rc_cutoff_number, dae_threshold_p_number, dae_threshold_p_zero,

@@ -153,6 +153,10 @@ def test_detector_serialization_round_trip(name, tmp_path):
     assert restored.name == name
     assert det.score(test).tobytes() == restored.score(test).tobytes()
     assert np.array_equal(det.predict(test), restored.predict(test))
+    # a loaded model saves to the bytes it was loaded from
+    again = tmp_path / f"{name}.again.json"
+    save_detector(again, restored)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_derive_seed_stable_and_distinct():

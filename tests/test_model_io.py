@@ -1,6 +1,8 @@
+import ast
 import base64
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import canids
 from canids.errors import IoError
 from canids.model_io import decode_array, decode_float, encode_array
 
@@ -235,3 +238,19 @@ def test_bad_encoded_array_is_an_io_error(obj, match):
 def test_bad_hex_float_is_an_io_error(value):
     with pytest.raises(IoError, match="is not a hex float"):
         decode_float(value)
+
+
+@pytest.mark.parametrize("module", ["trees", "autoencoder", "density",
+                                    "neighbors"])
+def test_model_layers_do_not_import_model_io(module):
+    """Only detectors lays out model files: the model layers never import
+    the file codec."""
+    path = Path(canids.__file__).parent / f"{module}.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert not [name for name in imported
+                if name.split(".")[-1] == "model_io"]

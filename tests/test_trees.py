@@ -14,7 +14,8 @@ from canids.autoencoder import sigmoid
 from canids.density import fit_isolation_forest
 from canids.detectors import (DecisionTreeDetector, GbtDetector,
                               RandomForestDetector, load_detector,
-                              save_detector)
+                              save_detector, trees_from_payload,
+                              trees_to_payload)
 from canids.errors import EmptyData, IoError, NonBinaryLabels, UnfitModel
 from canids.features import FeatureMatrix
 from canids.model_io import decode_array, encode_array
@@ -27,8 +28,6 @@ from canids.trees import (
     gbt_margins,
     mean_route,
     route_trees,
-    trees_from_payload,
-    trees_to_payload,
 )
 from canids import trees
 from canids.trees import _log_loss, _Presorted
@@ -543,8 +542,8 @@ def test_route_trees_matches_per_tree_routing(forest, rows, seed, cells):
         for tree in forest_trees:
             acc += ref_route(tree, X)
         with (mock.patch.object(trees, "_SUM_CELLS", cells),
-              mock.patch.object(trees, "_children",
-                                wraps=trees._children) as children):
+              mock.patch.object(trees, "children",
+                                wraps=trees.children) as children):
             mean = mean_route(forest_trees, X)
     assert mean.tobytes() == (acc / len(forest_trees)).tobytes()
     assert children.call_count == 1  # the tables are built once per call
